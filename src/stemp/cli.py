@@ -36,6 +36,19 @@ METRIC_BUCKETS = (("0.95", Fraction("0.95")), ("0.90", Fraction("0.90")),
 SCR_BUCKETS = (1, 5, 10, 15)
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _add_profile_options(parser: argparse.ArgumentParser):
     parser.add_argument("--profile", required=True,
                         help="builtin profile name (protein, trna, rrna5s-archaeal, "
@@ -56,8 +69,9 @@ def _add_profile_options(parser: argparse.ArgumentParser):
                      help="assemble 5S domains with the combined-score filter (default)")
     gsl.add_argument("--no-gsl", dest="use_gsl", action="store_false",
                      help="skip domain assembly; every helix candidate is a vertex")
-    parser.add_argument("--max-cliques", type=int, default=None,
-                        help="abort (exit 3) past this many maximal cliques")
+    parser.add_argument("--max-cliques", type=_at_least(0), default=None,
+                        help="abort (exit 3) past this many maximal cliques "
+                             "(with --top-k: cliques the pruned search reaches)")
     parser.add_argument("--max-seconds", type=float, default=None,
                         help="abort (exit 3) past this much search time per sequence")
 
@@ -86,13 +100,19 @@ def _configure(args) -> ProfileConfig:
 
 
 def run_pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None = None,
-                 max_seconds: float | None = None) -> tuple[StemGraph, PredictionReport]:
-    """Graph construction, clique search, and ranking for one sequence."""
+                 max_seconds: float | None = None,
+                 top_k: int | None = None) -> tuple[StemGraph, PredictionReport]:
+    """Graph construction, clique search, and ranking for one sequence.
+
+    With ``top_k`` the report holds only the k best predictions, the same
+    as the first k of the full report, and the search prunes below them.
+    """
     start = time.perf_counter()
     graph = build_profile_graph(seq, cfg)
-    cliques = maximal_cliques(graph, max_cliques=max_cliques, max_seconds=max_seconds)
+    cliques = maximal_cliques(graph, max_cliques=max_cliques, max_seconds=max_seconds,
+                              top_k=top_k)
     report = rank_predictions(graph, cliques, sequence_id=seq.id, profile=cfg.name,
-                              timing=time.perf_counter() - start)
+                              timing=time.perf_counter() - start, top_k=top_k)
     return graph, report
 
 
@@ -115,9 +135,7 @@ def cmd_predict(args) -> int:
     structures = []
     for seq in sequences:
         graph, report = run_pipeline(seq, cfg, max_cliques=args.max_cliques,
-                                     max_seconds=args.max_seconds)
-        if args.top_k is not None:
-            report = replace(report, predictions=report.predictions[:args.top_k])
+                                     max_seconds=args.max_seconds, top_k=args.top_k)
         docs.append(report_to_dict(report, seq=seq, include_timing=args.timing))
         if args.dump_graph:
             path = Path(args.dump_graph)
@@ -376,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit every rank-1 structure, not just the first")
     p.add_argument("--dump-graph", default=None,
                    help="write the stem graph (JSON, or text if path ends in .txt)")
-    p.add_argument("--top-k", type=int, default=None,
+    p.add_argument("--top-k", type=_at_least(1), default=None,
                    help="keep only the k best-ranked predictions in the report")
     p.add_argument("--timing", action="store_true", help="include timing in the report")
     p.set_defaults(func=cmd_predict)
@@ -396,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_options(b)
     b.add_argument("input", help="directory holding <name>.fasta with <name>.ct/.dbn")
     b.add_argument("--metric", choices=("mcc", "f1"), default="mcc")
-    b.add_argument("--jobs", type=int, default=1, help="worker processes")
+    b.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     b.add_argument("--min-length", type=int, default=50,
                    help="skip sequences shorter than this (census validity rule)")
     b.add_argument("--allow-empty-reference", action="store_true",

@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -17,8 +18,14 @@ from .errors import BudgetExceeded
 from .stems import Pair, StemGraph
 
 
+def _base_masks(graph: StemGraph) -> list[int]:
+    """Per vertex, the bitmask of the base indices its stem pairs."""
+    return [sum(1 << x for pq in s.pairs for x in pq) for s in graph.vertices]
+
+
 def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
-                    max_seconds: float | None = None) -> list[tuple[int, ...]]:
+                    max_seconds: float | None = None,
+                    top_k: int | None = None) -> list[tuple[int, ...]]:
     """All maximal cliques, each once, as sorted vertex-index tuples.
 
     Bron-Kerbosch with pivoting: the pivot is the vertex of P | X with the
@@ -26,44 +33,91 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
     out as singleton cliques. Worst case is exponential, so callers may set a
     clique-count or wall-time budget; exceeding it raises BudgetExceeded and
     no partial result is returned.
+
+    With ``top_k`` set, the search is a weighted-clique branch-and-bound on
+    energy (total stem length): once k cliques are found, a branch is not
+    entered when its energy plus a bound on what its candidates P can add
+    falls below the k-th best energy so far. The bound is the smaller of the
+    summed stem lengths in P and half the bases P's stems cover. The result
+    is then exactly the maximal cliques whose energy is at least the k-th
+    best energy overall, ties included, so ``rank_predictions(...,
+    top_k=k)`` on it ranks the same k predictions, with the same SCR, DR and
+    multiplicity, as on the full list. ``max_cliques`` counts the cliques
+    the pruned search reaches.
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     n = len(graph.vertices)
     if n == 0:
         return []
     masks = graph.neighbor_masks
+    lengths = [s.length for s in graph.vertices]
+    # planes[b] holds the vertices whose length has bit b set, so the summed
+    # length of a vertex set is a few popcounts, not a walk over its bits.
+    planes = [sum(1 << v for v, length in enumerate(lengths) if length >> b & 1)
+              for b in range(max(lengths).bit_length())]
+    bases = _base_masks(graph)
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     out: list[tuple[int, ...]] = []
+    energies: list[int] = []  # energy of each clique in out, kept only with top_k
+    best: list[int] = []  # min-heap of the top_k best energies found so far
 
-    def expand(r: list[int], p: int, x: int):
+    def may_reach(energy: int, p: int) -> bool:
+        """Whether a clique from R (of this energy) and P reaches best[0]."""
+        need = best[0] - energy
+        if sum((p & plane).bit_count() << b for b, plane in enumerate(planes)) < need:
+            return False
+        used = 0
+        while p:
+            used |= bases[(p & -p).bit_length() - 1]
+            p &= p - 1
+        return used.bit_count() >> 1 >= need
+
+    def expand(r: list[int], p: int, x: int, energy: int):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"clique search passed {max_seconds} s")
         if p == 0 and x == 0:
             out.append(tuple(sorted(r)))
             if max_cliques is not None and len(out) > max_cliques:
                 raise BudgetExceeded(f"more than {max_cliques} maximal cliques")
+            if top_k is not None:
+                energies.append(energy)
+                if len(best) < top_k:
+                    heapq.heappush(best, energy)
+                elif energy > best[0]:
+                    heapq.heapreplace(best, energy)
             return
         pux = p | x
-        pivot, best = -1, -1
+        pivot, best_cnt = -1, -1
         m = pux
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
             cnt = (p & masks[u]).bit_count()
-            if cnt > best:
-                pivot, best = u, cnt
+            if cnt > best_cnt:
+                pivot, best_cnt = u, cnt
         cand = p & ~masks[pivot]
         while cand:
             v = (cand & -cand).bit_length() - 1
             bit = 1 << v
             cand &= cand - 1
-            r.append(v)
-            expand(r, p & masks[v], x & masks[v])
-            r.pop()
+            mv = masks[v]
+            child_p = p & mv
+            child_energy = energy + lengths[v]
+            # len(best) == top_k never holds without top_k, so nothing is pruned
+            if len(best) != top_k or may_reach(child_energy, child_p):
+                r.append(v)
+                expand(r, child_p, x & mv, child_energy)
+                r.pop()
             p &= ~bit
             x |= bit
 
-    expand([], (1 << n) - 1, 0)
-    return sorted(out)
+    expand([], (1 << n) - 1, 0, 0)
+    if len(best) == top_k:
+        # drop cliques found before the k-th best energy rose past them
+        out = [c for c, energy in zip(out, energies) if energy >= best[0]]
+    out.sort()
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,35 +161,48 @@ def prediction_pairs(prediction: FoldPrediction, graph: StemGraph) -> tuple[Pair
 
 def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
                      sequence_id: str = "", profile: str = "",
-                     timing: float | None = None) -> PredictionReport:
-    """Score cliques by total matched pairs and assign SCR and DR ranks."""
-    entries = []
-    for clique in cliques:
-        vs = tuple(sorted(clique))
-        energy = sum(graph.vertices[v].length for v in vs)
-        pairs = clique_pairs(graph, vs)
-        indices = {x for pq in pairs for x in pq}
-        if len(pairs) != energy or len(indices) != 2 * energy:
-            raise ValueError(f"clique {vs} reuses base indices; not a valid structure")
-        entries.append((vs, energy, pairs))
-    entries.sort(key=lambda e: (-e[1], e[0]))
+                     timing: float | None = None,
+                     top_k: int | None = None) -> PredictionReport:
+    """Score cliques by total matched pairs and assign SCR and DR ranks.
 
-    by_energy: dict[int, int] = {}
-    for _, energy, _ in entries:
-        by_energy[energy] = by_energy.get(energy, 0) + 1
+    Every clique is priced and checked, and counts towards the ranks: a
+    clique whose stems share a base index raises ValueError whether or not
+    it is emitted. With ``top_k`` set only the k best predictions, ordered
+    by (-energy, vertex tuple), are built and returned; they equal the first
+    k of the full report, SCR, DR and multiplicity included, as long as the
+    cliques passed in hold every clique of energy at least the k-th best
+    (``maximal_cliques(..., top_k=k)`` returns exactly those).
+    """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    lengths = [s.length for s in graph.vertices]
+    bases = _base_masks(graph)
+    counts: dict[int, int] = {}
 
-    predictions = []
+    def priced():
+        for clique in cliques:
+            vs = tuple(sorted(clique))
+            energy = used = 0
+            for v in vs:
+                energy += lengths[v]
+                used |= bases[v]
+            if used.bit_count() != 2 * energy:
+                raise ValueError(f"clique {vs} reuses base indices; not a valid structure")
+            counts[energy] = counts.get(energy, 0) + 1
+            yield -energy, vs
+
+    entries = sorted(priced()) if top_k is None else heapq.nsmallest(top_k, priced())
+
+    ranks: dict[int, tuple[int, int, int]] = {}
     better = 0
-    dense = 0
-    prev_energy = None
-    for vs, energy, pairs in entries:
-        if energy != prev_energy:
-            scr = better + 1
-            dense += 1
-            prev_energy = energy
+    for dense, energy in enumerate(sorted(counts, reverse=True), start=1):
+        ranks[energy] = (better + 1, dense, counts[energy])
+        better += counts[energy]
+    predictions = []
+    for neg_energy, vs in entries:
+        scr, dr, multiplicity = ranks[-neg_energy]
         predictions.append(FoldPrediction(
-            vertices=vs, energy=energy, pairs=pairs,
-            scr=scr, dr=dense, multiplicity=by_energy[energy]))
-        better += 1
+            vertices=vs, energy=-neg_energy, pairs=clique_pairs(graph, vs),
+            scr=scr, dr=dr, multiplicity=multiplicity))
     return PredictionReport(sequence_id=sequence_id, profile=profile,
                             predictions=tuple(predictions), timing=timing)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -89,6 +90,48 @@ def test_predict_top_k_and_ties(tmp_path):
         "-o", str(out), "--dot-bracket", str(db))
     headers = [ln for ln in db.read_text().splitlines() if ln.startswith(">")]
     assert len(headers) == 1  # unique top structure for this input
+
+
+def _random_76mer(tmp_path):
+    rng = random.Random(6)  # 682 cliques under trna; three tie at rank 1
+    fasta = tmp_path / "r76.fasta"
+    fasta.write_text(">r76\n" + "".join(rng.choice("ACGU") for _ in range(76)) + "\n")
+    return str(fasta)
+
+
+@pytest.mark.parametrize("profile", ["protein", "trna"])
+def test_predict_top_k_is_full_report_cut_to_k(tmp_path, profile):
+    fasta = TWOQUX_FASTA if profile == "protein" else _random_76mer(tmp_path)
+    full_out, full_db = tmp_path / "full.json", tmp_path / "full.dbn"
+    assert run("predict", "--profile", profile, fasta, "-o", str(full_out),
+               "--all-ties", "--dot-bracket", str(full_db)) == 0
+    full = json.loads(full_out.read_text())
+    records = full_db.read_text().splitlines()  # three lines per rank-1 structure
+    for k in (1, 3, 5):
+        out, db = tmp_path / f"top{k}.json", tmp_path / f"top{k}.dbn"
+        assert run("predict", "--profile", profile, fasta, "-o", str(out),
+                   "--top-k", str(k), "--all-ties", "--dot-bracket", str(db)) == 0
+        cut = dict(full, predictions=full["predictions"][:k])
+        assert out.read_text() == json.dumps(cut, indent=2) + "\n"
+        # the rank-1 structures among the first k, as when the report was sliced
+        assert db.read_text().splitlines() == records[:3 * k]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("predict", "--top-k", "0"), "argument --top-k: must be >= 1, got 0"),
+    (("predict", "--top-k", "-1"), "argument --top-k: must be >= 1, got -1"),
+    (("predict", "--max-cliques", "-1"), "argument --max-cliques: must be >= 0, got -1"),
+    (("evaluate", "--reference", TWOQUX_CT, "--max-cliques", "-5"),
+     "argument --max-cliques: must be >= 0, got -5"),
+    (("batch", "--jobs", "0"), "argument --jobs: must be >= 1, got 0"),
+    (("batch", "--jobs", "-2"), "argument --jobs: must be >= 1, got -2"),
+])
+def test_bad_flag_values_rejected_at_parse_time(argv, message, capsys):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--profile", "protein", TWOQUX_FASTA, *flags)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_predict_multi_record(tmp_path):

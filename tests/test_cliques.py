@@ -12,19 +12,22 @@ from .oracles import brute_force_maximal_cliques
 CANON = PairingRule()
 
 
-def graph_from_edges(n, edges):
+def graph_from_edges(n, edges, lengths=None):
     masks = [0] * n
     for u, v in edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    # vertex payloads are irrelevant for clique enumeration; use spaced stems
-    vertices = tuple(contiguous_stem(100 * k + 1, 100 * k + 10, 2) for k in range(n))
+    # enumeration reads only the masks; the stems are spaced apart so that any
+    # clique is a valid structure, and their lengths are its energy
+    lengths = lengths or [2] * n
+    vertices = tuple(contiguous_stem(100 * k + 1, 100 * k + 10, lengths[k])
+                     for k in range(n))
     return StemGraph(vertices=vertices, neighbor_masks=tuple(masks))
 
 
-def random_graph(rng, n, p=0.5):
+def random_graph(rng, n, p=0.5, lengths=None):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return graph_from_edges(n, edges)
+    return graph_from_edges(n, edges, lengths)
 
 
 # ------------------------------------------------------------- enumeration
@@ -174,6 +177,66 @@ def _graph_and_cliques(stems):
 def test_rank_rejects_index_reuse():
     a = contiguous_stem(1, 20, 3)
     b = contiguous_stem(1, 30, 3)  # shares base 1 with a
-    graph = StemGraph(vertices=(a, b), neighbor_masks=(2, 1))  # forced bogus edge
+    c = contiguous_stem(40, 70, 10)  # valid, and outranks the bogus clique
+    graph = StemGraph(vertices=(a, b, c), neighbor_masks=(2, 1, 0))  # forced bogus edge
     with pytest.raises(ValueError):
         rank_predictions(graph, [(0, 1)])
+    with pytest.raises(ValueError):  # checked even though only (2,) is emitted
+        rank_predictions(graph, [(0, 1), (2,)], top_k=1)
+
+
+# ------------------------------------------------------------- exact top-k
+
+def _energy(graph, clique):
+    return sum(graph.vertices[v].length for v in clique)
+
+
+def assert_exact_top_k(graph):
+    """For every k, the pruned search and the top-k ranking agree with the
+    full enumeration and the full report cut to k, field for field."""
+    full_cliques = maximal_cliques(graph)
+    full = rank_predictions(graph, full_cliques).predictions
+    energies = sorted((_energy(graph, c) for c in full_cliques), reverse=True)
+    for k in range(1, len(full_cliques) + 2):
+        floor = energies[k - 1] if k <= len(energies) else 0
+        pruned = maximal_cliques(graph, top_k=k)
+        assert pruned == [c for c in full_cliques if _energy(graph, c) >= floor], k
+        assert rank_predictions(graph, pruned, top_k=k).predictions == full[:k], k
+
+
+def test_exact_top_k_every_four_vertex_graph():
+    for lengths in itertools.product((2, 3, 4), repeat=4):
+        for bits in range(1 << 6):
+            edges = [e for k, e in enumerate(itertools.combinations(range(4), 2))
+                     if bits >> k & 1]
+            assert_exact_top_k(graph_from_edges(4, edges, list(lengths)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_top_k_random_graphs_with_ties(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        n = rng.randint(5, 12)
+        lengths = [rng.choice((2, 3)) for _ in range(n)]  # ties fall on the k boundary
+        assert_exact_top_k(random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]), lengths))
+
+
+def test_exact_top_k_golden_graph(seq_2qux):
+    assert_exact_top_k(build_stem_graph(enumerate_stems(seq_2qux, CANON, 3)))
+
+
+def test_exact_top_k_random_sequences():
+    rng = random.Random(2718)
+    for _ in range(20):
+        n = rng.randint(24, 28)
+        seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(n)), id="r")
+        assert_exact_top_k(build_stem_graph(enumerate_stems(seq, CANON, 2)))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_top_k_below_one_rejected(seq_2qux, k):
+    graph = build_stem_graph(enumerate_stems(seq_2qux, CANON, 3))
+    with pytest.raises(ValueError):
+        maximal_cliques(graph, top_k=k)
+    with pytest.raises(ValueError):
+        rank_predictions(graph, maximal_cliques(graph), top_k=k)

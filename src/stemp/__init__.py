@@ -8,7 +8,7 @@ stem admission; see the README for the CLI.
 """
 
 from .cliques import (FoldPrediction, PredictionReport, maximal_cliques,
-                      prediction_pairs, rank_predictions)
+                      rank_predictions)
 from .errors import (AsymmetricPair, BudgetExceeded, FormatError, IndexOutOfRange,
                      InvalidCharacter, NotAcceptorCandidate, ProfileError,
                      StempError, TooManyLayers)
@@ -19,10 +19,9 @@ from .profiles import (AcceptorSpec, DomainCandidate, DomainSpec, HelixSpec,
                        build_profile_graph, builtin_profile, load_profile,
                        profile_vertices, resolve_profile, rrna5s_helix_candidates,
                        trna_vertices)
-from .seq import (PairingRule, Sequence, is_base_pair, parse_sequence)
+from .seq import PairingRule, Sequence, parse_sequence
 from .stems import (GapPattern, Stem, StemGraph, build_stem_graph, can_coexist,
-                    enumerate_gapped_stems, enumerate_partial_stems, enumerate_stems,
-                    stem_loop_score)
+                    enumerate_gapped_stems, enumerate_partial_stems, enumerate_stems)
 
 __version__ = "0.1.0"
 
@@ -35,8 +34,8 @@ __all__ = [
     "StemGraph", "StempError", "TooManyLayers", "acceptor_sl", "assemble_domains",
     "build_profile_graph", "build_stem_graph", "builtin_profile", "can_coexist",
     "drop_noncanonical", "enumerate_gapped_stems", "enumerate_partial_stems",
-    "enumerate_stems", "is_base_pair", "load_profile", "maximal_cliques",
-    "parse_sequence", "prediction_pairs", "profile_vertices", "rank_predictions",
-    "resolve_profile", "rrna5s_helix_candidates", "score_prediction",
-    "stem_loop_score", "summarize_report", "trna_vertices",
+    "enumerate_stems", "load_profile", "maximal_cliques", "parse_sequence",
+    "profile_vertices", "rank_predictions", "resolve_profile",
+    "rrna5s_helix_candidates", "score_prediction", "summarize_report",
+    "trna_vertices",
 ]

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .cliques import PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
-from .fileio import (graph_to_dict, read_fasta, read_reference, report_to_dict,
-                     write_dot_bracket)
+from .fileio import (dumps_indented, graph_to_dict, read_fasta, read_reference,
+                     report_to_dict, write_dot_bracket)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
 from .profiles import (Interval, ProfileConfig, as_fraction, build_profile_graph,
@@ -144,14 +144,14 @@ def cmd_predict(args) -> int:
             if path.suffix == ".txt":
                 path.write_text(render_graph_text(graph), encoding="utf-8")
             else:
-                path.write_text(json.dumps(graph_to_dict(graph), indent=2) + "\n",
+                path.write_text(dumps_indented(graph_to_dict(graph)) + "\n",
                                 encoding="utf-8")
         tops = report.top_ranked() if args.all_ties else report.predictions[:1]
         for pred in tops:
             structures.append((seq, pred))
     payload = docs[0] if len(docs) == 1 else {"schema": "stemp-report-set/1",
                                               "reports": docs}
-    text = json.dumps(payload, indent=2) + "\n"
+    text = dumps_indented(payload) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -213,7 +213,7 @@ def cmd_evaluate(args) -> int:
         _, report = run_pipeline(seq, cfg, max_cliques=args.max_cliques,
                                  max_seconds=args.max_seconds)
         doc = _evaluate_one(report, seq, reference, cfg, args)
-    text = json.dumps(doc, indent=2) + "\n"
+    text = dumps_indented(doc) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -372,7 +372,7 @@ def cmd_batch(args) -> int:
             "failures": failures,
             "histograms": {"scr_of_best": scr_hist, "top": top_hist, "best": best_hist},
         }
-        Path(args.output).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        Path(args.output).write_text(dumps_indented(doc) + "\n", encoding="utf-8")
     return EXIT_OK
 
 

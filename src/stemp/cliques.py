@@ -154,11 +154,6 @@ def clique_pairs(graph: StemGraph, clique: Iterable[int]) -> tuple[Pair, ...]:
     return tuple(pairs)
 
 
-def prediction_pairs(prediction: FoldPrediction, graph: StemGraph) -> tuple[Pair, ...]:
-    """Recompute a prediction's pair set from the graph it came from."""
-    return clique_pairs(graph, prediction.vertices)
-
-
 def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
                      sequence_id: str = "", profile: str = "",
                      timing: float | None = None,

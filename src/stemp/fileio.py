@@ -8,6 +8,9 @@ object. Schemas are documented under docs/.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from math import inf
 from pathlib import Path
 from typing import Iterable
 
@@ -91,10 +94,13 @@ def parse_ct(text: str, id_hint: str = "") -> ReferenceStructure:
         cols = line.split()
         if len(cols) < 5:
             raise FormatError(f"CT line {expect} has {len(cols)} columns, need at least 5")
-        idx = int(cols[0])
+        try:
+            idx, partner = int(cols[0]), int(cols[4])
+        except ValueError:
+            raise FormatError(f"CT line {expect}: index and pair columns must be "
+                              f"integers: {line!r}") from None
         if idx != expect:
             raise FormatError(f"CT line {expect} is numbered {idx}")
-        partner = int(cols[4])
         if partner < 0 or partner > length:
             raise IndexOutOfRange(partner, length)
         if partner == idx:
@@ -146,32 +152,39 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
     """Render pairs as dot-bracket text, pseudoknots on higher tiers.
 
     Greedy layering: pairs sorted by first index go to the lowest tier of
-    ( ) [ ] { } < > whose pairs they do not cross. More than four mutually
-    crossing layers raises TooManyLayers.
+    ( ) [ ] { } < > whose pairs they do not cross. More than four tiers
+    raises TooManyLayers. Greedy is not minimal: it can open a tier that a
+    different assignment would not need (Smit et al., RNA 2008).
+
+    Each tier keeps a stack of the closing indices of its still-open pairs,
+    innermost last. A tier's open pairs all enclose the current opening
+    index p, so they nest; pair (p, q) crosses one of them iff some open
+    closing index lies in (p, q), i.e. iff the top of the stack, once the
+    closings below p are popped, is below q. Linear after the sort.
     """
     n = seq if isinstance(seq, int) else seq.length
-    ordered = sorted(pairs)
     chars = ["."] * n
-    tiers: list[list[Pair]] = []
-    used = set()
-    for p, q in ordered:
+    stacks: list[list[int]] = []
+    used = bytearray(n + 1)
+    for p, q in sorted(pairs):
         if not (1 <= p < q <= n):
             raise IndexOutOfRange(q if q > n else p, n)
-        if p in used or q in used:
+        if used[p] or used[q]:
             raise ValueError(f"index reused by pair ({p},{q})")
-        used.update((p, q))
-        placed = False
-        for tier, members in enumerate(tiers):
-            if not any(a < p < b < q or p < a < q < b for a, b in members):
-                members.append((p, q))
-                chars[p - 1], chars[q - 1] = BRACKET_TIERS[tier]
-                placed = True
+        used[p] = used[q] = 1
+        for tier, stack in enumerate(stacks):
+            while stack and stack[-1] < p:
+                stack.pop()
+            if not stack or stack[-1] > q:
                 break
-        if not placed:
-            if len(tiers) >= len(BRACKET_TIERS):
+        else:
+            if len(stacks) >= len(BRACKET_TIERS):
                 raise TooManyLayers(f"pair ({p},{q}) needs a fifth bracket tier")
-            tiers.append([(p, q)])
-            chars[p - 1], chars[q - 1] = BRACKET_TIERS[len(tiers) - 1]
+            tier = len(stacks)
+            stack = []
+            stacks.append(stack)
+        stack.append(q)
+        chars[p - 1], chars[q - 1] = BRACKET_TIERS[tier]
     return "".join(chars)
 
 
@@ -232,6 +245,89 @@ def read_reference(path: str | Path) -> ReferenceStructure:
     return read_dot_bracket(path)
 
 
+# ---------------------------------------------------------------- JSON text
+
+def dumps_indented(obj) -> str:
+    """Return exactly ``json.dumps(obj, indent=2)``: byte equality is the
+    contract.
+
+    ``json.dumps`` uses its C encoder only when ``indent`` is None. With an
+    indent it walks every value in pure Python and holds one string per
+    token until the final join, which made encoding a full report most of a
+    ``predict`` run. This writer covers trees of dicts with str keys, lists,
+    tuples, str, int, float, bool and None. A list of plain ints, or of
+    two-int lists or tuples, is rendered by one ``str.join`` from a fixed
+    template; everything else recurses. Other types, and non-str keys
+    (which ``json.dumps`` would convert), raise TypeError.
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(o, nl: str) -> str:
+    # Same type tests in the same order as json.encoder._make_iterencode.
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _encode_float(o)
+    if isinstance(o, (list, tuple)):
+        return _encode_list(o, nl)
+    if isinstance(o, dict):
+        return _encode_dict(o, nl)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _encode_float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == inf:
+        return "Infinity"
+    if o == -inf:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _encode_list(o, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    kinds = {*map(type, o)}  # exact types: a bool is an int that prints as true
+    if kinds == {int}:
+        body = sep.join(map(int.__repr__, o))
+    elif (kinds <= {list, tuple} and {*map(len, o)} == {2}
+          and {*map(type, chain.from_iterable(o))} == {int}):
+        deeper = inner + "  "
+        pair = f"[{deeper}%d,{deeper}%d{inner}]"
+        body = sep.join([pair] * len(o)) % tuple(chain.from_iterable(o))
+    else:
+        body = sep.join([_encode(v, inner) for v in o])
+    return f"[{inner}{body}{nl}]"  # one copy of the body, not one per "+"
+
+
+def _encode_dict(o: dict, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    # Pieces, not "key: value" strings, so that a large value (a full
+    # report's predictions) is copied only once, by the join.
+    pieces = []
+    for key, value in o.items():
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        pieces += (",", inner, encode_basestring_ascii(key), ": ", _encode(value, inner))
+    pieces[0] = "{"
+    pieces.append(nl + "}")
+    return "".join(pieces)
+
+
 # ---------------------------------------------------------------- reports
 
 REPORT_SCHEMA = "stemp-report/1"
@@ -253,7 +349,7 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
                 "multiplicity": p.multiplicity,
                 "energy": p.energy,
                 "vertices": [v + 1 for v in p.vertices],
-                "pairs": [list(pq) for pq in p.pairs],
+                "pairs": list(map(list, p.pairs)),
                 "dot_bracket": write_dot_bracket(seq, p.pairs) if seq is not None else None,
             }
             for p in report.predictions
@@ -265,27 +361,36 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
 
 
 def report_from_dict(doc: dict) -> PredictionReport:
+    if not isinstance(doc, dict):
+        raise FormatError(f"not a report document: the top level is a {type(doc).__name__}")
     if doc.get("schema") != REPORT_SCHEMA:
         raise FormatError(f"not a report document: schema={doc.get('schema')!r}")
-    preds = tuple(
-        FoldPrediction(
-            vertices=tuple(v - 1 for v in entry["vertices"]),
-            energy=entry["energy"],
-            pairs=tuple((p, q) for p, q in entry["pairs"]),
-            scr=entry["rank_scr"],
-            dr=entry["rank_dr"],
-            multiplicity=entry["multiplicity"],
-        )
-        for entry in doc["predictions"]
-    )
-    return PredictionReport(sequence_id=doc["sequence_id"], profile=doc["profile"],
-                            predictions=preds, timing=doc.get("timing_seconds"))
+    where = "report"
+    try:
+        preds = []
+        for rank, entry in enumerate(doc["predictions"], start=1):
+            where = f"prediction {rank}"
+            preds.append(FoldPrediction(
+                vertices=tuple(v - 1 for v in entry["vertices"]),
+                energy=entry["energy"],
+                pairs=tuple((p, q) for p, q in entry["pairs"]),
+                scr=entry["rank_scr"],
+                dr=entry["rank_dr"],
+                multiplicity=entry["multiplicity"],
+            ))
+        where = "report"
+        return PredictionReport(sequence_id=doc["sequence_id"], profile=doc["profile"],
+                                predictions=tuple(preds), timing=doc.get("timing_seconds"))
+    except KeyError as exc:
+        raise FormatError(f"{where} has no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where} is malformed: {exc}") from None
 
 
 def write_report(report: PredictionReport, path: str | Path,
                  seq: Sequence | None = None, include_timing: bool = False) -> None:
     doc = report_to_dict(report, seq=seq, include_timing=include_timing)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps_indented(doc) + "\n", encoding="utf-8")
 
 
 def read_report(path: str | Path) -> PredictionReport:

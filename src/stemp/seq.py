@@ -41,10 +41,6 @@ class PairingRule:
         return False
 
 
-CANONICAL_ONLY = PairingRule()
-CANONICAL_WOBBLE = PairingRule(wobble=True)
-
-
 @dataclass(frozen=True)
 class Sequence:
     """A validated RNA sequence with 1-based indexing."""
@@ -95,8 +91,3 @@ def parse_sequence(text: str, id: str = "") -> Sequence:
             raise InvalidCharacter(pos, ch)
         residues.append(up)
     return Sequence(id=id, residues="".join(residues))
-
-
-def is_base_pair(a: str, b: str, rule: PairingRule = CANONICAL_ONLY) -> bool:
-    """True iff bases a and b may pair under the given rule. Symmetric."""
-    return rule.allows(a, b)

@@ -143,11 +143,6 @@ class Stem:
         return f"({self.i},{self.j},{self.length},{self.span}){pat}"
 
 
-def stem_loop_score(stem: Stem) -> Fraction:
-    """Span-to-length ratio of a stem, as an exact rational."""
-    return stem.sl
-
-
 def contiguous_stem(i: int, j: int, length: int, helix: str | None = None) -> Stem:
     pairs = tuple((i + t, j - t) for t in range(length))
     return Stem(i=i, j=j, pairs=pairs, helix=helix)

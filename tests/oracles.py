@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's algorithms: stems are found by testing
 every (i, j, l) triple, cliques by enumerating every vertex subset, edges by
-raw index-set disjointness.
+raw index-set disjointness, dot-bracket tiers by testing every pair of a tier
+for a crossing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from stemp.errors import IndexOutOfRange, TooManyLayers
+from stemp.fileio import BRACKET_TIERS
 from stemp.seq import PairingRule, Sequence
 
 MIN_SPAN = 3
@@ -99,18 +102,47 @@ def brute_force_maximal_cliques_np(neighbor_masks: list[int]) -> set[frozenset[i
         rest = np.arange(0, size >> (v + 1), dtype=np.int64) << (v + 1)
         s = rest | (1 << v)
         clique[s] = clique[rest] & ((rest & ~neighbor_masks[v]) == 0)
-    idx = np.arange(size, dtype=np.int64)
     maximal = clique.copy()
     for w in range(n):
-        bit = 1 << w
-        absent = (idx & bit) == 0
-        maximal &= ~(absent & clique[idx | bit])
+        # s without bit w is not maximal when s | bit w is a clique; viewed
+        # as (-1, 2, 2^w), [:, 0, :] holds the first and [:, 1, :] the second
+        width = 1 << w
+        maximal.reshape(-1, 2, width)[:, 0, :] &= ~clique.reshape(-1, 2, width)[:, 1, :]
     out = set()
     for s in np.nonzero(maximal)[0]:
         if s == 0:
             continue
         out.add(frozenset(v for v in range(n) if s >> v & 1))
     return out
+
+
+def pairwise_dot_bracket(seq: Sequence | int, pairs) -> str:
+    """Greedy dot-bracket layering by testing every member of every tier
+    for a crossing; the reference for fileio.write_dot_bracket."""
+    n = seq if isinstance(seq, int) else seq.length
+    ordered = sorted(pairs)
+    chars = ["."] * n
+    tiers: list[list[tuple[int, int]]] = []
+    used = set()
+    for p, q in ordered:
+        if not (1 <= p < q <= n):
+            raise IndexOutOfRange(q if q > n else p, n)
+        if p in used or q in used:
+            raise ValueError(f"index reused by pair ({p},{q})")
+        used.update((p, q))
+        placed = False
+        for tier, members in enumerate(tiers):
+            if not any(a < p < b < q or p < a < q < b for a, b in members):
+                members.append((p, q))
+                chars[p - 1], chars[q - 1] = BRACKET_TIERS[tier]
+                placed = True
+                break
+        if not placed:
+            if len(tiers) >= len(BRACKET_TIERS):
+                raise TooManyLayers(f"pair ({p},{q}) needs a fifth bracket tier")
+            tiers.append([(p, q)])
+            chars[p - 1], chars[q - 1] = BRACKET_TIERS[len(tiers) - 1]
+    return "".join(chars)
 
 
 def brute_force_gapped(seq: Sequence, rule: PairingRule, segments, gaps):

@@ -185,6 +185,29 @@ def test_evaluate_length_mismatch_exit_2(tmp_path):
                "--reference", str(short)) == 2
 
 
+def test_evaluate_non_integer_ct_column_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ct"
+    lines = (FIXTURES / "2qux.ct").read_text().splitlines()
+    cols = lines[3].split()
+    lines[3] = " ".join(cols[:4] + ["x"] + cols[5:])  # residue 3's pair column
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("evaluate", "--profile", "protein", TWOQUX_FASTA,
+               "--reference", str(bad)) == 2
+    assert "error: CT line 3: index and pair columns must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"schema": "stemp-report/1", "predictions": [{}]}, "prediction 1 has no 'vertices' key"),
+    ([{"schema": "stemp-report/1"}], "not a report document: the top level is a list"),
+])
+def test_evaluate_malformed_report_exit_2(tmp_path, capsys, doc, message):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(doc))
+    assert run("evaluate", "--profile", "protein", "--report", str(report),
+               "--reference", TWOQUX_CT) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_evaluate_needs_exactly_one_input_source():
     assert run("evaluate", "--profile", "protein", "--reference", TWOQUX_CT) == 2
     assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--report", "x.json",
@@ -294,3 +317,20 @@ def test_batch_empty_directory(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["rows"] == [] and doc["skipped"] == [] and doc["failures"] == []
     assert "sequences: 0" in capsys.readouterr().out
+
+
+def test_documents_are_indented_json(batch_dir, tmp_path):
+    """Every JSON document is the bytes json.dumps(doc, indent=2) gives."""
+    fasta = tmp_path / "multi.fasta"
+    fasta.write_text(">a\nGGGGAAAACCCC\n>b\nGGCACAGAAGAUAUGGCUUCGUGCC\n")
+    outputs = {name: tmp_path / f"{name}.json"
+               for name in ("set", "graph-a", "graph-b", "metrics", "batch")}
+    assert run("predict", "--profile", "protein", str(fasta), "-o", str(outputs["set"]),
+               "--dump-graph", str(tmp_path / "graph.json"), "--timing") == 0
+    assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--reference", TWOQUX_CT,
+               "-o", str(outputs["metrics"])) == 0
+    assert run("batch", "--profile", "trna", str(batch_dir), "--timing",
+               "-o", str(outputs["batch"])) == 0
+    for path in outputs.values():
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name

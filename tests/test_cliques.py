@@ -4,7 +4,8 @@ import random
 import pytest
 
 from stemp import (BudgetExceeded, PairingRule, build_stem_graph, enumerate_stems,
-                   maximal_cliques, parse_sequence, prediction_pairs, rank_predictions)
+                   maximal_cliques, parse_sequence, rank_predictions)
+from stemp.cliques import clique_pairs
 from stemp.stems import StemGraph, contiguous_stem
 
 from .oracles import brute_force_maximal_cliques
@@ -138,7 +139,7 @@ def test_prediction_pairs(seq_2qux):
     graph = build_stem_graph(enumerate_stems(seq_2qux, CANON, 3))
     report = rank_predictions(graph, maximal_cliques(graph))
     top = report.predictions[0]
-    pairs = prediction_pairs(top, graph)
+    pairs = clique_pairs(graph, top.vertices)
     assert pairs == top.pairs
     assert pairs[0] == (1, 25) and (5, 21) in pairs
     for p in report.predictions:

@@ -1,18 +1,24 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stemp import (AsymmetricPair, FormatError, IndexOutOfRange, InvalidCharacter,
-                   PairingRule, TooManyLayers, build_stem_graph, enumerate_stems,
-                   maximal_cliques, parse_sequence, rank_predictions)
-from stemp.fileio import (graph_from_dict, graph_to_dict, parse_ct,
+                   PairingRule, StempError, TooManyLayers, build_stem_graph,
+                   enumerate_stems, maximal_cliques, parse_sequence, rank_predictions,
+                   resolve_profile)
+from stemp.cli import run_pipeline
+from stemp.fileio import (dumps_indented, graph_from_dict, graph_to_dict, parse_ct,
                           parse_dot_bracket, parse_graph_text, read_ct, read_fasta,
                           read_reference, read_report, report_from_dict,
                           report_to_dict, write_ct, write_dot_bracket, write_report)
 from stemp.stems import render_graph_text
 
 from .conftest import FIXTURES, PAIRS_2QUX
+from .oracles import pairwise_dot_bracket
 
 CANON = PairingRule()
 
@@ -100,6 +106,13 @@ def test_ct_self_pair_rejected():
         parse_ct("1 x\n1 A 0 0 1 1\n")
 
 
+@pytest.mark.parametrize("body", ["1 A 0 2 x 1\n2 A 1 0 0 2\n",
+                                  "1 A 0 2 0 1\n2.0 A 1 0 0 2\n"])
+def test_ct_non_integer_column(body):
+    with pytest.raises(FormatError, match="CT line [12]: index and pair columns"):
+        parse_ct("2 x\n" + body)
+
+
 def test_ct_t_normalized():
     back = parse_ct("2 dna\n1 T 0 2 2 1\n2 A 1 0 1 2\n")
     assert back.bases == "UA"
@@ -133,6 +146,67 @@ def test_write_rejects_bad_pairs():
         write_dot_bracket(6, [(1, 7)])
     with pytest.raises(ValueError):
         write_dot_bracket(8, [(1, 8), (1, 5)])
+
+
+def _render(writer, n, pairs):
+    """The writer's string, or the type and message of what it raised."""
+    try:
+        return writer(n, pairs)
+    except (StempError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_pairs(rng, n, count):
+    """``count`` disjoint pairs on 1..n, crossing freely."""
+    ends = rng.sample(range(1, n + 1), 2 * count)
+    return [tuple(sorted(ends[k:k + 2])) for k in range(0, 2 * count, 2)]
+
+
+def test_dot_bracket_matches_pairwise_oracle_on_random_pairs():
+    rng = random.Random(4711)
+    tiers_seen = set()
+    for _ in range(600):
+        n = rng.randint(2, 80)
+        pairs = _random_pairs(rng, n, rng.randint(0, n // 2))
+        got = _render(write_dot_bracket, n, pairs)
+        assert got == _render(pairwise_dot_bracket, n, pairs)
+        if isinstance(got, str):
+            tiers_seen.update(k for k, tier in enumerate("([{<", start=1) if tier in got)
+        else:
+            tiers_seen.add(got[0])
+    assert tiers_seen == {1, 2, 3, 4, TooManyLayers}
+
+
+def test_dot_bracket_matches_pairwise_oracle_on_bad_pairs():
+    rng = random.Random(1618)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(4, 80)
+        pairs = _random_pairs(rng, n, rng.randint(1, n // 2))
+        p, q = rng.choice(pairs)
+        bad = rng.choice([(p, rng.randint(1, n)), (rng.randint(1, n), q),
+                          (rng.randint(-2, n), n + rng.randint(1, 3)),
+                          (0, rng.randint(1, n)), (q, p)])
+        pairs.insert(rng.randrange(len(pairs) + 1), bad)
+        got = _render(write_dot_bracket, n, pairs)
+        assert got == _render(pairwise_dot_bracket, n, pairs)
+        if not isinstance(got, str):
+            kinds.add(got[0])
+    assert kinds >= {ValueError, IndexOutOfRange}
+
+
+def _random_76mer():
+    rng = random.Random(6)  # 682 cliques under trna
+    return parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="r76")
+
+
+def test_dot_bracket_matches_pairwise_oracle_on_reports(seq_2qux):
+    for seq, profile, count in ((seq_2qux, "protein", 7), (_random_76mer(), "trna", 682)):
+        _, report = run_pipeline(seq, resolve_profile(profile))
+        assert len(report.predictions) == count
+        for pred in report.predictions:
+            assert (_render(write_dot_bracket, seq, pred.pairs)
+                    == _render(pairwise_dot_bracket, seq, pred.pairs))
 
 
 def test_parse_errors():
@@ -212,6 +286,33 @@ def test_report_schema_guard():
         report_from_dict({"schema": "nope", "predictions": []})
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([], "the top level is a list"),
+    ("stemp-report/1", "the top level is a str"),
+    ({"schema": "stemp-report/1", "predictions": [{}]}, "prediction 1 has no 'vertices'"),
+    ({"schema": "stemp-report/1", "predictions": []}, "report has no 'sequence_id'"),
+    ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p"},
+     "report has no 'predictions'"),
+    ({"schema": "stemp-report/1", "predictions": [[1, 2]]}, "prediction 1 is malformed"),
+    ({"schema": "stemp-report/1", "predictions": 5}, "report is malformed"),
+])
+def test_report_from_dict_rejects_malformed_documents(doc, message):
+    with pytest.raises(FormatError, match=message):
+        report_from_dict(doc)
+
+
+def test_report_from_dict_names_the_bad_prediction(seq_2qux):
+    _, report = make_report(seq_2qux)
+    doc = report_to_dict(report, seq=seq_2qux)
+    del doc["predictions"][2]["rank_dr"]
+    doc["predictions"][4]["pairs"][0] = [1, 2, 3]
+    with pytest.raises(FormatError, match="prediction 3 has no 'rank_dr'"):
+        report_from_dict(doc)
+    doc["predictions"][2]["rank_dr"] = 2
+    with pytest.raises(FormatError, match="prediction 5 is malformed"):
+        report_from_dict(doc)
+
+
 def test_graph_round_trip_json(seq_2qux):
     graph, _ = make_report(seq_2qux)
     doc = graph_to_dict(graph)
@@ -251,3 +352,55 @@ def test_documents_match_shipped_schemas(seq_2qux):
     for name in ("protein", "trna", "rrna5s-archaeal"):
         jsonschema.validate(profile_to_dict(builtin_profile(name)),
                             json.loads((docs / "profile.schema.json").read_text()))
+
+
+# ------------------------------------------------------------- JSON text
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+_INTS = st.lists(st.integers() | st.booleans())
+_PAIRS = st.lists(st.lists(st.integers() | st.booleans(), min_size=1, max_size=3)
+                  | st.tuples(st.integers(), st.integers()))
+_TREES = st.recursive(
+    _SCALARS | _INTS | _PAIRS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=20)
+
+
+@given(_TREES)
+@example({})
+@example([])
+@example(())
+@example({"": {}, "e": [], "t": ()})
+@example([True, 1, False, 0])
+@example([[True, 1], [2, False]])
+@example([(1, 2), [3, 4]])
+@example([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+@example({"\u00e9\u2603\x00\x1f\n\"\\": "\ud83d\ude00\x7f\u2028"})
+def test_dumps_indented_equals_json_dumps(tree):
+    assert dumps_indented(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("bad", [[{1, 2}], {"x": b"bytes"}, [[1, object()]]])
+def test_dumps_indented_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2)
+    with pytest.raises(TypeError):
+        dumps_indented(bad)
+
+
+def test_dumps_indented_refuses_non_str_keys():
+    # json.dumps would write the key 1 as "1"; the documents only use str keys
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps_indented({1: "int key"})
+
+
+def test_report_text_equals_json_dumps(tmp_path):
+    r76 = _random_76mer()
+    _, report = run_pipeline(r76, resolve_profile("trna"))
+    doc = report_to_dict(report, seq=r76, include_timing=True)
+    assert dumps_indented(doc) == json.dumps(doc, indent=2)
+    path = tmp_path / "r.json"
+    write_report(report, path, seq=r76)
+    assert path.read_text() == json.dumps(report_to_dict(report, seq=r76), indent=2) + "\n"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stemp import InvalidCharacter, PairingRule, is_base_pair, parse_sequence
+from stemp import InvalidCharacter, PairingRule, parse_sequence
 
 RULES = [PairingRule(), PairingRule(wobble=True), PairingRule(uu=True),
          PairingRule(wobble=True, uu=True)]
@@ -56,7 +56,7 @@ def test_parse_idempotent(text):
 @pytest.mark.parametrize("b", "ACGU")
 @pytest.mark.parametrize("rule", RULES)
 def test_pairing_symmetric_all_combinations(a, b, rule):
-    assert is_base_pair(a, b, rule) == is_base_pair(b, a, rule)
+    assert rule.allows(a, b) == rule.allows(b, a)
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -66,15 +66,15 @@ def test_pairing_exact_sets(rule):
         expected.add(frozenset("GU"))
     if rule.uu:
         expected.add(frozenset("UU"))
-    got = {frozenset((a, b)) for a in "ACGU" for b in "ACGU" if is_base_pair(a, b, rule)}
+    got = {frozenset((a, b)) for a in "ACGU" for b in "ACGU" if rule.allows(a, b)}
     assert got == expected
 
 
 def test_pairing_examples():
-    assert is_base_pair("G", "C", PairingRule())
-    assert not is_base_pair("G", "U", PairingRule())
-    assert is_base_pair("G", "U", PairingRule(wobble=True))
-    assert is_base_pair("U", "U", PairingRule(uu=True))
+    assert PairingRule().allows("G", "C")
+    assert not PairingRule().allows("G", "U")
+    assert PairingRule(wobble=True).allows("G", "U")
+    assert PairingRule(uu=True).allows("U", "U")
 
 
 def test_sequence_immutable_and_indexed():

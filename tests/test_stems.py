@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stemp import (GapPattern, PairingRule, Stem, build_stem_graph, can_coexist,
                    enumerate_gapped_stems, enumerate_partial_stems, enumerate_stems,
-                   parse_sequence, stem_loop_score)
+                   parse_sequence)
 from stemp.stems import contiguous_stem, pattern_of_pairs
 
 from .oracles import brute_force_stems, stems_disjoint
@@ -89,15 +89,15 @@ def test_determinism(seq_2qux):
 def test_stem_loop_score_values(seq_2qux):
     stems = enumerate_stems(seq_2qux, CANON, 3)
     v1 = stems[0]
-    assert stem_loop_score(v1) == Fraction(24, 5)
+    assert v1.sl == Fraction(24, 5)
     assert float(v1.sl) == 4.8
-    assert stem_loop_score(contiguous_stem(1, 5, 2)) == 2
+    assert contiguous_stem(1, 5, 2).sl == 2
 
 
 def test_score_depends_only_on_geometry():
     a = contiguous_stem(4, 20, 3)
     b = contiguous_stem(4, 20, 3)
-    assert stem_loop_score(a) == stem_loop_score(b) == Fraction(16, 3)
+    assert a.sl == b.sl == Fraction(16, 3)
 
 
 # ------------------------------------------------------------- gap patterns

@@ -411,32 +411,27 @@ def _stem_to_dict(stem: Stem) -> dict:
     }
 
 
-def _stem_from_dict(entry: dict) -> Stem:
-    i, j, length = entry["i"], entry["j"], entry["length"]
-    if entry.get("pattern"):
-        pattern = GapPattern.parse(entry["pattern"])
-        stem = Stem(i=i, j=j, pairs=pattern_pairs(i, j, pattern), pattern=pattern,
-                    helix=entry.get("helix"))
+def _rebuild_stem(i: int, j: int, length: int, span: int, sl: str,
+                  pattern: str | None, helix: str | None, error: str) -> Stem:
+    """A dumped vertex from its outer pair and gap notation; FormatError
+    ``error`` unless its length, span and score match the dump."""
+    if pattern:
+        shape = GapPattern.parse(pattern)
+        stem = Stem(i=i, j=j, pairs=shape.pairs(i, j), pattern=shape, helix=helix)
     else:
-        stem = contiguous_stem(i, j, length, helix=entry.get("helix"))
-    if stem.length != length or str(stem.sl) != entry["sl"] or stem.span != entry["span"]:
-        raise FormatError(f"inconsistent stem entry: {entry}")
+        stem = contiguous_stem(i, j, length, helix=helix)
+    if stem.length != length or stem.span != span or str(stem.sl) != sl:
+        raise FormatError(error)
     return stem
 
 
-def pattern_pairs(i: int, j: int, pattern: GapPattern) -> tuple[Pair, ...]:
-    """Expand a gap pattern anchored at outer pair (i, j) into its pairs."""
-    pairs = []
-    p, q = i, j
-    for seg_idx, seg_len in enumerate(pattern.segments):
-        for _ in range(seg_len):
-            pairs.append((p, q))
-            p += 1
-            q -= 1
-        if seg_idx < len(pattern.gaps):
-            p += pattern.gaps[seg_idx][0]
-            q -= pattern.gaps[seg_idx][1]
-    return tuple(pairs)
+def _graph_of(vertices, edges) -> StemGraph:
+    """A graph from its vertices and 0-based edges (u, v)."""
+    masks = [0] * len(vertices)
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return StemGraph(vertices=tuple(vertices), neighbor_masks=tuple(masks))
 
 
 def graph_to_dict(graph: StemGraph) -> dict:
@@ -450,13 +445,11 @@ def graph_to_dict(graph: StemGraph) -> dict:
 def graph_from_dict(doc: dict) -> StemGraph:
     if doc.get("schema") != GRAPH_SCHEMA:
         raise FormatError(f"not a graph document: schema={doc.get('schema')!r}")
-    vertices = tuple(_stem_from_dict(e) for e in doc["vertices"])
-    masks = [0] * len(vertices)
-    for u1, v1 in doc["edges"]:
-        u, v = u1 - 1, v1 - 1
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return StemGraph(vertices=vertices, neighbor_masks=tuple(masks))
+    vertices = [_rebuild_stem(e["i"], e["j"], e["length"], e["span"], e["sl"],
+                              e.get("pattern"), e.get("helix"),
+                              f"inconsistent stem entry: {e}")
+                for e in doc["vertices"]]
+    return _graph_of(vertices, ((u1 - 1, v1 - 1) for u1, v1 in doc["edges"]))
 
 
 def parse_graph_text(text: str) -> StemGraph:
@@ -470,20 +463,11 @@ def parse_graph_text(text: str) -> StemGraph:
         cols = line.split()
         if cols[0].startswith("v"):
             i, j, length, span = (int(x) for x in cols[1:5])
-            pattern = GapPattern.parse(cols[6]) if len(cols) > 6 else None
-            if pattern:
-                stem = Stem(i=i, j=j, pairs=pattern_pairs(i, j, pattern), pattern=pattern)
-            else:
-                stem = contiguous_stem(i, j, length)
-            if stem.length != length or stem.span != span or str(stem.sl) != cols[5]:
-                raise FormatError(f"inconsistent vertex line: {line!r}")
-            vertices.append(stem)
+            pattern = cols[6] if len(cols) > 6 else None
+            vertices.append(_rebuild_stem(i, j, length, span, cols[5], pattern, None,
+                                          f"inconsistent vertex line: {line!r}"))
         elif cols[0] == "e":
             edges.append((int(cols[1]) - 1, int(cols[2]) - 1))
         else:
             raise FormatError(f"unrecognized graph line: {line!r}")
-    masks = [0] * len(vertices)
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return StemGraph(vertices=tuple(vertices), neighbor_masks=tuple(masks))
+    return _graph_of(vertices, edges)

@@ -69,18 +69,27 @@ def score_prediction(predicted: Iterable[Pair], reference: ReferenceStructure) -
     0 on the metric it starves (sens when the reference is empty, ppv when
     the prediction is), and F1 is 0 when sens + ppv is.
     """
+    return score_counts(*confusion_counts(predicted, reference))
+
+
+def confusion_counts(predicted: Iterable[Pair],
+                     reference: ReferenceStructure) -> tuple[int, int, int]:
+    """(tp, fp, fn) of a predicted pair set; IndexOutOfRange names the
+    first index outside the reference."""
     pred = set(predicted)
+    n = reference.length
     for p, q in pred:
-        for x in (p, q):
-            if not 1 <= x <= reference.length:
-                raise IndexOutOfRange(x, reference.length)
-    ref = reference.pairs
-    tp = len(pred & ref)
-    fp = len(pred - ref)
-    fn = len(ref - pred)
+        if not (1 <= p <= n and 1 <= q <= n):
+            raise IndexOutOfRange(q if 1 <= p <= n else p, n)
+    tp = len(reference.pairs.intersection(pred))
+    return tp, len(pred) - tp, len(reference.pairs) - tp
+
+
+def score_counts(tp: int, fp: int, fn: int) -> Metrics:
+    """The exact scores of one confusion count (see score_prediction)."""
     one = Fraction(1)
     zero = Fraction(0)
-    if not pred and not ref:
+    if not (tp or fp or fn):  # empty prediction, empty reference
         return Metrics(tp=0, fp=0, fn=0, sens=one, ppv=one, f1=one, mcc_squared=one)
     sens = Fraction(tp, tp + fn) if tp + fn else zero
     ppv = Fraction(tp, tp + fp) if tp + fp else zero
@@ -130,13 +139,28 @@ def summarize_report(report: "PredictionReport", reference: ReferenceStructure,
 
     Comparison is exact (rational F1, rational squared MCC); the first
     prediction in report order wins ties, which cannot change either value.
+    A report holds thousands of predictions but few distinct confusion
+    counts, so each count is scored once.
     """
     if not report.predictions:
         raise ValueError("cannot summarize an empty report")
-    scored = [(score_prediction(p.pairs, reference), p) for p in report.predictions]
-    top = max((m for m, p in scored if p.scr == 1),
-              key=lambda m: _metric_key(m, metric))
-    best, best_pred = max(scored, key=lambda mp: _metric_key(mp[0], metric))
-    return ReportSummary(metric=metric, top=top, best=best,
+    # first report index of each distinct count, overall and among SCR=1
+    first: dict[tuple[int, int, int], int] = {}
+    first_top: dict[tuple[int, int, int], int] = {}
+    for index, pred in enumerate(report.predictions):
+        counts = confusion_counts(pred.pairs, reference)
+        first.setdefault(counts, index)
+        if pred.scr == 1:
+            first_top.setdefault(counts, index)
+    scores = {counts: score_counts(*counts) for counts in first}
+
+    def pick(firsts: dict) -> tuple[int, int, int]:
+        # highest score; among equal scores, the earliest prediction
+        return max(firsts, key=lambda c: (_metric_key(scores[c], metric), -firsts[c]))
+
+    top = scores[pick(first_top)]
+    best_counts = pick(first)
+    best_pred = report.predictions[first[best_counts]]
+    return ReportSummary(metric=metric, top=top, best=scores[best_counts],
                          best_scr=best_pred.scr, best_dr=best_pred.dr,
                          best_multiplicity=best_pred.multiplicity)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -22,8 +22,8 @@ from typing import Iterable
 
 from ..errors import NotAcceptorCandidate, ProfileError
 from ..seq import PairingRule, Sequence
-from ..stems import (GapPattern, Stem, StemGraph, build_stem_graph, can_coexist,
-                    canonical_order, enumerate_gapped_stems, enumerate_partial_stems,
+from ..stems import (GapPattern, PairRuns, Stem, StemGraph, build_stem_graph,
+                    can_coexist, canonical_order, enumerate_partial_stems,
                     enumerate_stems, pattern_of_pairs)
 
 PROFILE_SCHEMA = "stemp-profile/1"
@@ -256,13 +256,19 @@ def rrna5s_helix_candidates(seq: Sequence, spec: HelixSpec,
                             rule: PairingRule) -> list[Stem]:
     """Stems matching any of the helix's shapes, inside its score bounds,
     tagged with the helix name."""
+    return _helix_candidates(PairRuns(seq, rule), spec)
+
+
+def _helix_candidates(runs: PairRuns, spec: HelixSpec) -> list[Stem]:
     out: dict[tuple, Stem] = {}
     for pattern in spec.patterns:
-        for s in enumerate_gapped_stems(seq, rule, pattern):
-            if spec.sl is not None and not spec.sl.contains(s.sl):
+        length = pattern.total_length
+        for i, j in runs.pattern_starts(pattern):
+            if spec.sl is not None and not spec.sl.contains(Fraction(j - i, length)):
                 continue
-            s = replace(s, pattern=pattern_of_pairs(s.pairs), helix=spec.name)
-            out.setdefault(s.pairs, s)
+            pairs = pattern.pairs(i, j)
+            out.setdefault(pairs, Stem(i=i, j=j, pairs=pairs,
+                                       pattern=pattern_of_pairs(pairs), helix=spec.name))
     return canonical_order(out.values())
 
 
@@ -320,8 +326,8 @@ def rrna5s_vertices(seq: Sequence, cfg: ProfileConfig,
     """
     if use_gsl is None:
         use_gsl = cfg.use_gsl
-    candidates = {h.name: rrna5s_helix_candidates(seq, h, cfg.pairing)
-                  for h in cfg.helices}
+    runs = PairRuns(seq, cfg.pairing)
+    candidates = {h.name: _helix_candidates(runs, h) for h in cfg.helices}
     out: dict[tuple, Stem] = {}
     if use_gsl and cfg.domains:
         claimed = {name for d in cfg.domains for name in (d.outer, d.inner)}
@@ -407,14 +413,24 @@ def profile_to_dict(cfg: ProfileConfig) -> dict:
 
 
 def profile_from_dict(doc: dict) -> ProfileConfig:
+    """A profile from its JSON document; ProfileError names what is wrong."""
+    if not isinstance(doc, dict):
+        raise ProfileError(f"not a profile document: the top level is a {type(doc).__name__}")
     if doc.get("schema") != PROFILE_SCHEMA:
         raise ProfileError(f"not a profile document: schema={doc.get('schema')!r}")
+    for key in ("name", "family", "min_stem_length"):
+        if key not in doc:
+            raise ProfileError(f"bad profile document: no {key!r} key")
+    key = "pairing"  # the top-level key being read, for the error message
     try:
-        pairing = PairingRule(wobble=bool(doc.get("pairing", {}).get("wobble", False)),
-                              uu=bool(doc.get("pairing", {}).get("uu", False)))
+        flags = doc.get("pairing", {})
+        pairing = PairingRule(wobble=bool(flags.get("wobble", False)),
+                              uu=bool(flags.get("uu", False)))
+        key = "acceptor"
         acceptor = None
         if doc.get("acceptor") is not None:
             acceptor = AcceptorSpec(max_score=as_fraction(doc["acceptor"]["max_score"]))
+        key = "helices"
         helices = tuple(
             HelixSpec(
                 name=h["name"],
@@ -423,18 +439,30 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
             )
             for h in doc.get("helices", ())
         )
+        key = "domains"
         domains = tuple(
             DomainSpec(name=d["name"], outer=d["outer"], inner=d["inner"],
                        gsl=_interval_from_dict(d["gsl"]))
             for d in doc.get("domains", ())
         )
+        key = "min_stem_length"
+        min_stem_length = int(doc["min_stem_length"])
+        key = "stem_loop"
+        sl = _interval_from_dict(doc.get("stem_loop"))
+        key = "span"
+        span = _interval_from_dict(doc.get("span"))
+    except KeyError as exc:
+        raise ProfileError(f"bad profile document: {key!r} has no {exc.args[0]!r} key") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ProfileError(f"bad profile document: {key!r} is malformed: {exc}") from None
+    try:
         return ProfileConfig(
             name=doc["name"],
             family=doc["family"],
             pairing=pairing,
-            min_stem_length=int(doc["min_stem_length"]),
-            sl=_interval_from_dict(doc.get("stem_loop")),
-            span=_interval_from_dict(doc.get("span")),
+            min_stem_length=min_stem_length,
+            sl=sl,
+            span=span,
             acceptor=acceptor,
             partial_stems=bool(doc.get("partial_stems", False)),
             use_gsl=bool(doc.get("use_gsl", True)),
@@ -442,7 +470,7 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
             domains=domains,
             notes=doc.get("notes", ""),
         )
-    except (KeyError, ValueError) as exc:
+    except TypeError as exc:  # e.g. a helix name that is not a string
         raise ProfileError(f"bad profile document: {exc}") from None
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence as SequenceABC
 
 from .errors import FormatError
-from .seq import PairingRule, Sequence
+from .seq import BASES, PairingRule, Sequence
 
 # Shortest allowed hairpin: the outermost pair spans at least 3 positions and
 # no pair closes on adjacent bases (q - p >= 2), so strands never touch.
@@ -55,6 +55,24 @@ class GapPattern:
     @property
     def total_length(self) -> int:
         return sum(self.segments)
+
+    @property
+    def offsets(self) -> tuple[Pair, ...]:
+        """Where each segment's first pair sits: segment k of a stem with
+        outer pair (i, j) starts at (i + dp, j - dq) for ``offsets[k]``."""
+        out = []
+        dp = dq = 0
+        for seg, (a, b) in zip(self.segments, self.gaps + ((0, 0),)):
+            out.append((dp, dq))
+            dp += seg + a
+            dq += seg + b
+        return tuple(out)
+
+    def pairs(self, i: int, j: int) -> tuple[Pair, ...]:
+        """The pattern's pairs anchored at outer pair (i, j), outermost first."""
+        return tuple((i + dp + t, j - dq - t)
+                     for (dp, dq), seg in zip(self.offsets, self.segments)
+                     for t in range(seg))
 
     def render(self) -> str:
         out = [str(self.segments[0])]
@@ -189,33 +207,81 @@ def _sl_ok(span: int, length: int, sl_bounds) -> bool:
     return lo <= score <= hi
 
 
+class PairRuns:
+    """How far a run of stacked pairs reaches inward from every (i, j).
+
+    ``run[i][j]`` (1-based) counts the consecutive pairs (i, j),
+    (i+1, j-1), ... that the rule allows while q - p >= MIN_PAIR_GAP, so
+    ``run[i][j] = run[i+1][j-1] + 1`` when (i, j) pairs and 0 otherwise. It
+    is built once per (sequence, rule), from the inside out, and answers
+    every stem enumerator: a contiguous stem's maximal length is one
+    lookup, a gap pattern one lookup per segment. ``starts`` lists every
+    outer pair (i, j) with j >= i + MIN_SPAN and a non-zero run as
+    (run, i, j), longest runs first.
+    """
+
+    def __init__(self, seq: Sequence, rule: PairingRule):
+        r = seq.residues
+        n = len(r)
+        partners = {a: frozenset(b for b in BASES if rule.allows(a, b)) for a in BASES}
+        run = [[0] * (n + 2) for _ in range(n + 2)]
+        for i in range(n - MIN_PAIR_GAP, 0, -1):
+            pal = partners[r[i - 1]]
+            # row[j] for j in i+2..n from run[i+1][j-1] and base j
+            run[i][i + MIN_PAIR_GAP:n + 1] = [
+                x + 1 if b in pal else 0
+                for x, b in zip(run[i + 1][i + 1:n], r[i + 1:n])]
+        self.run = run
+        self.starts = sorted(
+            ((run[i][j], i, j) for i in range(1, n + 1)
+             for j in range(i + MIN_SPAN, n + 1) if run[i][j]),
+            reverse=True)
+
+    def pattern_starts(self, pattern: GapPattern) -> list[Pair]:
+        """Outer pairs (i, j) at which ``pattern`` matches exactly.
+
+        A start is admitted iff every segment's first pair starts a run at
+        least the segment long, the innermost segment's run is exactly its
+        length (one more pair would extend it), and every skip leaves the
+        strands apart (q - p >= MIN_PAIR_GAP at each segment's first pair).
+        """
+        run = self.run
+        segments = pattern.segments
+        first = segments[0]
+        (dp_last, dq_last), last = pattern.offsets[-1], segments[-1]
+        need = dp_last + dq_last + MIN_PAIR_GAP
+        inner = tuple(zip(pattern.offsets[1:-1], segments[1:-1]))
+        out = []
+        for length, i, j in self.starts:
+            if length < first:
+                break
+            # j - i >= need keeps every segment's first pair in range with
+            # q - p >= MIN_PAIR_GAP, since the offsets only grow inward
+            if j - i < need or run[i + dp_last][j - dq_last] != last:
+                continue
+            if all(run[i + dp][j - dq] >= seg for (dp, dq), seg in inner):
+                out.append((i, j))
+        return out
+
+
 def enumerate_stems(seq: Sequence, rule: PairingRule, min_length: int,
                     sl_bounds: tuple | None = None) -> list[Stem]:
     """All maximal contiguous stems of at least ``min_length`` pairs.
 
-    For every start pair (i, j) with j >= i+3 the run is extended inward
-    while bases keep pairing and the strands stay apart; the maximal run is
-    emitted when it meets the length and (optional, inclusive) Stem-Loop
-    bounds. Runs starting inside a longer stem are their own vertices.
+    Every start pair (i, j) with j >= i+3 yields its maximal run inward
+    (``PairRuns``), emitted when it meets the length and (optional,
+    inclusive) Stem-Loop bounds. Runs starting inside a longer stem are
+    their own vertices.
     """
     if min_length < 2:
         raise ValueError("minimum stem length must be >= 2")
     _check_sl_bounds(sl_bounds)
-    r = seq.residues
-    n = len(r)
-    out: list[Stem] = []
-    for i in range(1, n + 1):
-        for j in range(i + MIN_SPAN, n + 1):
-            if not rule.allows(r[i - 1], r[j - 1]):
-                continue
-            length = 1
-            while True:
-                p, q = i + length, j - length
-                if q - p < MIN_PAIR_GAP or not rule.allows(r[p - 1], r[q - 1]):
-                    break
-                length += 1
-            if length >= min_length and _sl_ok(j - i, length, sl_bounds):
-                out.append(contiguous_stem(i, j, length))
+    out = []
+    for length, i, j in PairRuns(seq, rule).starts:
+        if length < min_length:
+            break
+        if _sl_ok(j - i, length, sl_bounds):
+            out.append(contiguous_stem(i, j, length))
     return canonical_order(out)
 
 
@@ -230,37 +296,10 @@ def enumerate_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern
     contiguous stems of exactly the pattern's total length).
     """
     _check_sl_bounds(sl_bounds)
-    r = seq.residues
-    n = len(r)
-    out: list[Stem] = []
-    for i in range(1, n + 1):
-        for j in range(i + MIN_SPAN, n + 1):
-            pairs: list[Pair] = []
-            p, q = i, j
-            ok = True
-            for seg_idx, seg_len in enumerate(pattern.segments):
-                for _ in range(seg_len):
-                    if q - p < MIN_PAIR_GAP or not rule.allows(r[p - 1], r[q - 1]):
-                        ok = False
-                        break
-                    pairs.append((p, q))
-                    p += 1
-                    q -= 1
-                if not ok:
-                    break
-                if seg_idx < len(pattern.gaps):
-                    p += pattern.gaps[seg_idx][0]
-                    q -= pattern.gaps[seg_idx][1]
-                    if q - p < MIN_PAIR_GAP:
-                        ok = False  # skip ran the strands into each other
-                        break
-            if not ok:
-                continue
-            if q - p >= MIN_PAIR_GAP and rule.allows(r[p - 1], r[q - 1]):
-                continue  # innermost segment would keep going
-            if _sl_ok(j - i, pattern.total_length, sl_bounds):
-                out.append(Stem(i=i, j=j, pairs=tuple(pairs), pattern=pattern))
-    return canonical_order(out)
+    return canonical_order(
+        Stem(i=i, j=j, pairs=pattern.pairs(i, j), pattern=pattern)
+        for i, j in PairRuns(seq, rule).pattern_starts(pattern)
+        if _sl_ok(j - i, pattern.total_length, sl_bounds))
 
 
 def enumerate_partial_stems(stems: Iterable[Stem], min_length: int) -> list[Stem]:

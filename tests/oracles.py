@@ -1,9 +1,10 @@
 """Definition-level reference implementations the library is tested against.
 
 These deliberately avoid the library's algorithms: stems are found by testing
-every (i, j, l) triple, cliques by enumerating every vertex subset, edges by
-raw index-set disjointness, dot-bracket tiers by testing every pair of a tier
-for a crossing.
+every (i, j, l) triple or by walking pairs base by base from every start,
+cliques by enumerating every vertex subset, edges by raw index-set
+disjointness, dot-bracket tiers by testing every pair of a tier for a
+crossing, report summaries by scoring every prediction on its own.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from fractions import Fraction
 
 from stemp.errors import IndexOutOfRange, TooManyLayers
 from stemp.fileio import BRACKET_TIERS
+from stemp.metrics import Metrics, ReferenceStructure, ReportSummary
 from stemp.seq import PairingRule, Sequence
+from stemp.stems import (GapPattern, Pair, Stem, _check_sl_bounds, _sl_ok,
+                         canonical_order, contiguous_stem)
 
 MIN_SPAN = 3
 MIN_PAIR_GAP = 2
@@ -169,3 +173,103 @@ def brute_force_gapped(seq: Sequence, rule: PairingRule, segments, gaps):
                 continue
             found.add(tuple(positions))
     return found
+
+
+def walk_stems(seq: Sequence, rule: PairingRule, min_length: int,
+               sl_bounds: tuple | None = None) -> list[Stem]:
+    """stems.enumerate_stems by walking each start's run base by base."""
+    if min_length < 2:
+        raise ValueError("minimum stem length must be >= 2")
+    _check_sl_bounds(sl_bounds)
+    r = seq.residues
+    n = len(r)
+    out: list[Stem] = []
+    for i in range(1, n + 1):
+        for j in range(i + MIN_SPAN, n + 1):
+            if not rule.allows(r[i - 1], r[j - 1]):
+                continue
+            length = 1
+            while True:
+                p, q = i + length, j - length
+                if q - p < MIN_PAIR_GAP or not rule.allows(r[p - 1], r[q - 1]):
+                    break
+                length += 1
+            if length >= min_length and _sl_ok(j - i, length, sl_bounds):
+                out.append(contiguous_stem(i, j, length))
+    return canonical_order(out)
+
+
+def walk_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern,
+                      sl_bounds: tuple | None = None) -> list[Stem]:
+    """stems.enumerate_gapped_stems by walking the pattern base by base
+    from every start."""
+    _check_sl_bounds(sl_bounds)
+    r = seq.residues
+    n = len(r)
+    out: list[Stem] = []
+    for i in range(1, n + 1):
+        for j in range(i + MIN_SPAN, n + 1):
+            pairs: list[Pair] = []
+            p, q = i, j
+            ok = True
+            for seg_idx, seg_len in enumerate(pattern.segments):
+                for _ in range(seg_len):
+                    if q - p < MIN_PAIR_GAP or not rule.allows(r[p - 1], r[q - 1]):
+                        ok = False
+                        break
+                    pairs.append((p, q))
+                    p += 1
+                    q -= 1
+                if not ok:
+                    break
+                if seg_idx < len(pattern.gaps):
+                    p += pattern.gaps[seg_idx][0]
+                    q -= pattern.gaps[seg_idx][1]
+                    if q - p < MIN_PAIR_GAP:
+                        ok = False  # skip ran the strands into each other
+                        break
+            if not ok:
+                continue
+            if q - p >= MIN_PAIR_GAP and rule.allows(r[p - 1], r[q - 1]):
+                continue  # innermost segment would keep going
+            if _sl_ok(j - i, pattern.total_length, sl_bounds):
+                out.append(Stem(i=i, j=j, pairs=tuple(pairs), pattern=pattern))
+    return canonical_order(out)
+
+
+def score_pairs(predicted, reference: ReferenceStructure) -> Metrics:
+    """metrics.score_prediction with its own Fraction arithmetic."""
+    pred = set(predicted)
+    for p, q in pred:
+        for x in (p, q):
+            if not 1 <= x <= reference.length:
+                raise IndexOutOfRange(x, reference.length)
+    ref = reference.pairs
+    tp = len(pred & ref)
+    fp = len(pred - ref)
+    fn = len(ref - pred)
+    one = Fraction(1)
+    zero = Fraction(0)
+    if not pred and not ref:
+        return Metrics(tp=0, fp=0, fn=0, sens=one, ppv=one, f1=one, mcc_squared=one)
+    sens = Fraction(tp, tp + fn) if tp + fn else zero
+    ppv = Fraction(tp, tp + fp) if tp + fp else zero
+    f1 = 2 * ppv * sens / (ppv + sens) if ppv + sens else zero
+    return Metrics(tp=tp, fp=fp, fn=fn, sens=sens, ppv=ppv, f1=f1,
+                   mcc_squared=sens * ppv)
+
+
+def score_each(report, reference: ReferenceStructure, metric: str = "mcc") -> ReportSummary:
+    """metrics.summarize_report scoring every prediction on its own; the
+    first prediction in report order wins ties."""
+    if not report.predictions:
+        raise ValueError("cannot summarize an empty report")
+    def key(m: Metrics) -> Fraction:
+        return m.mcc_squared if metric == "mcc" else m.f1
+
+    scored = [(score_pairs(p.pairs, reference), p) for p in report.predictions]
+    top = max((m for m, p in scored if p.scr == 1), key=key)
+    best, best_pred = max(scored, key=lambda mp: key(mp[0]))
+    return ReportSummary(metric=metric, top=top, best=best,
+                         best_scr=best_pred.scr, best_dr=best_pred.dr,
+                         best_multiplicity=best_pred.multiplicity)

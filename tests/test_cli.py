@@ -6,6 +6,7 @@ import pytest
 from stemp import parse_sequence
 from stemp.cli import main
 from stemp.fileio import write_ct
+from stemp.profiles import builtin_profile, profile_to_dict
 
 from .conftest import FIXTURES
 from .test_profiles import SYNTH_TRNA, SYNTH_TRNA_PAIRS
@@ -206,6 +207,25 @@ def test_evaluate_malformed_report_exit_2(tmp_path, capsys, doc, message):
     assert run("evaluate", "--profile", "protein", "--report", str(report),
                "--reference", TWOQUX_CT) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def _profile_doc(**changes):
+    return dict(profile_to_dict(builtin_profile("protein")), **changes)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([_profile_doc()], "not a profile document: the top level is a list"),
+    (_profile_doc(pairing=[]), "bad profile document: 'pairing' is malformed"),
+    (_profile_doc(min_stem_length=None),
+     "bad profile document: 'min_stem_length' is malformed"),
+    (_profile_doc(helices=[7]), "bad profile document: 'helices' is malformed"),
+])
+def test_predict_malformed_profile_exit_2(tmp_path, capsys, doc, message):
+    profile = tmp_path / "bad.json"
+    profile.write_text(json.dumps(doc))
+    assert run("predict", "--profile", str(profile), TWOQUX_FASTA) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
 def test_evaluate_needs_exactly_one_input_source():

@@ -337,6 +337,17 @@ def test_graph_round_trip_with_gapped_vertex():
     assert graph_from_dict(graph_to_dict(graph)) == graph
 
 
+def test_graph_rebuild_rejects_inconsistent_vertices(seq_2qux):
+    graph, _ = make_report(seq_2qux)
+    doc = graph_to_dict(graph)
+    doc["vertices"][0]["span"] = 23
+    with pytest.raises(FormatError, match="^inconsistent stem entry: {'i': 1, "):
+        graph_from_dict(doc)
+    text = render_graph_text(graph).replace("v1 1 25 5 24 24/5", "v1 1 25 5 24 5")
+    with pytest.raises(FormatError, match="^inconsistent vertex line: 'v1 1 25 5 24 5'$"):
+        parse_graph_text(text)
+
+
 def test_documents_match_shipped_schemas(seq_2qux):
     jsonschema = pytest.importorskip("jsonschema")
     from pathlib import Path

@@ -1,11 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from stemp import (IndexOutOfRange, PairingRule, ReferenceStructure,
-                   drop_noncanonical, score_prediction, summarize_report)
+                   drop_noncanonical, parse_sequence, score_prediction, summarize_report)
+from stemp.cli import run_pipeline
 from stemp.cliques import FoldPrediction, PredictionReport
+from stemp.profiles import builtin_profile
+
+from .oracles import score_each
 
 
 def ref(pairs, length=400, bases=None, id="ref"):
@@ -190,3 +195,61 @@ def test_summary_metric_choice():
 def test_summary_requires_predictions():
     with pytest.raises(ValueError):
         summarize_report(make_report([]), ref(spaced_pairs(2, 40), 40))
+
+
+# ------------------------------------------------------------- against the oracle
+
+def summaries_agree(report, reference):
+    for metric in ("mcc", "f1"):
+        assert summarize_report(report, reference, metric) == score_each(report, reference, metric)
+
+
+def test_summary_matches_oracle_on_full_report():
+    rng = random.Random(6)  # 682 cliques under trna
+    seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="r76")
+    _, report = run_pipeline(seq, builtin_profile("trna"))
+    assert len(report.predictions) == 682
+    for seed in range(4):
+        pick = random.Random(seed)
+        # a reference near a few predictions: part of one, plus what fits of another
+        kept = {pq for pq in pick.choice(report.predictions).pairs if pick.random() < 0.7}
+        for pq in pick.choice(report.predictions).pairs:
+            if not {x for pair in kept for x in pair} & set(pq):
+                kept.add(pq)
+        summaries_agree(report, ref(kept, 76))
+    summaries_agree(report, ref([], 76))  # empty reference: every key ties at 0
+
+
+def test_summary_ties_match_oracle():
+    truth = spaced_pairs(4, 40)
+    r1, r2, r3 = sorted(truth)[:3]
+    w = [(20 + k, 30 - k) for k in range(6)]
+    # (tp, fp, fn) (1, 1, 3) and (2, 6, 2) tie on both MCC^2 = 1/8 and F1 = 1/3;
+    # against the empty reference every prediction but the empty one ties at 0
+    entries = [
+        ({r1, w[0]}, 2, 2),
+        ({r2, w[1]}, 3, 3),
+        ({r1, r2, *w}, 4, 4),
+        ({r3, w[1], w[2], w[3]}, 5, 5),
+        (set(), 6, 6),
+    ]
+    for order in itertools.permutations(entries):
+        for ones in (0b11111, 0b11000, 0b00110, 0b00001):  # which ones have SCR 1
+            report = make_report([(1, pairs, 1 if ones >> k & 1 else 2, dr, m)
+                                  for k, (pairs, dr, m) in enumerate(order)])
+            summaries_agree(report, ref(truth, 40))
+            summaries_agree(report, ref([], 40))
+
+
+@pytest.mark.parametrize("bad,index", [((41, 44), 41), ((3, 42), 42)])
+def test_summary_out_of_range_names_the_same_index(bad, index):
+    entries = [(2, {(1, 30), (2, 29)}, 1, 1, 1),
+               (2, {bad, (4, 28)}, 2, 2, 1),
+               (2, {(3, 50), (5, 27)}, 3, 3, 1)]
+    reference = ref(spaced_pairs(2, 40), 40)
+    with pytest.raises(IndexOutOfRange) as expected:
+        score_each(make_report(entries), reference)
+    with pytest.raises(IndexOutOfRange) as got:
+        summarize_report(make_report(entries), reference)
+    assert got.value.index == expected.value.index == index
+    assert str(got.value) == str(expected.value)

@@ -387,12 +387,11 @@ def test_planted_cloverleaf_recovered_at_rank_one(seed):
 def make_full_5s():
     """Five planted helices shaped for the general Archaeal windows, with an
     unpaired hinge between the nested pairs of each domain."""
-    from stemp.fileio import pattern_pairs
     h1 = [(1 + t, 110 - t) for t in range(6)]
-    h2 = pattern_pairs(8, 58, GapPattern.parse("2[0/1]6"))
+    h2 = GapPattern.parse("2[0/1]6").pairs(8, 58)
     h4 = [(17 + t, 48 - t) for t in range(5)]
-    h3 = pattern_pairs(60, 95, GapPattern.parse("3[0/2]4"))
-    h5 = pattern_pairs(68, 85, GapPattern.parse("5[2/1]2"))
+    h3 = GapPattern.parse("3[0/2]4").pairs(60, 95)
+    h5 = GapPattern.parse("5[2/1]2").pairs(68, 85)
     bases = ["A"] * 113
     designed = []
     for k, arm in enumerate((h1, h2, h4, h3, h5)):
@@ -430,9 +429,8 @@ def test_planted_5s_recovered_without_domains():
 def test_domain_inner_must_sit_inside_innermost_pair():
     # a stem lodged in the outer's side gap spans i/j-wise but opens a
     # second hairpin; it must not form a domain
-    from stemp.fileio import pattern_pairs
     outer = __import__("stemp").Stem(
-        i=10, j=60, pairs=pattern_pairs(10, 60, GapPattern.parse("2[0/10]2")),
+        i=10, j=60, pairs=GapPattern.parse("2[0/10]2").pairs(10, 60),
         pattern=GapPattern.parse("2[0/10]2"))
     in_gap = contiguous_stem(50, 57, 3)       # inside the 3' gap 49..58
     in_loop = contiguous_stem(20, 40, 3)      # inside the innermost pair (13,47)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,18 @@ from hypothesis import strategies as st
 from stemp import (GapPattern, PairingRule, Stem, build_stem_graph, can_coexist,
                    enumerate_gapped_stems, enumerate_partial_stems, enumerate_stems,
                    parse_sequence)
-from stemp.stems import contiguous_stem, pattern_of_pairs
+from stemp.profiles import BUILTIN_PROFILES, builtin_profile, rrna5s_helix_candidates
+from stemp.stems import canonical_order, contiguous_stem, pattern_of_pairs
 
-from .oracles import brute_force_stems, stems_disjoint
+from .oracles import brute_force_stems, stems_disjoint, walk_gapped_stems, walk_stems
 
 CANON = PairingRule()
 WOBBLE = PairingRule(wobble=True)
+RULES = (CANON, WOBBLE, PairingRule(wobble=True, uu=True))
+RRNA5S = tuple(builtin_profile(name) for name in BUILTIN_PROFILES
+               if name.startswith("rrna5s-"))
+RRNA5S_PATTERNS = sorted({p for cfg in RRNA5S for h in cfg.helices for p in h.patterns},
+                         key=GapPattern.render)
 
 
 def random_seq(rng, length):
@@ -301,3 +308,71 @@ def test_enumeration_matches_brute_force_hypothesis(text):
     seq = parse_sequence(text, id="h")
     got = {(s.i, s.j, s.length) for s in enumerate_stems(seq, CANON, 2)}
     assert got == brute_force_stems(seq, CANON, 2)
+
+
+# ------------------------------------------------------------- run table vs walk
+
+def oracle_sequences(seed, count):
+    """Seeded sequences of up to 150 nt; the low-complexity alphabets give
+    the long runs that gap patterns need."""
+    from .test_profiles import make_full_5s
+    rng = random.Random(seed)
+    seqs = [parse_sequence(make_full_5s()[0], id="planted5s")]
+    for k in range(count):
+        alphabet = rng.choice(("ACGU", "ACGU", "GC", "GCU"))
+        n = rng.randint(4, 150)
+        seqs.append(parse_sequence("".join(rng.choice(alphabet) for _ in range(n)),
+                                   id=f"r{k}"))
+    return seqs
+
+
+@pytest.mark.parametrize("rule", RULES, ids=("canon", "wobble", "wobble-uu"))
+def test_enumerate_stems_equals_walk(rule):
+    for seq in oracle_sequences(31, 12):
+        for min_length in (2, 3, 4):
+            assert enumerate_stems(seq, rule, min_length) == walk_stems(seq, rule, min_length)
+        bounds = (Fraction(2), Fraction(8))
+        assert (enumerate_stems(seq, rule, 2, sl_bounds=bounds)
+                == walk_stems(seq, rule, 2, sl_bounds=bounds))
+
+
+@pytest.mark.parametrize("rule", RULES, ids=("canon", "wobble", "wobble-uu"))
+def test_enumerate_gapped_stems_equals_walk(rule):
+    for seq in oracle_sequences(37, 2):
+        for pattern in RRNA5S_PATTERNS:
+            assert (enumerate_gapped_stems(seq, rule, pattern)
+                    == walk_gapped_stems(seq, rule, pattern))
+        bounds = (Fraction(3), Fraction(7))
+        for pattern in RRNA5S_PATTERNS[::5]:
+            assert (enumerate_gapped_stems(seq, rule, pattern, sl_bounds=bounds)
+                    == walk_gapped_stems(seq, rule, pattern, sl_bounds=bounds))
+
+
+def walked_helix_candidates(seq, spec, rule):
+    """rrna5s_helix_candidates over the walking enumerator."""
+    out = {}
+    for pattern in spec.patterns:
+        for s in walk_gapped_stems(seq, rule, pattern):
+            if spec.sl is not None and not spec.sl.contains(s.sl):
+                continue
+            s = replace(s, pattern=pattern_of_pairs(s.pairs), helix=spec.name)
+            out.setdefault(s.pairs, s)
+    return canonical_order(out.values())
+
+
+@pytest.mark.parametrize("cfg", RRNA5S, ids=lambda cfg: cfg.name)
+def test_helix_candidates_equal_walk(cfg):
+    for seq in oracle_sequences(41, 3):
+        for spec in cfg.helices:
+            assert (rrna5s_helix_candidates(seq, spec, cfg.pairing)
+                    == walked_helix_candidates(seq, spec, cfg.pairing))
+
+
+@given(st.text(alphabet="ACGU", min_size=4, max_size=40),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=2),
+       st.sampled_from(RULES))
+def test_gapped_enumeration_equals_walk_hypothesis(text, segments, gaps, rule):
+    seq = parse_sequence(text, id="h")
+    pattern = GapPattern(tuple(segments), tuple(gaps[:len(segments) - 1]))
+    assert enumerate_gapped_stems(seq, rule, pattern) == walk_gapped_stems(seq, rule, pattern)

@@ -1,7 +1,7 @@
 """Command-line driver: predict, evaluate, and batch workflows.
 
 Exit codes: 0 success, 2 for unreadable or inconsistent inputs, 3 when a
-clique budget is exceeded. All outputs are UTF-8 text; reports are
+clique or time budget is exceeded. All outputs are UTF-8 text; reports are
 byte-identical across runs unless --timing is requested.
 """
 
@@ -9,17 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from .cliques import PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
-from .fileio import (dumps_indented, graph_to_dict, read_fasta, read_reference,
-                     report_to_dict, write_dot_bracket)
+from .fileio import (REPORT_SET_SCHEMA, dumps_indented, graph_to_dict, read_fasta,
+                     read_reference, report_to_dict, stream_report, write_dot_bracket)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
 from .profiles import (Interval, ProfileConfig, as_fraction, build_profile_graph,
@@ -34,6 +40,15 @@ EXIT_BUDGET = 3
 METRIC_BUCKETS = (("0.95", Fraction("0.95")), ("0.90", Fraction("0.90")),
                   ("0.85", Fraction("0.85")), ("0.80", Fraction("0.80")))
 SCR_BUCKETS = (1, 5, 10, 15)
+# Predictions per report_to_dict call while a report is written, and the
+# stride of the rendering deadline checks. A slice's dicts and pair lists
+# (about 25 objects a prediction) are freed before the collector's youngest
+# generation fills (700 allocations by default), so they are never promoted:
+# on a 41k-prediction report, slices of 1024 spent ~0.45 s in cyclic GC,
+# slices of 16 ~0.06 s.
+RENDER_SLICE = 16
+# Cliques handed to rank_predictions between two deadline checks.
+RANK_CHECK_EVERY = 4096
 
 
 def _at_least(minimum: int):
@@ -73,7 +88,9 @@ def _add_profile_options(parser: argparse.ArgumentParser):
                         help="abort (exit 3) past this many maximal cliques "
                              "(with --top-k: cliques the pruned search reaches)")
     parser.add_argument("--max-seconds", type=float, default=None,
-                        help="abort (exit 3) past this much search time per sequence")
+                        help="abort (exit 3) past this many seconds: for predict, of "
+                             "the whole run, written report included; for evaluate "
+                             "and batch, of each sequence's search and ranking")
 
 
 def _configure(args) -> ProfileConfig:
@@ -99,6 +116,28 @@ def _configure(args) -> ProfileConfig:
     return cfg
 
 
+class _Deadline:
+    """One monotonic deadline ``seconds`` from now; None sets none."""
+
+    def __init__(self, seconds: float | None):
+        self.seconds = seconds
+        self.at = None if seconds is None else time.monotonic() + seconds
+
+    def left(self) -> float | None:
+        return None if self.at is None else self.at - time.monotonic()
+
+    def check(self, stage: str):
+        if self.at is not None and time.monotonic() > self.at:
+            raise BudgetExceeded(f"time budget of {self.seconds} s ran out during {stage}")
+
+    def checked(self, items, stage: str):
+        """``items``, checking the deadline before each RANK_CHECK_EVERY of them."""
+        items = iter(items)
+        while chunk := list(islice(items, RANK_CHECK_EVERY)):
+            self.check(stage)
+            yield from chunk
+
+
 def run_pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None = None,
                  max_seconds: float | None = None,
                  top_k: int | None = None) -> tuple[StemGraph, PredictionReport]:
@@ -106,13 +145,25 @@ def run_pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None = No
 
     With ``top_k`` the report holds only the k best predictions, the same
     as the first k of the full report, and the search prunes below them.
+    ``max_seconds`` bounds the whole call.
     """
+    return _pipeline(seq, cfg, max_cliques, _Deadline(max_seconds), top_k)
+
+
+def _pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None,
+              deadline: _Deadline, top_k: int | None) -> tuple[StemGraph, PredictionReport]:
     start = time.perf_counter()
     graph = build_profile_graph(seq, cfg)
-    cliques = maximal_cliques(graph, max_cliques=max_cliques, max_seconds=max_seconds,
-                              top_k=top_k)
-    report = rank_predictions(graph, cliques, sequence_id=seq.id, profile=cfg.name,
+    try:
+        cliques = maximal_cliques(graph, max_cliques=max_cliques,
+                                  max_seconds=deadline.left(), top_k=top_k)
+    except BudgetExceeded:
+        deadline.check("search")  # a time trip: report it against the whole budget
+        raise
+    report = rank_predictions(graph, deadline.checked(cliques, "ranking"),
+                              sequence_id=seq.id, profile=cfg.name,
                               timing=time.perf_counter() - start, top_k=top_k)
+    deadline.check("ranking")  # building the predictions checks nothing
     return graph, report
 
 
@@ -128,15 +179,62 @@ def _metrics_dict(m: Metrics) -> dict:
 
 # ---------------------------------------------------------------- predict
 
+@contextmanager
+def _replacing(path: str | None):
+    """A text file that becomes ``path``, or is copied to stdout without
+    one, only once the block completes; until then ``path`` and stdout are
+    untouched, and on an error the file is deleted. A symbolic link is
+    followed; a ``path`` that is not a regular file (``/dev/null``, a pipe)
+    is not replaced but, like stdout, written from the finished file."""
+    if not path or os.path.exists(path) and not os.path.isfile(path):
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+            yield out
+            out.seek(0)
+            if not path:
+                shutil.copyfileobj(out, sys.stdout)
+            else:
+                with open(path, "w", encoding="utf-8") as sink:
+                    shutil.copyfileobj(out, sink)
+        return
+    target = Path(path).resolve()
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    out = temporary.open("x", encoding="utf-8")
+    try:
+        with out:
+            yield out
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _report_document(report: PredictionReport, seq: Sequence, include_timing: bool,
+                     deadline: _Deadline) -> dict:
+    """``report_to_dict``'s document whose predictions are rendered
+    RENDER_SLICE at a time, as the writer reads them."""
+    def part(start: int) -> PredictionReport:
+        return replace(report, predictions=report.predictions[start:start + RENDER_SLICE])
+
+    def entries(batch: list):
+        for start in range(RENDER_SLICE, len(report.predictions), RENDER_SLICE):
+            yield from batch
+            deadline.check("rendering")
+            batch = report_to_dict(part(start), seq=seq)["predictions"]
+        yield from batch
+
+    doc = report_to_dict(part(0), seq=seq, include_timing=include_timing)
+    doc["predictions"] = entries(doc["predictions"])
+    return doc
+
+
 def cmd_predict(args) -> int:
+    deadline = _Deadline(args.max_seconds)
     cfg = _configure(args)
     sequences = read_fasta(args.input)
-    docs = []
     structures = []
-    for seq in sequences:
-        graph, report = run_pipeline(seq, cfg, max_cliques=args.max_cliques,
-                                     max_seconds=args.max_seconds, top_k=args.top_k)
-        docs.append(report_to_dict(report, seq=seq, include_timing=args.timing))
+
+    def document(seq: Sequence) -> dict:
+        graph, report = _pipeline(seq, cfg, args.max_cliques, deadline, args.top_k)
         if args.dump_graph:
             path = Path(args.dump_graph)
             if len(sequences) > 1:  # one dump per record
@@ -149,13 +247,14 @@ def cmd_predict(args) -> int:
         tops = report.top_ranked() if args.all_ties else report.predictions[:1]
         for pred in tops:
             structures.append((seq, pred))
-    payload = docs[0] if len(docs) == 1 else {"schema": "stemp-report-set/1",
-                                              "reports": docs}
-    text = dumps_indented(payload) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        return _report_document(report, seq, args.timing, deadline)
+
+    with _replacing(args.output) as out:
+        if len(sequences) == 1:
+            stream_report(out, document(sequences[0]))
+        else:  # each record is searched only once the one before is written
+            stream_report(out, {"schema": REPORT_SET_SCHEMA,
+                                "reports": map(document, sequences)})
     if args.dot_bracket:
         lines = []
         for seq, pred in structures:
@@ -378,6 +477,12 @@ def cmd_batch(args) -> int:
 
 # ---------------------------------------------------------------- entry
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of the process."""
+    return build_parser()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stemp",
@@ -428,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "evaluate" and bool(args.input) == bool(args.report):
         print("error: evaluate needs a FASTA input or --report, not both/neither",
               file=sys.stderr)

@@ -12,7 +12,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .cliques import FoldPrediction, PredictionReport
 from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
@@ -280,7 +280,7 @@ def _encode(o, nl: str) -> str:
     if isinstance(o, (list, tuple)):
         return _encode_list(o, nl)
     if isinstance(o, dict):
-        return _encode_dict(o, nl)
+        return "".join(_dict_chunks(o, nl))
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -312,26 +312,44 @@ def _encode_list(o, nl: str) -> str:
     return f"[{inner}{body}{nl}]"  # one copy of the body, not one per "+"
 
 
-def _encode_dict(o: dict, nl: str) -> str:
-    if not o:
-        return "{}"
+def _dict_chunks(doc: dict, nl: str, streamed: str | None = None, value_chunks=None):
+    """``_encode(doc, nl)`` in pieces, each value apart from its key, so
+    that a large value is copied once, by the join or the write;
+    ``value_chunks(value, inner)`` writes the value of key ``streamed``."""
     inner = nl + "  "
-    # Pieces, not "key: value" strings, so that a large value (a full
-    # report's predictions) is copied only once, by the join.
-    pieces = []
-    for key, value in o.items():
+    opening = "{"
+    for key, value in doc.items():
         if not isinstance(key, str):
             raise TypeError(f"keys must be str, not {type(key).__name__}")
-        pieces += (",", inner, encode_basestring_ascii(key), ": ", _encode(value, inner))
-    pieces[0] = "{"
-    pieces.append(nl + "}")
-    return "".join(pieces)
+        yield f"{opening}{inner}{encode_basestring_ascii(key)}: "
+        if key == streamed:
+            yield from value_chunks(value, inner)
+        else:
+            yield _encode(value, inner)
+        opening = ","
+    yield "{}" if opening == "{" else nl + "}"
+
+
+def _list_chunks(items, nl: str, item_chunks):
+    """``_encode_list(list(items), nl)`` in pieces, reading ``items`` once;
+    ``item_chunks(item, inner)`` writes one item."""
+    inner = nl + "  "
+    opening = "["
+    for item in items:
+        yield opening + inner
+        yield from item_chunks(item, inner)
+        opening = ","
+    yield "[]" if opening == "[" else nl + "]"
 
 
 # ---------------------------------------------------------------- reports
 
 REPORT_SCHEMA = "stemp-report/1"
+REPORT_SET_SCHEMA = "stemp-report-set/1"
 GRAPH_SCHEMA = "stemp-graph/1"
+# A prediction entry of report_to_dict, in key order; the first four are ints.
+_ENTRY_KEYS = ("rank_scr", "rank_dr", "multiplicity", "energy", "vertices", "pairs",
+               "dot_bracket")
 
 
 def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
@@ -379,18 +397,79 @@ def report_from_dict(doc: dict) -> PredictionReport:
                 multiplicity=entry["multiplicity"],
             ))
         where = "report"
-        return PredictionReport(sequence_id=doc["sequence_id"], profile=doc["profile"],
-                                predictions=tuple(preds), timing=doc.get("timing_seconds"))
+        report = PredictionReport(sequence_id=doc["sequence_id"], profile=doc["profile"],
+                                  predictions=tuple(preds),
+                                  timing=doc.get("timing_seconds"))
     except KeyError as exc:
         raise FormatError(f"{where} has no {exc.args[0]!r} key") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{where} is malformed: {exc}") from None
+    if preds and not report.top_ranked():
+        raise FormatError("report has predictions but none with rank_scr 1")
+    return report
+
+
+def stream_report(out: TextIO, doc: dict) -> None:
+    """Write ``dumps_indented(doc) + "\\n"`` to ``out`` a piece at a time.
+
+    ``doc`` is a report document, as ``report_to_dict`` builds it, or a
+    report set ``{"schema": REPORT_SET_SCHEMA, "reports": [...]}`` of them.
+    A report's ``"predictions"`` and a set's ``"reports"`` may be any
+    iterables: each is read once, and each item is written as it comes, so
+    neither the whole text nor the whole document need exist at once. A
+    prediction entry with exactly ``report_to_dict``'s keys, key order and
+    value types is written from one fixed template; any other entry goes
+    through the general encoder. The bytes are the same either way.
+    """
+    if doc.get("schema") == REPORT_SET_SCHEMA:
+        chunks = _dict_chunks(doc, "\n", "reports",
+                              lambda reports, nl: _list_chunks(reports, nl, _report_chunks))
+    else:
+        chunks = _report_chunks(doc, "\n")
+    out.writelines(chunks)
+    out.write("\n")
+
+
+def _report_chunks(doc: dict, nl: str):
+    return _dict_chunks(doc, nl, "predictions", _entry_list_chunks)
+
+
+def _entry_list_chunks(entries, nl: str):
+    template = _entry_template(nl + "  ")
+    return _list_chunks(entries, nl,
+                        lambda entry, inner: (_entry_text(entry, inner, template),))
+
+
+def _entry_template(nl: str) -> str:
+    """%-template of a prediction entry encoded at ``nl``: the ints as %d,
+    the vertex and pair lists and the dot-bracket as %s."""
+    inner = nl + "  "
+    members = [f'{inner}"{key}": %{"d" if k < 4 else "s"}'
+               for k, key in enumerate(_ENTRY_KEYS)]
+    return "{" + ",".join(members) + nl + "}"
+
+
+def _entry_text(entry, nl: str, template: str) -> str:
+    """``_encode(entry, nl)``, from ``template`` when the entry has the
+    shape ``report_to_dict`` gives it."""
+    if type(entry) is dict and tuple(entry) == _ENTRY_KEYS:
+        scr, dr, multiplicity, energy, vertices, pairs, dot = entry.values()
+        # exact types: %d would print a bool as 1 and truncate a float
+        if (type(scr) is type(dr) is type(multiplicity) is type(energy) is int
+                and type(vertices) is type(pairs) is list
+                and (dot is None or type(dot) is str)):
+            inner = nl + "  "
+            return template % (scr, dr, multiplicity, energy,
+                               _encode_list(vertices, inner), _encode_list(pairs, inner),
+                               "null" if dot is None else encode_basestring_ascii(dot))
+    return _encode(entry, nl)
 
 
 def write_report(report: PredictionReport, path: str | Path,
                  seq: Sequence | None = None, include_timing: bool = False) -> None:
     doc = report_to_dict(report, seq=seq, include_timing=include_timing)
-    Path(path).write_text(dumps_indented(doc) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as out:
+        stream_report(out, doc)
 
 
 def read_report(path: str | Path) -> PredictionReport:
@@ -443,13 +522,33 @@ def graph_to_dict(graph: StemGraph) -> dict:
 
 
 def graph_from_dict(doc: dict) -> StemGraph:
+    if not isinstance(doc, dict):
+        raise FormatError(f"not a graph document: the top level is a {type(doc).__name__}")
     if doc.get("schema") != GRAPH_SCHEMA:
         raise FormatError(f"not a graph document: schema={doc.get('schema')!r}")
-    vertices = [_rebuild_stem(e["i"], e["j"], e["length"], e["span"], e["sl"],
-                              e.get("pattern"), e.get("helix"),
-                              f"inconsistent stem entry: {e}")
-                for e in doc["vertices"]]
-    return _graph_of(vertices, ((u1 - 1, v1 - 1) for u1, v1 in doc["edges"]))
+    where = "graph"
+    try:
+        vertices = []
+        for number, e in enumerate(doc["vertices"], start=1):
+            where = f"vertex {number}"
+            vertices.append(_rebuild_stem(e["i"], e["j"], e["length"], e["span"], e["sl"],
+                                          e.get("pattern"), e.get("helix"),
+                                          f"inconsistent stem entry: {e}"))
+        where = "graph"
+        edges = []
+        for number, edge in enumerate(doc["edges"], start=1):
+            where = f"edge {number}"
+            u1, v1 = edge
+            if not (type(u1) is type(v1) is int and 1 <= min(u1, v1)
+                    and max(u1, v1) <= len(vertices)):
+                raise ValueError(f"[{u1!r}, {v1!r}] does not join two of the "
+                                 f"{len(vertices)} vertices")
+            edges.append((u1 - 1, v1 - 1))
+    except KeyError as exc:
+        raise FormatError(f"{where} has no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{where} is malformed: {exc}") from None
+    return _graph_of(vertices, edges)
 
 
 def parse_graph_text(text: str) -> StemGraph:

@@ -1,12 +1,16 @@
 import json
+import os
 import random
+import stat
+import threading
+from dataclasses import replace
 
 import pytest
 
-from stemp import parse_sequence
-from stemp.cli import main
-from stemp.fileio import write_ct
-from stemp.profiles import builtin_profile, profile_to_dict
+from stemp import cli, parse_sequence
+from stemp.cli import main, run_pipeline
+from stemp.fileio import dumps_indented, read_fasta, report_to_dict, write_ct
+from stemp.profiles import builtin_profile, profile_to_dict, resolve_profile
 
 from .conftest import FIXTURES
 from .test_profiles import SYNTH_TRNA, SYNTH_TRNA_PAIRS
@@ -200,6 +204,10 @@ def test_evaluate_non_integer_ct_column_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("doc,message", [
     ({"schema": "stemp-report/1", "predictions": [{}]}, "prediction 1 has no 'vertices' key"),
     ([{"schema": "stemp-report/1"}], "not a report document: the top level is a list"),
+    ({"schema": "stemp-report/1", "sequence_id": "2QUX", "profile": "protein",
+      "predictions": [{"rank_scr": 2, "rank_dr": 1, "multiplicity": 1, "energy": 1,
+                       "vertices": [1], "pairs": [[1, 25]]}]},
+     "report has predictions but none with rank_scr 1"),
 ])
 def test_evaluate_malformed_report_exit_2(tmp_path, capsys, doc, message):
     report = tmp_path / "r.json"
@@ -354,3 +362,170 @@ def test_documents_are_indented_json(batch_dir, tmp_path):
     for path in outputs.values():
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+
+
+# ------------------------------------------------------------- streamed reports
+
+TWO_RECORDS = ">a\nGGGGAAAACCCC\n>b\nGGCACAGAAGAUAUGGCUUCGUGCC\n"
+
+
+def _stream_case(tmp_path, case):
+    """(FASTA path, profile, --timing) of a streamed-report test case."""
+    if case == "2qux":
+        return TWOQUX_FASTA, "protein", False
+    if case == "r76":
+        return _random_76mer(tmp_path), "trna", False
+    fasta = tmp_path / f"{case}.fasta"
+    fasta.write_text(">flat\nAAAAAAAAAACCCCCAAAAA\n" if case == "empty" else TWO_RECORDS)
+    return str(fasta), "protein", case == "two-timing"
+
+
+def _oracle_text(fasta, profile, timings=None):
+    """The report, or report set, as one document dict encoded at once."""
+    docs = []
+    for k, seq in enumerate(read_fasta(fasta)):
+        _, report = run_pipeline(seq, resolve_profile(profile))
+        if timings is not None:
+            report = replace(report, timing=timings[k])
+        docs.append(report_to_dict(report, seq=seq, include_timing=timings is not None))
+    payload = docs[0] if len(docs) == 1 else {"schema": "stemp-report-set/1",
+                                              "reports": docs}
+    return dumps_indented(payload) + "\n"
+
+
+def _timings(text):
+    doc = json.loads(text)
+    return [r["timing_seconds"] for r in doc.get("reports", [doc])]
+
+
+@pytest.mark.parametrize("render_slice", [1, 7, cli.RENDER_SLICE])
+@pytest.mark.parametrize("case", ["2qux", "r76", "two", "two-timing", "empty"])
+def test_predict_streams_the_oracle_bytes(tmp_path, capsys, monkeypatch, case, render_slice):
+    monkeypatch.setattr(cli, "RENDER_SLICE", render_slice)
+    slices = []
+    real = cli.report_to_dict
+
+    def spy(report, *args, **kwargs):
+        slices.append(len(report.predictions))
+        return real(report, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "report_to_dict", spy)
+    fasta, profile, timing = _stream_case(tmp_path, case)
+    argv = ["predict", "--profile", profile, fasta] + (["--timing"] if timing else [])
+    out = tmp_path / "report.json"
+    assert run(*argv, "-o", str(out)) == 0
+    text = out.read_text()
+    assert text == _oracle_text(fasta, profile, _timings(text) if timing else None)
+    doc = json.loads(text)
+    predictions = sum(len(r["predictions"]) for r in doc.get("reports", [doc]))
+    assert sum(slices) == predictions and max(slices) <= render_slice
+    capsys.readouterr()
+    assert run(*argv) == 0
+    printed = capsys.readouterr().out
+    if timing:
+        assert printed == _oracle_text(fasta, profile, _timings(printed))
+    else:
+        assert printed == text
+
+
+def _fifth_tier_76mer(tmp_path):
+    rng = random.Random(7)  # under protein, prediction 6 needs a fifth bracket tier
+    fasta = tmp_path / "r76-7.fasta"
+    fasta.write_text(">r76\n" + "".join(rng.choice("ACGU") for _ in range(76)) + "\n")
+    return str(fasta)
+
+
+def _assert_nothing_written(capsys, out, before):
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == before
+    assert [p.name for p in out.parent.iterdir()] == [out.name]  # no temporary left
+
+
+@pytest.mark.parametrize("render_slice", [1, cli.RENDER_SLICE])
+def test_predict_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch,
+                                                  render_slice):
+    monkeypatch.setattr(cli, "RENDER_SLICE", render_slice)  # 1: fails mid-stream
+    fasta = _fifth_tier_76mer(tmp_path)
+    out = tmp_path / "out" / "report.json"
+    out.parent.mkdir()
+    out.write_text("earlier report\n")
+    assert run("predict", "--profile", "protein", fasta, "-o", str(out)) == 2
+    assert "fifth bracket tier" in capsys.readouterr().err
+    _assert_nothing_written(capsys, out, "earlier report\n")
+    assert run("predict", "--profile", "protein", fasta) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_predict_output_through_a_link_or_a_pipe(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("earlier report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run("predict", "--profile", "protein", TWOQUX_FASTA, "-o", str(link)) == 0
+    assert link.is_symlink() and json.loads(real.read_text())["sequence_id"] == "2QUX"
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert run("predict", "--profile", "protein", TWOQUX_FASTA, "-o", str(pipe)) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and received == [real.read_text()]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "real.json"]
+
+
+@pytest.mark.parametrize("stage,late,returned", [
+    ("search", "build_profile_graph", False),
+    ("ranking", "rank_predictions", False),
+    ("ranking", "rank_predictions", True),
+    ("rendering", "report_to_dict", False),
+])
+def test_max_seconds_bounds_every_stage(tmp_path, capsys, monkeypatch, stage, late,
+                                        returned):
+    """The clock jumps past the deadline when ``late`` is called (or has
+    returned); the next check, in ``stage``, trips."""
+    clock = [0.0]
+    monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(cli, "RENDER_SLICE", 1)
+    real = getattr(cli, late)
+
+    def jump(*args, **kwargs):
+        if returned:
+            result = real(*args, **kwargs)
+            clock[0] += 10.0
+            return result
+        clock[0] += 10.0
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, late, jump)
+    out = tmp_path / "out" / "report.json"
+    out.parent.mkdir()
+    out.write_text("earlier report\n")
+    argv = ("predict", "--profile", "protein", TWOQUX_FASTA, "--max-seconds", "5")
+    assert run(*argv, "-o", str(out)) == 3
+    assert f"error: time budget of 5.0 s ran out during {stage}" in capsys.readouterr().err
+    _assert_nothing_written(capsys, out, "earlier report\n")
+    assert run(*argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_parser_built_once_acts_as_a_fresh_one(tmp_path, capsys, monkeypatch, batch_dir):
+    def calls(tag):
+        report = tmp_path / f"{tag}.json"
+        results = [run("predict", "--profile", "protein", TWOQUX_FASTA, "-o", str(report)),
+                   report.read_text(),
+                   run("evaluate", "--profile", "protein", "--report", str(report),
+                       "--reference", TWOQUX_CT),
+                   run("batch", "--profile", "trna", str(batch_dir))]
+        with pytest.raises(SystemExit) as exc:
+            run("predict", "--profile", "protein", TWOQUX_FASTA, "--top-k", "0")
+        results += [exc.value.code,
+                    run("predict", "--profile", "protein", TWOQUX_FASTA, "--top-k", "2")]
+        return results + list(capsys.readouterr())
+
+    capsys.readouterr()
+    cached = calls("cached")
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert calls("fresh") == cached

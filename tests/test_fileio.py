@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -11,10 +13,12 @@ from stemp import (AsymmetricPair, FormatError, IndexOutOfRange, InvalidCharacte
                    enumerate_stems, maximal_cliques, parse_sequence, rank_predictions,
                    resolve_profile)
 from stemp.cli import run_pipeline
+from stemp import fileio
 from stemp.fileio import (dumps_indented, graph_from_dict, graph_to_dict, parse_ct,
                           parse_dot_bracket, parse_graph_text, read_ct, read_fasta,
                           read_reference, read_report, report_from_dict,
-                          report_to_dict, write_ct, write_dot_bracket, write_report)
+                          report_to_dict, stream_report, write_ct, write_dot_bracket,
+                          write_report)
 from stemp.stems import render_graph_text
 
 from .conftest import FIXTURES, PAIRS_2QUX
@@ -295,6 +299,10 @@ def test_report_schema_guard():
      "report has no 'predictions'"),
     ({"schema": "stemp-report/1", "predictions": [[1, 2]]}, "prediction 1 is malformed"),
     ({"schema": "stemp-report/1", "predictions": 5}, "report is malformed"),
+    ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p",
+      "predictions": [{"rank_scr": 2, "rank_dr": 1, "multiplicity": 1, "energy": 1,
+                       "vertices": [1], "pairs": [[1, 9]]}]},
+     "report has predictions but none with rank_scr 1"),
 ])
 def test_report_from_dict_rejects_malformed_documents(doc, message):
     with pytest.raises(FormatError, match=message):
@@ -346,6 +354,33 @@ def test_graph_rebuild_rejects_inconsistent_vertices(seq_2qux):
     text = render_graph_text(graph).replace("v1 1 25 5 24 24/5", "v1 1 25 5 24 5")
     with pytest.raises(FormatError, match="^inconsistent vertex line: 'v1 1 25 5 24 5'$"):
         parse_graph_text(text)
+
+
+def _graph_doc(**changes):
+    return {"schema": "stemp-graph/1",
+            "vertices": [{"i": 1, "j": 25, "length": 5, "span": 24, "sl": "24/5"},
+                         {"i": 7, "j": 20, "length": 4, "span": 13, "sl": "13/4"}],
+            "edges": [[1, 2]], **changes}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (["x"], "^not a graph document: the top level is a list$"),
+    ({"schema": "stemp-graph/1"}, "^graph has no 'vertices' key$"),
+    (_graph_doc(edges=None), "^graph is malformed"),
+    ({"schema": "stemp-graph/1", "vertices": []}, "^graph has no 'edges' key$"),
+    (_graph_doc(vertices=[{"i": 1, "j": 25, "length": 5, "span": 24}]),
+     "^vertex 1 has no 'sl' key$"),
+    (_graph_doc(vertices=[_graph_doc()["vertices"][0], [7, 20]]), "^vertex 2 is malformed"),
+    (_graph_doc(edges=[[1, 2], [1, 2, 3]]), "^edge 2 is malformed"),
+    (_graph_doc(edges=[[1, 3]]), "^edge 1 is malformed: \\[1, 3\\] does not join two "),
+    (_graph_doc(edges=[[0, 2]]), "^edge 1 is malformed"),
+    (_graph_doc(edges=[[1, "2"]]), "^edge 1 is malformed"),
+    (_graph_doc(edges=[[1.0, 2]]), "^edge 1 is malformed"),
+    (_graph_doc(edges=[5]), "^edge 1 is malformed"),
+])
+def test_graph_from_dict_rejects_malformed_documents(doc, message):
+    with pytest.raises(FormatError, match=message):
+        graph_from_dict(doc)
 
 
 def test_documents_match_shipped_schemas(seq_2qux):
@@ -415,3 +450,84 @@ def test_report_text_equals_json_dumps(tmp_path):
     path = tmp_path / "r.json"
     write_report(report, path, seq=r76)
     assert path.read_text() == json.dumps(report_to_dict(report, seq=r76), indent=2) + "\n"
+
+
+# ------------------------------------------------------------- streamed reports
+
+def _streamed(doc) -> str:
+    out = io.StringIO()
+    stream_report(out, doc)
+    return out.getvalue()
+
+
+def _one_shot(report):
+    """A report's document as report_to_dict gives it, predictions one-shot."""
+    doc = dict(report)
+    doc["predictions"] = iter(doc["predictions"])
+    return doc
+
+
+def test_stream_report_equals_dumps_indented(seq_2qux):
+    r76 = _random_76mer()
+    docs = []
+    for seq, profile in ((seq_2qux, "protein"), (r76, "trna")):
+        _, report = run_pipeline(seq, resolve_profile(profile))
+        for timed in (False, True):
+            docs.append(report_to_dict(replace(report, timing=0.25), seq=seq,
+                                       include_timing=timed))
+    empty = dict(docs[0], predictions=[])
+    for doc in docs + [empty]:
+        assert _streamed(doc) == _streamed(_one_shot(doc)) == dumps_indented(doc) + "\n"
+    for reports in (docs, docs[:1], [empty, docs[1]], []):
+        report_set = {"schema": "stemp-report-set/1", "reports": reports}
+        expected = dumps_indented(report_set) + "\n"
+        assert _streamed(report_set) == expected
+        lazy = dict(report_set, reports=map(_one_shot, reports))
+        assert _streamed(lazy) == expected
+
+
+def test_entry_template_equals_the_encoder(seq_2qux, monkeypatch):
+    fallbacks = []
+    real = fileio._encode
+
+    def spy(o, nl):
+        if isinstance(o, dict):
+            fallbacks.append(o)
+        return real(o, nl)
+
+    monkeypatch.setattr(fileio, "_encode", spy)
+    for nl in ("\n    ", "\n        "):
+        template = fileio._entry_template(nl)
+        for seq, profile in ((seq_2qux, "protein"), (_random_76mer(), "trna")):
+            _, report = run_pipeline(seq, resolve_profile(profile))
+            for with_seq in (seq, None):  # None: every dot_bracket is None
+                for entry in report_to_dict(report, seq=with_seq)["predictions"]:
+                    assert fileio._entry_text(entry, nl, template) == real(entry, nl)
+    assert fallbacks == []
+
+
+def test_other_entry_shapes_take_the_encoder(seq_2qux, monkeypatch):
+    _, report = make_report(seq_2qux)
+    entry = report_to_dict(report)["predictions"][0]
+    shapes = [
+        dict(entry, rank_scr=True), dict(entry, energy=9.0), dict(entry, rank_dr=None),
+        dict(entry, vertices=(1, 4)), dict(entry, pairs=tuple(entry["pairs"])),
+        dict(entry, dot_bracket=7), dict(entry, extra=1),
+        {k: entry[k] for k in reversed(entry)},
+        {k: v for k, v in entry.items() if k != "dot_bracket"},
+        [entry], "entry", None,
+    ]
+    taken = []
+    real = fileio._encode
+    monkeypatch.setattr(fileio, "_encode", lambda o, nl: taken.append(o) or real(o, nl))
+    template = fileio._entry_template("\n    ")
+    for shape in shapes:
+        taken.clear()
+        assert fileio._entry_text(shape, "\n    ", template) == real(shape, "\n    ")
+        assert taken[:1] == [shape]
+    # lists of the right type with other contents: the list encoder's own
+    # general path writes them
+    odd = dict(entry, vertices=[True, 4], pairs=[[1, 2.5], (3,)])
+    assert fileio._entry_text(odd, "\n    ", template) == real(odd, "\n    ")
+    doc = dict(report_to_dict(report), predictions=shapes + [odd])
+    assert _streamed(doc) == dumps_indented(doc) + "\n"

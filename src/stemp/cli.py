@@ -64,6 +64,25 @@ def _at_least(minimum: int):
     return parse
 
 
+def _seconds(text: str) -> float:
+    """argparse type: a number of seconds, at least 0 (``inf`` bounds nothing)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:  # NaN compares false too
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: an exact rational, as an integer, a decimal or p/q."""
+    try:
+        return as_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _add_profile_options(parser: argparse.ArgumentParser):
     parser.add_argument("--profile", required=True,
                         help="builtin profile name (protein, trna, rrna5s-archaeal, "
@@ -71,9 +90,9 @@ def _add_profile_options(parser: argparse.ArgumentParser):
                              "rrna5s-eukaryotic) or a path to a profile JSON")
     parser.add_argument("-L", "--min-stem-length", type=int, default=None,
                         help="override the profile's minimum stem length")
-    parser.add_argument("--sl-min", default=None,
+    parser.add_argument("--sl-min", type=_rational, default=None,
                         help="override the lower Stem-Loop bound (inclusive)")
-    parser.add_argument("--sl-max", default=None,
+    parser.add_argument("--sl-max", type=_rational, default=None,
                         help="override the upper Stem-Loop bound (inclusive)")
     parser.add_argument("--wobble", action="store_true", default=None,
                         help="allow G-U pairs")
@@ -87,7 +106,7 @@ def _add_profile_options(parser: argparse.ArgumentParser):
     parser.add_argument("--max-cliques", type=_at_least(0), default=None,
                         help="abort (exit 3) past this many maximal cliques "
                              "(with --top-k: cliques the pruned search reaches)")
-    parser.add_argument("--max-seconds", type=float, default=None,
+    parser.add_argument("--max-seconds", type=_seconds, default=None,
                         help="abort (exit 3) past this many seconds: for predict, of "
                              "the whole run, written report included; for evaluate "
                              "and batch, of each sequence's search and ranking")
@@ -100,8 +119,8 @@ def _configure(args) -> ProfileConfig:
     if args.sl_min is not None or args.sl_max is not None:
         base = cfg.sl or Interval()
         cfg = replace(cfg, sl=Interval(
-            lo=as_fraction(args.sl_min) if args.sl_min is not None else base.lo,
-            hi=as_fraction(args.sl_max) if args.sl_max is not None else base.hi,
+            lo=args.sl_min if args.sl_min is not None else base.lo,
+            hi=args.sl_max if args.sl_max is not None else base.hi,
             lo_strict=base.lo_strict if args.sl_min is None else False,
             hi_strict=base.hi_strict if args.sl_max is None else False,
         ))
@@ -255,13 +274,14 @@ def cmd_predict(args) -> int:
         else:  # each record is searched only once the one before is written
             stream_report(out, {"schema": REPORT_SET_SCHEMA,
                                 "reports": map(document, sequences)})
-    if args.dot_bracket:
-        lines = []
-        for seq, pred in structures:
-            lines.append(f">{seq.id} energy={pred.energy} scr={pred.scr} dr={pred.dr}")
-            lines.append(seq.residues)
-            lines.append(write_dot_bracket(seq, pred.pairs))
-        Path(args.dot_bracket).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if args.dot_bracket:  # complete before the report replaces -o
+            lines = []
+            for seq, pred in structures:
+                lines.append(f">{seq.id} energy={pred.energy} scr={pred.scr} dr={pred.dr}")
+                lines.append(seq.residues)
+                lines.append(write_dot_bracket(seq, pred.pairs))
+            with _replacing(args.dot_bracket) as dot_bracket:
+                dot_bracket.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

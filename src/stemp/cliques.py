@@ -18,11 +18,6 @@ from .errors import BudgetExceeded
 from .stems import Pair, StemGraph
 
 
-def _base_masks(graph: StemGraph) -> list[int]:
-    """Per vertex, the bitmask of the base indices its stem pairs."""
-    return [sum(1 << x for pq in s.pairs for x in pq) for s in graph.vertices]
-
-
 def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
                     max_seconds: float | None = None,
                     top_k: int | None = None) -> list[tuple[int, ...]]:
@@ -56,7 +51,7 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
     # length of a vertex set is a few popcounts, not a walk over its bits.
     planes = [sum(1 << v for v, length in enumerate(lengths) if length >> b & 1)
               for b in range(max(lengths).bit_length())]
-    bases = _base_masks(graph)
+    bases = graph.base_masks
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     out: list[tuple[int, ...]] = []
     energies: list[int] = []  # energy of each clique in out, kept only with top_k
@@ -171,7 +166,7 @@ def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     lengths = [s.length for s in graph.vertices]
-    bases = _base_masks(graph)
+    bases = graph.base_masks
     counts: dict[int, int] = {}
 
     def priced():

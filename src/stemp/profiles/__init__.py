@@ -13,6 +13,7 @@ All score comparisons are exact: bounds are rationals and a bound like
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +24,8 @@ from typing import Iterable
 from ..errors import NotAcceptorCandidate, ProfileError
 from ..seq import PairingRule, Sequence
 from ..stems import (GapPattern, PairRuns, Stem, StemGraph, build_stem_graph,
-                    can_coexist, canonical_order, enumerate_partial_stems,
-                    enumerate_stems, pattern_of_pairs)
+                    canonical_order, enumerate_partial_stems, enumerate_stems,
+                    pattern_of_pairs)
 
 PROFILE_SCHEMA = "stemp-profile/1"
 PROFILE_DIR_ENV = "STEMP_PROFILE_DIR"
@@ -76,18 +77,10 @@ class Interval:
             if self.lo > self.hi or (self.lo == self.hi and (self.lo_strict or self.hi_strict)):
                 raise ProfileError(f"empty interval: {self}")
 
-    def above_lower(self, x) -> bool:
-        if self.lo is None:
-            return True
-        return x > self.lo if self.lo_strict else x >= self.lo
-
-    def below_upper(self, x) -> bool:
-        if self.hi is None:
-            return True
-        return x < self.hi if self.hi_strict else x <= self.hi
-
     def contains(self, x) -> bool:
-        return self.above_lower(x) and self.below_upper(x)
+        if self.lo is not None and not (x > self.lo if self.lo_strict else x >= self.lo):
+            return False
+        return self.hi is None or (x < self.hi if self.hi_strict else x <= self.hi)
 
     def __str__(self) -> str:
         lo = "" if self.lo is None else render_fraction(self.lo)
@@ -206,21 +199,16 @@ def acceptor_sl(stem: Stem, total_length: int) -> Fraction:
 
 # ---------------------------------------------------------------- tRNA
 
-def _trim_innermost(stem: Stem) -> Stem:
-    kept = stem.pairs[:-1]
-    return Stem(i=stem.i, j=stem.j, pairs=kept, pattern=pattern_of_pairs(kept),
-                helix=stem.helix)
-
-
 def trna_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     """Acceptor candidates plus body candidates per the tRNA pipeline.
 
     Stems spanning more than half the sequence are kept iff their acceptor
     score passes. All other stems (partial stems included when enabled) are
-    trimmed from the inner end while the Stem-Loop score sits at or below
-    the lower bound, then must land inside the score and span windows.
+    trimmed from the inner end until the Stem-Loop score clears the lower
+    bound, then must land inside the score and span windows.
     """
     n = seq.length
+    lo = cfg.sl.lo if cfg.sl is not None else None
     raw = enumerate_stems(seq, cfg.pairing, cfg.min_stem_length)
     out: dict[tuple, Stem] = {}
 
@@ -233,20 +221,22 @@ def trna_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     for s in pool:
         if 2 * s.span > n:
             continue  # acceptor side already handled
-        t = s
-        if cfg.sl is not None:
-            while not cfg.sl.above_lower(t.sl):
-                if t.length - 1 < cfg.min_stem_length:
-                    t = None
-                    break
-                t = _trim_innermost(t)
-        if t is None:
+        if lo is not None and lo > 0:
+            # the span stays fixed, so span / L' clears the bound for
+            # every kept length L' up to span / lo (below it if strict)
+            most = s.span / lo
+            keep = math.ceil(most) - 1 if cfg.sl.lo_strict else math.floor(most)
+            if keep < s.length:
+                if keep < cfg.min_stem_length:
+                    continue
+                kept = s.pairs[:keep]
+                s = Stem(i=s.i, j=s.j, pairs=kept, pattern=pattern_of_pairs(kept),
+                         helix=s.helix)
+        if cfg.sl is not None and not cfg.sl.contains(s.sl):
             continue
-        if cfg.sl is not None and not cfg.sl.contains(t.sl):
+        if cfg.span is not None and not cfg.span.contains(s.span):
             continue
-        if cfg.span is not None and not cfg.span.contains(t.span):
-            continue
-        out.setdefault(t.pairs, t)
+        out.setdefault(s.pairs, s)
     return canonical_order(out.values())
 
 
@@ -289,23 +279,21 @@ class DomainCandidate:
 
 def assemble_domains(outer: Iterable[Stem], inner: Iterable[Stem],
                      spec: DomainSpec) -> list[DomainCandidate]:
-    """All co-existable (outer, inner) pairs where the outer stem encloses
-    the inner one and the combined score lands inside the domain bounds.
+    """All (outer, inner) pairs where the outer stem encloses the inner one
+    and the combined score lands inside the domain bounds.
 
     A domain is one stalk running to a single hairpin loop, so the inner
-    stem must sit inside the outer's innermost pair; an inner stem lodged
-    in a side gap of a gapped outer would open a second hairpin and is not
-    a domain. The combined score divides the outer span by the summed stem
-    lengths, so each candidate's composite vertex exposes it as its own
-    span/length ratio and downstream energy stays the plain pair count.
+    stem sits strictly inside the outer's innermost pair, sharing no base
+    with it; one in a side gap of a gapped outer would open a second
+    hairpin. The combined score divides the outer span by the summed
+    stem lengths, so each composite vertex exposes it as its span/length
+    ratio and downstream energy stays the plain pair count.
     """
     found = []
     for vm in outer:
         hole_p, hole_q = vm.pairs[-1]
         for vn in inner:
             if not (hole_p < vn.i and vn.j < hole_q):
-                continue
-            if not can_coexist(vm, vn):
                 continue
             gsl = Fraction(vm.span, vm.length + vn.length)
             if spec.gsl.contains(gsl):
@@ -453,7 +441,7 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
         span = _interval_from_dict(doc.get("span"))
     except KeyError as exc:
         raise ProfileError(f"bad profile document: {key!r} has no {exc.args[0]!r} key") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ProfileError(f"bad profile document: {key!r} is malformed: {exc}") from None
     try:
         return ProfileConfig(

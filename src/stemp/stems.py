@@ -14,8 +14,10 @@ effective stem length is the number of pairs, gaps excluded.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence as SequenceABC
 
 from .errors import FormatError
@@ -146,15 +148,13 @@ class Stem:
         """Stem-Loop score: span over stem length, kept exact."""
         return Fraction(self.span, self.length)
 
-    @property
-    def contiguous(self) -> bool:
-        return all(
-            (p, q) == (self.i + t, self.j - t) for t, (p, q) in enumerate(self.pairs)
-        )
-
-    @property
-    def base_indices(self) -> frozenset[int]:
-        return frozenset(x for pq in self.pairs for x in pq)
+    @cached_property
+    def base_mask(self) -> int:
+        """Bit x set for each base index x that one of the pairs uses."""
+        mask = 0
+        for p, q in self.pairs:
+            mask |= 1 << p | 1 << q
+        return mask
 
     def describe(self) -> str:
         pat = f" {self.pattern.render()}" if self.pattern else ""
@@ -336,27 +336,16 @@ def enumerate_partial_stems(stems: Iterable[Stem], min_length: int) -> list[Stem
 
 
 def can_coexist(a: Stem, b: Stem) -> bool:
-    """True iff the two stems can appear in one structure.
+    """True iff no base index serves both stems: the one co-existence relation.
 
-    Contiguous stems use the interval tests: one precedes the other, one
-    nests inside the other's loop, or they cross cleanly as a pseudoknot.
-    Gapped and partial stems fall back to the equivalent pair-set test
-    (no base index may serve two stems).
+    For contiguous stems it is the paper's interval test. With m the stem
+    that starts first, n's two strands miss m's exactly when n lies wholly
+    after m, wholly inside m's loop, or crosses it cleanly (n's 5' strand
+    in m's loop, its 3' strand past m.j). A gapped or partial stem may also
+    sit in a bulge of the other. ``build_stem_graph`` applies the relation
+    to every vertex pair at once.
     """
-    if a.contiguous and b.contiguous:
-        m, n = (a, b) if (a.i, a.j) <= (b.i, b.j) else (b, a)
-        if m.j < n.i:  # m entirely precedes n
-            return True
-        if n.j < m.i:  # n entirely precedes m
-            return True
-        inner_ok = m.i + m.length - 1 < n.i
-        if inner_ok and n.j < m.j - m.length + 1:  # n inside m's loop
-            return True
-        if (inner_ok and n.i + n.length - 1 < m.j - m.length + 1
-                and m.j < n.j - n.length + 1):  # pseudoknot crossing
-            return True
-        return False
-    return not (a.base_indices & b.base_indices)
+    return not a.base_mask & b.base_mask
 
 
 @dataclass(frozen=True)
@@ -365,6 +354,11 @@ class StemGraph:
 
     vertices: tuple[Stem, ...]
     neighbor_masks: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def base_masks(self) -> tuple[int, ...]:
+        """Per vertex, its stem's ``base_mask``."""
+        return tuple(s.base_mask for s in self.vertices)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -386,17 +380,24 @@ class StemGraph:
 
 
 def build_stem_graph(vertices: Iterable[Stem]) -> StemGraph:
-    """Connect every co-existable pair of vertices. Vertex order is kept."""
+    """Join every pair of vertices that ``can_coexist``; vertex order is kept.
+
+    A vertex's neighbours are all vertices but the occupants of its bases
+    (itself among them), each base's occupants gathered in one mask first.
+    """
     vs = tuple(vertices)
-    index_sets = [v.base_indices for v in vs]
-    masks = [0] * len(vs)
-    for u in range(len(vs)):
-        for v in range(u + 1, len(vs)):
-            if index_sets[u] & index_sets[v]:
-                continue
-            if can_coexist(vs[u], vs[v]):
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
+    occupants: defaultdict[int, int] = defaultdict(int)
+    for v, s in enumerate(vs):
+        for p, q in s.pairs:
+            occupants[p] |= 1 << v
+            occupants[q] |= 1 << v
+    everyone = (1 << len(vs)) - 1
+    masks = []
+    for s in vs:
+        conflicts = 0
+        for p, q in s.pairs:
+            conflicts |= occupants[p] | occupants[q]
+        masks.append(everyone & ~conflicts)
     return StemGraph(vertices=vs, neighbor_masks=tuple(masks))
 
 

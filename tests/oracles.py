@@ -3,8 +3,9 @@
 These deliberately avoid the library's algorithms: stems are found by testing
 every (i, j, l) triple or by walking pairs base by base from every start,
 cliques by enumerating every vertex subset, edges by raw index-set
-disjointness, dot-bracket tiers by testing every pair of a tier for a
-crossing, report summaries by scoring every prediction on its own.
+disjointness, tRNA trims by dropping one inner pair at a time, dot-bracket
+tiers by testing every pair of a tier for a crossing, report summaries by
+scoring every prediction on its own.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from fractions import Fraction
 from stemp.errors import IndexOutOfRange, TooManyLayers
 from stemp.fileio import BRACKET_TIERS
 from stemp.metrics import Metrics, ReferenceStructure, ReportSummary
+from stemp.profiles import ProfileConfig, acceptor_sl
 from stemp.seq import PairingRule, Sequence
 from stemp.stems import (GapPattern, Pair, Stem, _check_sl_bounds, _sl_ok,
-                         canonical_order, contiguous_stem)
+                         canonical_order, contiguous_stem, enumerate_partial_stems,
+                         enumerate_stems, pattern_of_pairs)
 
 MIN_SPAN = 3
 MIN_PAIR_GAP = 2
@@ -61,6 +64,36 @@ def stems_disjoint(a, b) -> bool:
     ia = {x for pq in a.pairs for x in pq}
     ib = {x for pq in b.pairs for x in pq}
     return not ia & ib
+
+
+def walk_trna_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
+    """profiles.trna_vertices, trimming each body stem one innermost pair
+    at a time while its Stem-Loop score sits at or below the lower bound."""
+    n = seq.length
+    raw = enumerate_stems(seq, cfg.pairing, cfg.min_stem_length)
+    out: dict[tuple, Stem] = {}
+    if cfg.acceptor is not None:
+        for s in raw:
+            if 2 * s.span > n and acceptor_sl(s, n) <= cfg.acceptor.max_score:
+                out.setdefault(s.pairs, s)
+    pool = enumerate_partial_stems(raw, cfg.min_stem_length) if cfg.partial_stems else raw
+    sl = cfg.sl
+    for t in pool:
+        if 2 * t.span > n:
+            continue
+        while sl is not None and sl.lo is not None and (
+                t.sl <= sl.lo if sl.lo_strict else t.sl < sl.lo):
+            if t.length - 1 < cfg.min_stem_length:
+                t = None
+                break
+            kept = t.pairs[:-1]
+            t = Stem(i=t.i, j=t.j, pairs=kept, pattern=pattern_of_pairs(kept), helix=t.helix)
+        if t is None or sl is not None and not sl.contains(t.sl):
+            continue
+        if cfg.span is not None and not cfg.span.contains(t.span):
+            continue
+        out.setdefault(t.pairs, t)
+    return canonical_order(out.values())
 
 
 def brute_force_maximal_cliques(neighbor_masks: list[int]) -> set[frozenset[int]]:

@@ -130,6 +130,13 @@ def test_predict_top_k_is_full_report_cut_to_k(tmp_path, profile):
      "argument --max-cliques: must be >= 0, got -5"),
     (("batch", "--jobs", "0"), "argument --jobs: must be >= 1, got 0"),
     (("batch", "--jobs", "-2"), "argument --jobs: must be >= 1, got -2"),
+    (("predict", "--sl-min", "abc"), "argument --sl-min: invalid rational value: 'abc'"),
+    (("evaluate", "--reference", TWOQUX_CT, "--sl-min", "abc"),
+     "argument --sl-min: invalid rational value: 'abc'"),
+    (("predict", "--sl-max", "1/0"), "argument --sl-max: invalid rational value: '1/0'"),
+    (("predict", "--max-seconds", "nan"), "argument --max-seconds: must be >= 0, got nan"),
+    (("predict", "--max-seconds", "-1"), "argument --max-seconds: must be >= 0, got -1"),
+    (("batch", "--max-seconds", "x"), "argument --max-seconds: invalid float value: 'x'"),
 ])
 def test_bad_flag_values_rejected_at_parse_time(argv, message, capsys):
     command, *flags = argv
@@ -137,6 +144,13 @@ def test_bad_flag_values_rejected_at_parse_time(argv, message, capsys):
         run(command, "--profile", "protein", TWOQUX_FASTA, *flags)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_max_seconds_inf_sets_no_bound(tmp_path):
+    out = tmp_path / "r.json"
+    assert run("predict", "--profile", "protein", TWOQUX_FASTA, "--max-seconds", "inf",
+               "-o", str(out)) == 0
+    assert json.loads(out.read_text())["predictions"]
 
 
 def test_predict_multi_record(tmp_path):
@@ -227,6 +241,9 @@ def _profile_doc(**changes):
     (_profile_doc(min_stem_length=None),
      "bad profile document: 'min_stem_length' is malformed"),
     (_profile_doc(helices=[7]), "bad profile document: 'helices' is malformed"),
+    (_profile_doc(stem_loop={"min": "1/0"}), "bad profile document: 'stem_loop' is malformed"),
+    (_profile_doc(acceptor={"max_score": "1/0"}),
+     "bad profile document: 'acceptor' is malformed"),
 ])
 def test_predict_malformed_profile_exit_2(tmp_path, capsys, doc, message):
     profile = tmp_path / "bad.json"
@@ -454,6 +471,18 @@ def test_predict_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch,
     _assert_nothing_written(capsys, out, "earlier report\n")
     assert run("predict", "--profile", "protein", fasta) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_failed_dot_bracket_leaves_the_report_unchanged(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_text("earlier report\n")
+    dot_bracket = tmp_path / "missing" / "x.dbn"
+    assert run("predict", "--profile", "protein", TWOQUX_FASTA, "-o", str(out),
+               "--dot-bracket", str(dot_bracket)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert out.read_bytes() == b"earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]  # no temporary left
 
 
 def test_predict_output_through_a_link_or_a_pipe(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from stemp.profiles import (BUILTIN_PROFILES, DomainSpec, HelixSpec, Interval,
                             profile_to_dict, render_fraction, rrna5s_helix_candidates,
                             rrna5s_vertices)
 from stemp.stems import contiguous_stem
+
+from .oracles import walk_trna_vertices
 
 WOBBLE = PairingRule(wobble=True)
 
@@ -111,6 +114,23 @@ def test_trim_loop_shrinks_low_scoring_stem():
     got = {(v.i, v.j, v.length, v.sl) for v in trna_vertices(seq, cfg)}
     assert (10, 25, 4, Fraction(15, 4)) in got
     assert all(not (i == 10 and j == 25 and l == 5) for i, j, l, _ in got)
+
+
+@pytest.mark.parametrize("lo_strict", [True, False], ids=["strict", "inclusive"])
+def test_trna_trim_equals_walk(lo_strict):
+    # with no upper score or span bound every trimmed stem is a vertex, so a
+    # kept length one off in either branch changes the list
+    trna = builtin_profile("trna")
+    rng = random.Random(5)
+    seqs = [parse_sequence(SYNTH_TRNA, id="synth")] + [
+        parse_sequence("".join(rng.choice("ACGU") for _ in range(n)), id="r")
+        for n in (40, 76, 76, 90, 120)]
+    for lo in ("5/2", "3", "7/2", "4"):
+        cfg = replace(trna, sl=Interval(lo=as_fraction(lo), lo_strict=lo_strict), span=None)
+        for seq in seqs:
+            assert trna_vertices(seq, cfg) == walk_trna_vertices(seq, cfg)
+    for seq in seqs:
+        assert trna_vertices(seq, trna) == walk_trna_vertices(seq, trna)
 
 
 def test_partial_stems_add_vertices():

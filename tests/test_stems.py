@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from stemp import (GapPattern, PairingRule, Stem, build_stem_graph, can_coexist,
                    enumerate_gapped_stems, enumerate_partial_stems, enumerate_stems,
                    parse_sequence)
-from stemp.profiles import BUILTIN_PROFILES, builtin_profile, rrna5s_helix_candidates
+from stemp.profiles import (BUILTIN_PROFILES, builtin_profile, profile_vertices,
+                            rrna5s_helix_candidates)
 from stemp.stems import canonical_order, contiguous_stem, pattern_of_pairs
 
 from .oracles import brute_force_stems, stems_disjoint, walk_gapped_stems, walk_stems
@@ -250,6 +251,24 @@ def test_coexistence_matches_disjointness_oracle():
         for u in range(len(stems)):
             for v in range(u + 1, len(stems)):
                 assert graph.is_adjacent(u, v) == stems_disjoint(stems[u], stems[v])
+    # every profile's vertices: gapped, partial and 5S composite stems too
+    gapped = composite = 0
+    for length in (76, 120):
+        seq = random_seq(random.Random(2), length)
+        for cfg in map(builtin_profile, BUILTIN_PROFILES):
+            domains = {d.name for d in cfg.domains}
+            for use_gsl in (True, False):
+                stems = profile_vertices(seq, cfg, use_gsl=use_gsl)
+                graph = build_stem_graph(stems)
+                gapped += sum(s.pattern is not None for s in stems)
+                composite += sum(s.helix in domains for s in stems)
+                for u in range(len(stems)):
+                    assert not graph.is_adjacent(u, u)
+                    for v in range(u + 1, len(stems)):
+                        disjoint = stems_disjoint(stems[u], stems[v])
+                        assert graph.is_adjacent(u, v) == graph.is_adjacent(v, u) == disjoint
+                        assert can_coexist(stems[u], stems[v]) == disjoint
+    assert gapped and composite
 
 
 def test_gapped_stems_use_pair_set_test():

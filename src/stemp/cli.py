@@ -182,7 +182,7 @@ def _pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None,
     report = rank_predictions(graph, deadline.checked(cliques, "ranking"),
                               sequence_id=seq.id, profile=cfg.name,
                               timing=time.perf_counter() - start, top_k=top_k)
-    deadline.check("ranking")  # building the predictions checks nothing
+    deadline.check("ranking")  # the sort after the last checked clique
     return graph, report
 
 
@@ -263,8 +263,9 @@ def cmd_predict(args) -> int:
             else:
                 path.write_text(dumps_indented(graph_to_dict(graph)) + "\n",
                                 encoding="utf-8")
-        tops = report.top_ranked() if args.all_ties else report.predictions[:1]
-        for pred in tops:
+        # the rank-1 predictions come first: build only them
+        tied = report.predictions[0].multiplicity if args.all_ties and report.predictions else 1
+        for pred in report.predictions[:tied]:
             structures.append((seq, pred))
         return _report_document(report, seq, args.timing, deadline)
 
@@ -287,6 +288,14 @@ def cmd_predict(args) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
+def _canonical_only(reference: ReferenceStructure, rule) -> ReferenceStructure:
+    """``drop_noncanonical``, with a reference that has no bases an input error."""
+    if reference.bases is None:
+        raise StempError(f"--ignore-noncanonical needs the bases of reference "
+                         f"{reference.id!r}, and its file gives none")
+    return drop_noncanonical(reference, rule)
+
+
 def _evaluate_one(report: PredictionReport, seq: Sequence | None,
                   reference: ReferenceStructure, cfg: ProfileConfig | None,
                   args) -> dict:
@@ -297,7 +306,7 @@ def _evaluate_one(report: PredictionReport, seq: Sequence | None,
         rule = cfg.pairing if cfg is not None else None
         if rule is None:
             raise StempError("--ignore-noncanonical needs a profile's pairing rule")
-        reference = drop_noncanonical(reference, rule)
+        reference = _canonical_only(reference, rule)
     doc = {"id": report.sequence_id or reference.id, "metric": args.metric,
            "predictions": len(report.predictions)}
     if report.predictions:
@@ -428,18 +437,19 @@ def cmd_batch(args) -> int:
             if reference.length != seq.length:
                 raise StempError(f"{fasta.name}: reference length {reference.length} "
                                  f"!= sequence length {seq.length}")
+            if seq.length < args.min_length:
+                skipped.append({"id": seq.id,
+                                "reason": f"length {seq.length} < {args.min_length}"})
+                continue
+            if not reference.pairs and not args.allow_empty_reference:
+                skipped.append({"id": seq.id, "reason": "reference has no pairs"})
+                continue
+            if args.ignore_noncanonical:
+                reference = _canonical_only(reference, cfg.pairing)
         except (StempError, OSError) as exc:
             failures.append({"file": fasta.name, "error": str(exc)})
             print(f"error: {exc}", file=sys.stderr)
             continue
-        if seq.length < args.min_length:
-            skipped.append({"id": seq.id, "reason": f"length {seq.length} < {args.min_length}"})
-            continue
-        if not reference.pairs and not args.allow_empty_reference:
-            skipped.append({"id": seq.id, "reason": "reference has no pairs"})
-            continue
-        if args.ignore_noncanonical:
-            reference = drop_noncanonical(reference, cfg.pairing)
         tasks.append({
             "id": seq.id, "residues": seq.residues, "profile": profile_doc,
             "ref_id": reference.id, "ref_length": reference.length,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -133,7 +134,7 @@ class PredictionReport:
 
     sequence_id: str
     profile: str
-    predictions: tuple[FoldPrediction, ...]
+    predictions: Sequence[FoldPrediction]
     timing: float | None = None
 
     def top_ranked(self) -> tuple[FoldPrediction, ...]:
@@ -149,6 +150,51 @@ def clique_pairs(graph: StemGraph, clique: Iterable[int]) -> tuple[Pair, ...]:
     return tuple(pairs)
 
 
+class RankedPredictions(Sequence):
+    """The predictions of a ranking, in report order, each built when read.
+
+    ``entries`` holds one ``(-energy, vertices)`` per prediction in report
+    order, ``ranks`` maps an energy to its (SCR, DR, multiplicity), and the
+    pairs come from ``graph``. An index gives a FoldPrediction and a slice a
+    tuple of them; a prediction read twice is built twice. The sequence
+    equals any sequence holding the same predictions.
+    """
+
+    __slots__ = ("graph", "entries", "ranks")
+
+    def __init__(self, graph: StemGraph, entries: list[tuple[int, tuple[int, ...]]],
+                 ranks: dict[int, tuple[int, int, int]]):
+        self.graph = graph
+        self.entries = entries
+        self.ranks = ranks
+
+    def _build(self, entry: tuple[int, tuple[int, ...]]) -> FoldPrediction:
+        neg_energy, vs = entry
+        scr, dr, multiplicity = self.ranks[-neg_energy]
+        return FoldPrediction(vertices=vs, energy=-neg_energy,
+                              pairs=clique_pairs(self.graph, vs),
+                              scr=scr, dr=dr, multiplicity=multiplicity)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._build, self.entries[index]))
+        return self._build(self.entries[index])
+
+    def __iter__(self):
+        return map(self._build, self.entries)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:  # as the tuple of the same predictions hashes
+        return hash(tuple(self))
+
+
 def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
                      sequence_id: str = "", profile: str = "",
                      timing: float | None = None,
@@ -157,11 +203,13 @@ def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
 
     Every clique is priced and checked, and counts towards the ranks: a
     clique whose stems share a base index raises ValueError whether or not
-    it is emitted. With ``top_k`` set only the k best predictions, ordered
-    by (-energy, vertex tuple), are built and returned; they equal the first
-    k of the full report, SCR, DR and multiplicity included, as long as the
-    cliques passed in hold every clique of energy at least the k-th best
-    (``maximal_cliques(..., top_k=k)`` returns exactly those).
+    it is emitted. The report's predictions are a RankedPredictions: no
+    pair is built until a prediction is read. With ``top_k`` set only the k
+    best predictions, ordered by (-energy, vertex tuple), are kept; they
+    equal the first k of the full report, SCR, DR and multiplicity
+    included, as long as the cliques passed in hold every clique of energy
+    at least the k-th best (``maximal_cliques(..., top_k=k)`` returns
+    exactly those).
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -188,11 +236,6 @@ def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
     for dense, energy in enumerate(sorted(counts, reverse=True), start=1):
         ranks[energy] = (better + 1, dense, counts[energy])
         better += counts[energy]
-    predictions = []
-    for neg_energy, vs in entries:
-        scr, dr, multiplicity = ranks[-neg_energy]
-        predictions.append(FoldPrediction(
-            vertices=vs, energy=-neg_energy, pairs=clique_pairs(graph, vs),
-            scr=scr, dr=dr, multiplicity=multiplicity))
     return PredictionReport(sequence_id=sequence_id, profile=profile,
-                            predictions=tuple(predictions), timing=timing)
+                            predictions=RankedPredictions(graph, entries, ranks),
+                            timing=timing)

@@ -26,6 +26,14 @@ _OPEN = {pair[0]: tier for tier, pair in enumerate(BRACKET_TIERS)}
 _CLOSE = {pair[1]: tier for tier, pair in enumerate(BRACKET_TIERS)}
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; other bytes are a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 # ---------------------------------------------------------------- FASTA
 
 def read_fasta(path: str | Path) -> list[Sequence]:
@@ -35,7 +43,7 @@ def read_fasta(path: str | Path) -> list[Sequence]:
     normalized by parse_sequence; offending characters are reported with the
     record id and the line they sit on.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     records: list[tuple[str, list[tuple[int, str]]]] = []
     for line_no, line in enumerate(lines, start=1):
         if line.startswith(">"):
@@ -124,7 +132,7 @@ def parse_ct(text: str, id_hint: str = "") -> ReferenceStructure:
 
 def read_ct(path: str | Path) -> ReferenceStructure:
     path = Path(path)
-    return parse_ct(path.read_text(encoding="utf-8"), id_hint=path.stem)
+    return parse_ct(read_text(path), id_hint=path.stem)
 
 
 def write_ct(seq: Sequence, pairs: Iterable[Pair], title: str | None = None) -> str:
@@ -217,7 +225,7 @@ def read_dot_bracket(path: str | Path) -> ReferenceStructure:
     name = path.stem
     bases = None
     structure = None
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -473,7 +481,7 @@ def write_report(report: PredictionReport, path: str | Path,
 
 
 def read_report(path: str | Path) -> PredictionReport:
-    return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return report_from_dict(json.loads(read_text(path)))
 
 
 # ---------------------------------------------------------------- graph dumps

@@ -11,14 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Iterator
 
+from .cliques import FoldPrediction, PredictionReport, RankedPredictions
 from .errors import IndexOutOfRange
 from .seq import PairingRule
 from .stems import Pair
-
-if TYPE_CHECKING:
-    from .cliques import PredictionReport
 
 
 @dataclass(frozen=True)
@@ -133,24 +131,26 @@ def _metric_key(metrics: Metrics, metric: str):
     raise ValueError(f"unknown metric {metric!r} (expected 'mcc' or 'f1')")
 
 
-def summarize_report(report: "PredictionReport", reference: ReferenceStructure,
+def summarize_report(report: PredictionReport, reference: ReferenceStructure,
                      metric: str = "mcc") -> ReportSummary:
     """Top = best score among SCR=1 predictions; Best = over all of them.
 
     Comparison is exact (rational F1, rational squared MCC); the first
     prediction in report order wins ties, which cannot change either value.
     A report holds thousands of predictions but few distinct confusion
-    counts, so each count is scored once.
+    counts, so each count is scored once. The counts of a ranking come from
+    its stems (see ``_ranked_counts``), and only the best prediction is
+    built.
     """
-    if not report.predictions:
+    predictions = report.predictions
+    if not predictions:
         raise ValueError("cannot summarize an empty report")
     # first report index of each distinct count, overall and among SCR=1
     first: dict[tuple[int, int, int], int] = {}
     first_top: dict[tuple[int, int, int], int] = {}
-    for index, pred in enumerate(report.predictions):
-        counts = confusion_counts(pred.pairs, reference)
+    for index, (counts, scr) in enumerate(_report_counts(predictions, reference)):
         first.setdefault(counts, index)
-        if pred.scr == 1:
+        if scr == 1:
             first_top.setdefault(counts, index)
     scores = {counts: score_counts(*counts) for counts in first}
 
@@ -160,7 +160,35 @@ def summarize_report(report: "PredictionReport", reference: ReferenceStructure,
 
     top = scores[pick(first_top)]
     best_counts = pick(first)
-    best_pred = report.predictions[first[best_counts]]
+    best_pred = predictions[first[best_counts]]
     return ReportSummary(metric=metric, top=top, best=scores[best_counts],
                          best_scr=best_pred.scr, best_dr=best_pred.dr,
                          best_multiplicity=best_pred.multiplicity)
+
+
+def _report_counts(predictions: Iterable[FoldPrediction], reference: ReferenceStructure
+                   ) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """(confusion counts, SCR) of each prediction, in report order."""
+    if isinstance(predictions, RankedPredictions):
+        stems = predictions.graph.vertices
+        # with a stem past the reference the pair path runs, and its
+        # IndexOutOfRange names the first such index in report order
+        if all(stem.j <= reference.length for stem in stems):
+            return _ranked_counts(predictions, reference)
+    return ((confusion_counts(pred.pairs, reference), pred.scr) for pred in predictions)
+
+
+def _ranked_counts(ranked: RankedPredictions, reference: ReferenceStructure
+                   ) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """The counts of a ranking, from its stems and energies alone.
+
+    The stems of a ranked clique share no base (``rank_predictions``
+    checks it), so its pair set is the disjoint union of theirs: tp is the
+    sum of the stems' tp, fp = energy - tp and fn = |ref| - tp.
+    """
+    ref = reference.pairs
+    tps = [len(ref.intersection(stem.pairs)) for stem in ranked.graph.vertices]
+    ranks = ranked.ranks
+    for neg_energy, vs in ranked.entries:
+        tp = sum([tps[v] for v in vs])
+        yield (tp, -neg_energy - tp, len(ref) - tp), ranks[-neg_energy][0]

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..errors import NotAcceptorCandidate, ProfileError
+from ..fileio import read_text
 from ..seq import PairingRule, Sequence
 from ..stems import (GapPattern, PairRuns, Stem, StemGraph, build_stem_graph,
                     canonical_order, enumerate_partial_stems, enumerate_stems,
@@ -463,7 +464,7 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
 
 
 def load_profile(path: str | Path) -> ProfileConfig:
-    return profile_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return profile_from_dict(json.loads(read_text(path)))
 
 
 def builtin_profile(name: str) -> ProfileConfig:

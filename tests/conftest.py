@@ -23,6 +23,18 @@ def seq_2qux():
     return parse_sequence(SEQ_2QUX, id="2QUX")
 
 
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The arguments of every ``stemp.cliques.clique_pairs`` call the test
+    makes, which is one per FoldPrediction built from a ranking."""
+    from stemp import cliques
+
+    calls = []
+    real = cliques.clique_pairs
+    monkeypatch.setattr(cliques, "clique_pairs", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 def gutell_dir() -> Path:
     return Path(os.environ.get("STEMP_FIXTURE_DIR", FIXTURES / "gutell"))
 

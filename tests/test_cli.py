@@ -9,10 +9,11 @@ import pytest
 
 from stemp import cli, parse_sequence
 from stemp.cli import main, run_pipeline
-from stemp.fileio import dumps_indented, read_fasta, report_to_dict, write_ct
+from stemp.fileio import (dumps_indented, read_fasta, report_to_dict, write_ct,
+                          write_dot_bracket)
 from stemp.profiles import builtin_profile, profile_to_dict, resolve_profile
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, PAIRS_2QUX
 from .test_profiles import SYNTH_TRNA, SYNTH_TRNA_PAIRS
 
 TWOQUX_FASTA = str(FIXTURES / "2qux.fasta")
@@ -257,6 +258,74 @@ def test_evaluate_needs_exactly_one_input_source():
     assert run("evaluate", "--profile", "protein", "--reference", TWOQUX_CT) == 2
     assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--report", "x.json",
                "--reference", TWOQUX_CT) == 2
+
+
+def test_evaluate_builds_at_most_one_prediction(tmp_path, pair_calls, capsys):
+    fasta = _random_76mer(tmp_path)
+    ct = tmp_path / "r76.ct"
+    ct.write_text(write_ct(read_fasta(fasta)[0], [(k, 70 - k) for k in range(1, 6)]))
+    for metric in ("mcc", "f1"):
+        assert run("evaluate", "--profile", "trna", fasta, "--reference", str(ct),
+                   "--metric", metric) == 0
+        assert json.loads(capsys.readouterr().out)["predictions"] == 682
+        assert len(pair_calls) <= 1
+        del pair_calls[:]
+
+
+def test_all_ties_builds_the_rank_1_predictions_once_more(tmp_path, pair_calls):
+    db = tmp_path / "ties.dbn"
+    assert run("predict", "--profile", "trna", _random_76mer(tmp_path), "--all-ties",
+               "-o", str(tmp_path / "r.json"), "--dot-bracket", str(db)) == 0
+    assert len(db.read_text().splitlines()) == 3 * 3  # three tie at rank 1
+    # each prediction once for the report; the first and the three ties again
+    assert len(pair_calls) <= 682 + 1 + 3
+
+
+def test_ignore_noncanonical_needs_reference_bases(tmp_path, capsys, batch_dir):
+    nobases = tmp_path / "nobases.dbn"
+    nobases.write_text(">2QUX\n" + write_dot_bracket(25, PAIRS_2QUX) + "\n")
+    assert run("evaluate", "--profile", "trna", "-L", "3", TWOQUX_FASTA,
+               "--reference", str(nobases), "--ignore-noncanonical") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --ignore-noncanonical needs the bases")
+    assert run("evaluate", "--profile", "trna", "-L", "3", TWOQUX_FASTA,
+               "--reference", str(nobases)) == 0
+    capsys.readouterr()
+
+    (batch_dir / "nobases.fasta").write_text(f">nobases\n{'GC' * 30}\n")
+    (batch_dir / "nobases.dbn").write_text("(" * 30 + ")" * 30 + "\n")
+    out = tmp_path / "batch.json"
+    assert run("batch", "--profile", "trna", str(batch_dir), "-o", str(out),
+               "--ignore-noncanonical") == 0
+    doc = json.loads(out.read_text())
+    assert [r["id"] for r in doc["rows"]] == ["pin", "synth"]
+    assert doc["skipped"] == [{"id": "short", "reason": "length 12 < 50"}]
+    assert [f["file"] for f in doc["failures"]] == ["nobases.fasta"]
+    assert "needs the bases of reference 'nobases'" in doc["failures"][0]["error"]
+
+
+NOT_UTF8 = b"\xff\xfe\x00>"
+
+
+@pytest.mark.parametrize("bad", ["fasta", "ct", "dbn", "profile", "report"])
+def test_input_not_utf8_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / {"fasta": "in.fa", "ct": "ref.ct", "dbn": "ref.dbn",
+                       "profile": "p.json", "report": "r.json"}[bad]
+    path.write_bytes(NOT_UTF8 + (FIXTURES / "2qux.fasta").read_bytes())
+    fasta = str(path) if bad == "fasta" else TWOQUX_FASTA
+    reference = str(path) if bad in ("ct", "dbn") else TWOQUX_CT
+    profile = str(path) if bad == "profile" else "protein"
+    if bad in ("fasta", "profile"):
+        argv = ("predict", "--profile", profile, fasta)
+    elif bad == "report":
+        argv = ("evaluate", "--profile", profile, "--report", str(path),
+                "--reference", reference)
+    else:
+        argv = ("evaluate", "--profile", profile, fasta, "--reference", reference)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text (byte 0: invalid start byte)\n"
 
 
 def test_evaluate_f1_metric(tmp_path, capsys):

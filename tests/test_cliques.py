@@ -1,11 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from stemp import (BudgetExceeded, PairingRule, build_stem_graph, enumerate_stems,
                    maximal_cliques, parse_sequence, rank_predictions)
-from stemp.cliques import clique_pairs
+from stemp.cliques import FoldPrediction, clique_pairs
+from stemp.profiles import build_profile_graph, builtin_profile
 from stemp.stems import StemGraph, contiguous_stem
 
 from .oracles import brute_force_maximal_cliques
@@ -184,6 +186,44 @@ def test_rank_rejects_index_reuse():
         rank_predictions(graph, [(0, 1)])
     with pytest.raises(ValueError):  # checked even though only (2,) is emitted
         rank_predictions(graph, [(0, 1), (2,)], top_k=1)
+
+
+# ------------------------------------------------------------- lazy predictions
+
+def test_ranked_predictions_act_as_a_tuple(seq_2qux):
+    graph = build_stem_graph(enumerate_stems(seq_2qux, CANON, 3))
+    ranked = rank_predictions(graph, maximal_cliques(graph)).predictions
+    built = tuple(ranked)
+    assert len(built) == len(ranked) == 7 and bool(ranked)
+    assert all(type(p) is FoldPrediction for p in built)
+    assert [ranked[k] for k in range(-7, 7)] == list(built[-7:] + built)
+    for cut in (slice(None), slice(2, 5), slice(None, None, -2), slice(9, 12)):
+        assert type(ranked[cut]) is tuple and ranked[cut] == built[cut]
+    with pytest.raises(IndexError):
+        ranked[7]
+    assert ranked == built and built == ranked and ranked == list(built)
+    assert ranked != built[:-1] and ranked != built[::-1] and ranked != "x"
+    assert hash(ranked) == hash(built)
+    assert built[3] in ranked and ranked.index(built[3]) == 3
+    report = rank_predictions(graph, maximal_cliques(graph))
+    assert report == replace(report, predictions=built)
+    empty = rank_predictions(graph, []).predictions
+    assert not empty and len(empty) == 0 and empty == () and empty[:] == ()
+
+
+def _random_76mer():
+    rng = random.Random(6)  # 682 cliques under trna
+    return parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="r76")
+
+
+def test_ranking_builds_no_pairs(pair_calls):
+    graph = build_profile_graph(_random_76mer(), builtin_profile("trna"))
+    found = maximal_cliques(graph)
+    report = rank_predictions(graph, found)
+    assert len(report.predictions) == len(found) == 682
+    assert pair_calls == []
+    assert report.predictions[5].vertices == report.predictions.entries[5][1]
+    assert pair_calls == [(graph, report.predictions.entries[5][1])]
 
 
 # ------------------------------------------------------------- exact top-k

@@ -1,0 +1,42 @@
+"""The benchmark's recorded outputs hold in tier-1: every tRNA entry of the
+``census`` pool, evaluated through ``main()``, gives the bytes whose digest
+``perfbench/golden.json`` records. The benchmark's modules are loaded by
+path and only read."""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from stemp.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # workloads.py imports gen
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_census_trna_outputs_match_golden(tmp_path, monkeypatch, capsys):
+    gen = _load("gen", monkeypatch)
+    census = _load("workloads", monkeypatch).WORKLOADS["census"]
+    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["census"]
+    entries = [i for i in range(census.pool) if census.kinds[i % len(census.kinds)] == "trna"]
+    assert len(entries) == 64
+    out = tmp_path / "out.json"
+    wrong = []
+    for index in entries:
+        case, profile = census.entry(index)
+        assert case.digest == golden[str(index)]["input"], index
+        fasta, ct = gen.write_case(case, tmp_path)
+        assert main(census.argv(profile, str(fasta), str(ct), str(out))) == 0, index
+        digest = hashlib.sha256(b"exit=0\n" + out.read_bytes()).hexdigest()
+        if digest != golden[str(index)]["digest"]:
+            wrong.append(index)
+    assert capsys.readouterr().err == ""
+    assert wrong == []

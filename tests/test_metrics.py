@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from stemp import (IndexOutOfRange, PairingRule, ReferenceStructure,
-                   drop_noncanonical, parse_sequence, score_prediction, summarize_report)
+                   drop_noncanonical, maximal_cliques, parse_sequence, rank_predictions,
+                   score_prediction, summarize_report)
 from stemp.cli import run_pipeline
 from stemp.cliques import FoldPrediction, PredictionReport
 from stemp.profiles import builtin_profile
 
 from .oracles import score_each
+from .test_cliques import random_graph
 
 
 def ref(pairs, length=400, bases=None, id="ref"):
@@ -253,3 +255,42 @@ def test_summary_out_of_range_names_the_same_index(bad, index):
         summarize_report(make_report(entries), reference)
     assert got.value.index == expected.value.index == index
     assert str(got.value) == str(expected.value)
+
+
+# ------------------------------------------------------------- rankings, from their stems
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ranked_summary_matches_oracle_on_random_graphs(seed, pair_calls):
+    """Stems of length 2 or 3, so energies tie; references hold part of
+    the stems' pairs plus pairs of no stem, or nothing."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        n = rng.randint(3, 10)
+        graph = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]),
+                             [rng.choice((2, 3)) for _ in range(n)])
+        report = rank_predictions(graph, maximal_cliques(graph))
+        kept = {pq for stem in graph.vertices for pq in stem.pairs if rng.random() < 0.4}
+        kept |= {(100 * k + 40, 100 * k + 60) for k in range(n) if rng.random() < 0.3}
+        for reference in (ref(kept, 100 * n), ref([], 100 * n)):
+            for metric in ("mcc", "f1"):
+                del pair_calls[:]
+                got = summarize_report(report, reference, metric)
+                assert len(pair_calls) == 1  # the best prediction, and only it
+                assert got == score_each(report, reference, metric)
+
+
+def test_ranked_summary_past_the_reference_names_the_same_index():
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(2, 8)
+        graph = random_graph(rng, n, 0.5, [rng.choice((2, 3)) for _ in range(n)])
+        report = rank_predictions(graph, maximal_cliques(graph))
+        # the last stem spans 100(n-1)+1 .. 100(n-1)+10
+        reference = ref(spaced_pairs(2, 40), 100 * (n - 1) + rng.choice((1, 5, 9)))
+        with pytest.raises(IndexOutOfRange) as expected:
+            score_each(report, reference)
+        for metric in ("mcc", "f1"):
+            with pytest.raises(IndexOutOfRange) as got:
+                summarize_report(report, reference, metric)
+            assert got.value.index == expected.value.index
+            assert str(got.value) == str(expected.value)

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .cliques import PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
-from .fileio import (REPORT_SET_SCHEMA, dumps_indented, graph_to_dict, read_fasta,
-                     read_reference, report_to_dict, stream_report, write_dot_bracket)
+from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference,
+                     report_to_dict, stream_report, write_dot_bracket)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
 from .profiles import (Interval, ProfileConfig, as_fraction, build_profile_graph,
@@ -180,10 +180,9 @@ def _pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None,
         deadline.check("search")  # a time trip: report it against the whole budget
         raise
     report = rank_predictions(graph, deadline.checked(cliques, "ranking"),
-                              sequence_id=seq.id, profile=cfg.name,
-                              timing=time.perf_counter() - start, top_k=top_k)
+                              sequence_id=seq.id, profile=cfg.name, top_k=top_k)
     deadline.check("ranking")  # the sort after the last checked clique
-    return graph, report
+    return graph, replace(report, timing=time.perf_counter() - start)
 
 
 def _metrics_dict(m: Metrics) -> dict:
@@ -261,7 +260,7 @@ def cmd_predict(args) -> int:
             if path.suffix == ".txt":
                 path.write_text(render_graph_text(graph), encoding="utf-8")
             else:
-                path.write_text(dumps_indented(graph_to_dict(graph)) + "\n",
+                path.write_text(json.dumps(graph_to_dict(graph), indent=2) + "\n",
                                 encoding="utf-8")
         # the rank-1 predictions come first: build only them
         tied = report.predictions[0].multiplicity if args.all_ties and report.predictions else 1
@@ -341,7 +340,7 @@ def cmd_evaluate(args) -> int:
         _, report = run_pipeline(seq, cfg, max_cliques=args.max_cliques,
                                  max_seconds=args.max_seconds)
         doc = _evaluate_one(report, seq, reference, cfg, args)
-    text = dumps_indented(doc) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -501,7 +500,7 @@ def cmd_batch(args) -> int:
             "failures": failures,
             "histograms": {"scr_of_best": scr_hist, "top": top_hist, "best": best_hist},
         }
-        Path(args.output).write_text(dumps_indented(doc) + "\n", encoding="utf-8")
+        Path(args.output).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 
 

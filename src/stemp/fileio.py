@@ -8,9 +8,9 @@ object. Schemas are documented under docs/.
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import inf
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -253,103 +253,6 @@ def read_reference(path: str | Path) -> ReferenceStructure:
     return read_dot_bracket(path)
 
 
-# ---------------------------------------------------------------- JSON text
-
-def dumps_indented(obj) -> str:
-    """Return exactly ``json.dumps(obj, indent=2)``: byte equality is the
-    contract.
-
-    ``json.dumps`` uses its C encoder only when ``indent`` is None. With an
-    indent it walks every value in pure Python and holds one string per
-    token until the final join, which made encoding a full report most of a
-    ``predict`` run. This writer covers trees of dicts with str keys, lists,
-    tuples, str, int, float, bool and None. A list of plain ints, or of
-    two-int lists or tuples, is rendered by one ``str.join`` from a fixed
-    template; everything else recurses. Other types, and non-str keys
-    (which ``json.dumps`` would convert), raise TypeError.
-    """
-    return _encode(obj, "\n")
-
-
-def _encode(o, nl: str) -> str:
-    # Same type tests in the same order as json.encoder._make_iterencode.
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _encode_float(o)
-    if isinstance(o, (list, tuple)):
-        return _encode_list(o, nl)
-    if isinstance(o, dict):
-        return "".join(_dict_chunks(o, nl))
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _encode_float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == inf:
-        return "Infinity"
-    if o == -inf:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-def _encode_list(o, nl: str) -> str:
-    if not o:
-        return "[]"
-    inner = nl + "  "
-    sep = "," + inner
-    kinds = {*map(type, o)}  # exact types: a bool is an int that prints as true
-    if kinds == {int}:
-        body = sep.join(map(int.__repr__, o))
-    elif (kinds <= {list, tuple} and {*map(len, o)} == {2}
-          and {*map(type, chain.from_iterable(o))} == {int}):
-        deeper = inner + "  "
-        pair = f"[{deeper}%d,{deeper}%d{inner}]"
-        body = sep.join([pair] * len(o)) % tuple(chain.from_iterable(o))
-    else:
-        body = sep.join([_encode(v, inner) for v in o])
-    return f"[{inner}{body}{nl}]"  # one copy of the body, not one per "+"
-
-
-def _dict_chunks(doc: dict, nl: str, streamed: str | None = None, value_chunks=None):
-    """``_encode(doc, nl)`` in pieces, each value apart from its key, so
-    that a large value is copied once, by the join or the write;
-    ``value_chunks(value, inner)`` writes the value of key ``streamed``."""
-    inner = nl + "  "
-    opening = "{"
-    for key, value in doc.items():
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        yield f"{opening}{inner}{encode_basestring_ascii(key)}: "
-        if key == streamed:
-            yield from value_chunks(value, inner)
-        else:
-            yield _encode(value, inner)
-        opening = ","
-    yield "{}" if opening == "{" else nl + "}"
-
-
-def _list_chunks(items, nl: str, item_chunks):
-    """``_encode_list(list(items), nl)`` in pieces, reading ``items`` once;
-    ``item_chunks(item, inner)`` writes one item."""
-    inner = nl + "  "
-    opening = "["
-    for item in items:
-        yield opening + inner
-        yield from item_chunks(item, inner)
-        opening = ","
-    yield "[]" if opening == "[" else nl + "]"
-
-
 # ---------------------------------------------------------------- reports
 
 REPORT_SCHEMA = "stemp-report/1"
@@ -386,7 +289,17 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
     return doc
 
 
+def _int(value, what: str) -> int:
+    """``value`` if it is an int; a bool or any other JSON value is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {json.dumps(value)} is not an integer")
+    return value
+
+
 def report_from_dict(doc: dict) -> PredictionReport:
+    """A report read back from its document. Every rank, count, vertex and
+    pair index must be an int, as ``report_to_dict`` writes them; anything
+    else is a FormatError that names the prediction."""
     if not isinstance(doc, dict):
         raise FormatError(f"not a report document: the top level is a {type(doc).__name__}")
     if doc.get("schema") != REPORT_SCHEMA:
@@ -397,12 +310,13 @@ def report_from_dict(doc: dict) -> PredictionReport:
         for rank, entry in enumerate(doc["predictions"], start=1):
             where = f"prediction {rank}"
             preds.append(FoldPrediction(
-                vertices=tuple(v - 1 for v in entry["vertices"]),
-                energy=entry["energy"],
-                pairs=tuple((p, q) for p, q in entry["pairs"]),
-                scr=entry["rank_scr"],
-                dr=entry["rank_dr"],
-                multiplicity=entry["multiplicity"],
+                vertices=tuple(_int(v, "vertex") - 1 for v in entry["vertices"]),
+                energy=_int(entry["energy"], "energy"),
+                pairs=tuple((_int(p, "pair index"), _int(q, "pair index"))
+                            for p, q in entry["pairs"]),
+                scr=_int(entry["rank_scr"], "rank_scr"),
+                dr=_int(entry["rank_dr"], "rank_dr"),
+                multiplicity=_int(entry["multiplicity"], "multiplicity"),
             ))
         where = "report"
         report = PredictionReport(sequence_id=doc["sequence_id"], profile=doc["profile"],
@@ -418,59 +332,67 @@ def report_from_dict(doc: dict) -> PredictionReport:
 
 
 def stream_report(out: TextIO, doc: dict) -> None:
-    """Write ``dumps_indented(doc) + "\\n"`` to ``out`` a piece at a time.
+    """Write ``json.dumps(doc, indent=2) + "\\n"`` to ``out`` a piece at a time.
 
     ``doc`` is a report document, as ``report_to_dict`` builds it, or a
     report set ``{"schema": REPORT_SET_SCHEMA, "reports": [...]}`` of them.
     A report's ``"predictions"`` and a set's ``"reports"`` may be any
     iterables: each is read once, and each item is written as it comes, so
-    neither the whole text nor the whole document need exist at once. A
-    prediction entry with exactly ``report_to_dict``'s keys, key order and
-    value types is written from one fixed template; any other entry goes
-    through the general encoder. The bytes are the same either way.
+    neither the whole text nor the whole document need exist at once.
+    Prediction entries are written from ``_entry_writer``'s template, and
+    every other value by ``json.dumps``.
     """
+    def write_dict(doc: dict, nl: str, streamed: str, write_item) -> None:
+        # doc at indent nl; write_item(item, nl) writes each item of doc[streamed]
+        inner = nl + "  "
+        for k, (key, value) in enumerate(doc.items()):
+            out.write(f"{',' if k else '{'}{inner}{json.dumps(key)}: ")
+            if key != streamed:
+                out.write(json.dumps(value, indent=2).replace("\n", inner))
+                continue
+            opening = "["
+            for item in value:
+                out.write(opening + inner + "  ")
+                write_item(item, inner + "  ")
+                opening = ","
+            out.write("[]" if opening == "[" else inner + "]")
+        out.write(nl + "}")
+
+    def write_report(report: dict, nl: str) -> None:
+        entry_text = _entry_writer(nl + "    ")
+        write_dict(report, nl, "predictions", lambda entry, _: out.write(entry_text(entry)))
+
     if doc.get("schema") == REPORT_SET_SCHEMA:
-        chunks = _dict_chunks(doc, "\n", "reports",
-                              lambda reports, nl: _list_chunks(reports, nl, _report_chunks))
+        write_dict(doc, "\n", "reports", write_report)
     else:
-        chunks = _report_chunks(doc, "\n")
-    out.writelines(chunks)
+        write_report(doc, "\n")
     out.write("\n")
 
 
-def _report_chunks(doc: dict, nl: str):
-    return _dict_chunks(doc, nl, "predictions", _entry_list_chunks)
+@cache
+def _entry_writer(nl: str):
+    """A function giving a ``report_to_dict`` prediction entry as
+    ``json.dumps(entry, indent=2)`` writes it at indent ``nl``.
 
+    The entry needs report_to_dict's key order, and ints where it puts ints:
+    %d and str would write a bool as 1 or True and cut a float short.
+    ``report_from_dict`` checks that of every report it reads.
+    """
+    member, item, leaf = nl + "  ", nl + "    ", nl + "      "
+    template = "{" + ",".join(f'{member}"{key}": %{"d" if k < 4 else "s"}'
+                              for k, key in enumerate(_ENTRY_KEYS)) + nl + "}"
+    sep = "," + item
+    pair = f"[{leaf}%d,{leaf}%d{item}]"
 
-def _entry_list_chunks(entries, nl: str):
-    template = _entry_template(nl + "  ")
-    return _list_chunks(entries, nl,
-                        lambda entry, inner: (_entry_text(entry, inner, template),))
-
-
-def _entry_template(nl: str) -> str:
-    """%-template of a prediction entry encoded at ``nl``: the ints as %d,
-    the vertex and pair lists and the dot-bracket as %s."""
-    inner = nl + "  "
-    members = [f'{inner}"{key}": %{"d" if k < 4 else "s"}'
-               for k, key in enumerate(_ENTRY_KEYS)]
-    return "{" + ",".join(members) + nl + "}"
-
-
-def _entry_text(entry, nl: str, template: str) -> str:
-    """``_encode(entry, nl)``, from ``template`` when the entry has the
-    shape ``report_to_dict`` gives it."""
-    if type(entry) is dict and tuple(entry) == _ENTRY_KEYS:
+    def text(entry: dict) -> str:
         scr, dr, multiplicity, energy, vertices, pairs, dot = entry.values()
-        # exact types: %d would print a bool as 1 and truncate a float
-        if (type(scr) is type(dr) is type(multiplicity) is type(energy) is int
-                and type(vertices) is type(pairs) is list
-                and (dot is None or type(dot) is str)):
-            inner = nl + "  "
-            return template % (scr, dr, multiplicity, energy,
-                               _encode_list(vertices, inner), _encode_list(pairs, inner),
-                               "null" if dot is None else encode_basestring_ascii(dot))
-    return _encode(entry, nl)
+        return template % (
+            scr, dr, multiplicity, energy,
+            f"[{item}{sep.join(map(str, vertices))}{member}]" if vertices else "[]",
+            f"[{item}{sep.join([pair] * len(pairs)) % tuple(chain.from_iterable(pairs))}"
+            f"{member}]" if pairs else "[]",
+            "null" if dot is None else encode_basestring_ascii(dot))
+    return text
 
 
 def write_report(report: PredictionReport, path: str | Path,

@@ -305,20 +305,17 @@ def assemble_domains(outer: Iterable[Stem], inner: Iterable[Stem],
     return found
 
 
-def rrna5s_vertices(seq: Sequence, cfg: ProfileConfig,
-                    use_gsl: bool | None = None) -> list[Stem]:
+def rrna5s_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     """Vertex set for the 5S pipeline.
 
-    With domain scoring on, helices claimed by a domain appear only inside
-    composite vertices; unclaimed helices (Helix I) enter directly. With it
-    off, every helix candidate is its own vertex.
+    With domain scoring on (``cfg.use_gsl``), helices claimed by a domain
+    appear only inside composite vertices; unclaimed helices (Helix I) enter
+    directly. With it off, every helix candidate is its own vertex.
     """
-    if use_gsl is None:
-        use_gsl = cfg.use_gsl
     runs = PairRuns(seq, cfg.pairing)
     candidates = {h.name: _helix_candidates(runs, h) for h in cfg.helices}
     out: dict[tuple, Stem] = {}
-    if use_gsl and cfg.domains:
+    if cfg.use_gsl and cfg.domains:
         claimed = {name for d in cfg.domains for name in (d.outer, d.inner)}
         for h in cfg.helices:
             if h.name not in claimed:
@@ -350,19 +347,17 @@ def protein_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     return canonical_order(out)
 
 
-def profile_vertices(seq: Sequence, cfg: ProfileConfig,
-                     use_gsl: bool | None = None) -> list[Stem]:
+def profile_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     if cfg.family == "protein":
         return protein_vertices(seq, cfg)
     if cfg.family == "trna":
         return trna_vertices(seq, cfg)
-    return rrna5s_vertices(seq, cfg, use_gsl=use_gsl)
+    return rrna5s_vertices(seq, cfg)
 
 
-def build_profile_graph(seq: Sequence, cfg: ProfileConfig,
-                        use_gsl: bool | None = None) -> StemGraph:
+def build_profile_graph(seq: Sequence, cfg: ProfileConfig) -> StemGraph:
     """Family-specific vertices wired into the co-existence graph."""
-    return build_stem_graph(profile_vertices(seq, cfg, use_gsl=use_gsl))
+    return build_stem_graph(profile_vertices(seq, cfg))
 
 
 # ---------------------------------------------------------------- documents

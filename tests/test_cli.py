@@ -3,14 +3,14 @@ import os
 import random
 import stat
 import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from stemp import cli, parse_sequence
 from stemp.cli import main, run_pipeline
-from stemp.fileio import (dumps_indented, read_fasta, report_to_dict, write_ct,
-                          write_dot_bracket)
+from stemp.fileio import read_fasta, report_to_dict, write_ct, write_dot_bracket
 from stemp.profiles import builtin_profile, profile_to_dict, resolve_profile
 
 from .conftest import FIXTURES, PAIRS_2QUX
@@ -154,6 +154,23 @@ def test_max_seconds_inf_sets_no_bound(tmp_path):
     assert json.loads(out.read_text())["predictions"]
 
 
+def test_timing_includes_ranking(tmp_path, monkeypatch):
+    real = cli.rank_predictions
+
+    def slow(*args, **kwargs):
+        report = real(*args, **kwargs)
+        time.sleep(0.2)
+        return report
+
+    monkeypatch.setattr(cli, "rank_predictions", slow)
+    _, report = run_pipeline(read_fasta(TWOQUX_FASTA)[0], resolve_profile("protein"))
+    assert report.timing >= 0.2
+    out = tmp_path / "r.json"
+    assert run("predict", "--profile", "protein", TWOQUX_FASTA, "--timing",
+               "-o", str(out)) == 0
+    assert json.loads(out.read_text())["timing_seconds"] >= 0.2
+
+
 def test_predict_multi_record(tmp_path):
     fasta = tmp_path / "multi.fasta"
     fasta.write_text(">a\nGGGGAAAACCCC\n>b\nGGCACAGAAGAUAUGGCUUCGUGCC\n")
@@ -216,20 +233,35 @@ def test_evaluate_non_integer_ct_column_exit_2(tmp_path, capsys):
     assert "error: CT line 3: index and pair columns must be integers" in capsys.readouterr().err
 
 
+def _report_doc(*entries):
+    """A report on 2QUX whose prediction k is a valid entry with entries[k]'s changes."""
+    valid = {"rank_scr": 1, "rank_dr": 1, "multiplicity": 1, "energy": 1,
+             "vertices": [1], "pairs": [[1, 25]]}
+    return {"schema": "stemp-report/1", "sequence_id": "2QUX", "profile": "protein",
+            "predictions": [dict(valid, **changes) for changes in entries]}
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"schema": "stemp-report/1", "predictions": [{}]}, "prediction 1 has no 'vertices' key"),
     ([{"schema": "stemp-report/1"}], "not a report document: the top level is a list"),
-    ({"schema": "stemp-report/1", "sequence_id": "2QUX", "profile": "protein",
-      "predictions": [{"rank_scr": 2, "rank_dr": 1, "multiplicity": 1, "energy": 1,
-                       "vertices": [1], "pairs": [[1, 25]]}]},
-     "report has predictions but none with rank_scr 1"),
+    (_report_doc({"rank_scr": 2}), "report has predictions but none with rank_scr 1"),
+    (_report_doc({"pairs": [[1, "x"]]}),
+     "prediction 1 is malformed: pair index \"x\" is not an integer"),
+    (_report_doc({}, {"pairs": [[1, None]]}),
+     "prediction 2 is malformed: pair index null is not an integer"),
+    (_report_doc({"vertices": [1.0]}), "prediction 1 is malformed: vertex 1.0 is not an integer"),
+    (_report_doc({"rank_scr": 1.0}), "prediction 1 is malformed: rank_scr 1.0 is not an integer"),
+    (_report_doc({"rank_dr": True}), "prediction 1 is malformed: rank_dr true is not an integer"),
+    (_report_doc({"multiplicity": "1"}),
+     "prediction 1 is malformed: multiplicity \"1\" is not an integer"),
+    (_report_doc({"energy": None}), "prediction 1 is malformed: energy null is not an integer"),
 ])
 def test_evaluate_malformed_report_exit_2(tmp_path, capsys, doc, message):
     report = tmp_path / "r.json"
     report.write_text(json.dumps(doc))
     assert run("evaluate", "--profile", "protein", "--report", str(report),
                "--reference", TWOQUX_CT) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def _profile_doc(**changes):
@@ -476,7 +508,7 @@ def _oracle_text(fasta, profile, timings=None):
         docs.append(report_to_dict(report, seq=seq, include_timing=timings is not None))
     payload = docs[0] if len(docs) == 1 else {"schema": "stemp-report-set/1",
                                               "reports": docs}
-    return dumps_indented(payload) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _timings(text):

@@ -1,12 +1,9 @@
 import io
 import json
-import math
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from stemp import (AsymmetricPair, FormatError, IndexOutOfRange, InvalidCharacter,
                    PairingRule, StempError, TooManyLayers, build_stem_graph,
@@ -14,7 +11,7 @@ from stemp import (AsymmetricPair, FormatError, IndexOutOfRange, InvalidCharacte
                    resolve_profile)
 from stemp.cli import run_pipeline
 from stemp import fileio
-from stemp.fileio import (dumps_indented, graph_from_dict, graph_to_dict, parse_ct,
+from stemp.fileio import (graph_from_dict, graph_to_dict, parse_ct,
                           parse_dot_bracket, parse_graph_text, read_ct, read_fasta,
                           read_reference, read_report, report_from_dict,
                           report_to_dict, stream_report, write_ct, write_dot_bracket,
@@ -402,51 +399,11 @@ def test_documents_match_shipped_schemas(seq_2qux):
 
 # ------------------------------------------------------------- JSON text
 
-_SCALARS = (st.none() | st.booleans() | st.integers()
-            | st.floats(allow_nan=True, allow_infinity=True) | st.text())
-_INTS = st.lists(st.integers() | st.booleans())
-_PAIRS = st.lists(st.lists(st.integers() | st.booleans(), min_size=1, max_size=3)
-                  | st.tuples(st.integers(), st.integers()))
-_TREES = st.recursive(
-    _SCALARS | _INTS | _PAIRS,
-    lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(st.text(), children)),
-    max_leaves=20)
-
-
-@given(_TREES)
-@example({})
-@example([])
-@example(())
-@example({"": {}, "e": [], "t": ()})
-@example([True, 1, False, 0])
-@example([[True, 1], [2, False]])
-@example([(1, 2), [3, 4]])
-@example([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
-@example({"\u00e9\u2603\x00\x1f\n\"\\": "\ud83d\ude00\x7f\u2028"})
-def test_dumps_indented_equals_json_dumps(tree):
-    assert dumps_indented(tree) == json.dumps(tree, indent=2)
-
-
-@pytest.mark.parametrize("bad", [[{1, 2}], {"x": b"bytes"}, [[1, object()]]])
-def test_dumps_indented_rejects_what_json_rejects(bad):
-    with pytest.raises(TypeError):
-        json.dumps(bad, indent=2)
-    with pytest.raises(TypeError):
-        dumps_indented(bad)
-
-
-def test_dumps_indented_refuses_non_str_keys():
-    # json.dumps would write the key 1 as "1"; the documents only use str keys
-    with pytest.raises(TypeError, match="keys must be str"):
-        dumps_indented({1: "int key"})
-
-
 def test_report_text_equals_json_dumps(tmp_path):
     r76 = _random_76mer()
     _, report = run_pipeline(r76, resolve_profile("trna"))
     doc = report_to_dict(report, seq=r76, include_timing=True)
-    assert dumps_indented(doc) == json.dumps(doc, indent=2)
+    assert _streamed(doc) == json.dumps(doc, indent=2) + "\n"
     path = tmp_path / "r.json"
     write_report(report, path, seq=r76)
     assert path.read_text() == json.dumps(report_to_dict(report, seq=r76), indent=2) + "\n"
@@ -476,58 +433,36 @@ def test_stream_report_equals_dumps_indented(seq_2qux):
             docs.append(report_to_dict(replace(report, timing=0.25), seq=seq,
                                        include_timing=timed))
     empty = dict(docs[0], predictions=[])
-    for doc in docs + [empty]:
-        assert _streamed(doc) == _streamed(_one_shot(doc)) == dumps_indented(doc) + "\n"
-    for reports in (docs, docs[:1], [empty, docs[1]], []):
+    hollow = dict(docs[1], predictions=[_hollow_entry(docs[1])])
+    for doc in docs + [empty, hollow]:
+        expected = json.dumps(doc, indent=2) + "\n"
+        assert _streamed(doc) == _streamed(_one_shot(doc)) == expected
+    for reports in (docs, docs[:1], [empty, docs[1]], [hollow], []):
         report_set = {"schema": "stemp-report-set/1", "reports": reports}
-        expected = dumps_indented(report_set) + "\n"
+        expected = json.dumps(report_set, indent=2) + "\n"
         assert _streamed(report_set) == expected
         lazy = dict(report_set, reports=map(_one_shot, reports))
         assert _streamed(lazy) == expected
 
 
-def test_entry_template_equals_the_encoder(seq_2qux, monkeypatch):
-    fallbacks = []
-    real = fileio._encode
-
-    def spy(o, nl):
-        if isinstance(o, dict):
-            fallbacks.append(o)
-        return real(o, nl)
-
-    monkeypatch.setattr(fileio, "_encode", spy)
-    for nl in ("\n    ", "\n        "):
-        template = fileio._entry_template(nl)
-        for seq, profile in ((seq_2qux, "protein"), (_random_76mer(), "trna")):
-            _, report = run_pipeline(seq, resolve_profile(profile))
-            for with_seq in (seq, None):  # None: every dot_bracket is None
-                for entry in report_to_dict(report, seq=with_seq)["predictions"]:
-                    assert fileio._entry_text(entry, nl, template) == real(entry, nl)
-    assert fallbacks == []
+def _hollow_entry(doc):
+    """A prediction entry with empty vertex and pair lists, as a report read
+    back by report_from_dict can hold."""
+    entry = report_to_dict(report_from_dict(dict(doc, predictions=[
+        dict(doc["predictions"][0], energy=0, vertices=[], pairs=[])])))["predictions"][0]
+    assert entry["vertices"] == entry["pairs"] == []
+    return entry
 
 
-def test_other_entry_shapes_take_the_encoder(seq_2qux, monkeypatch):
-    _, report = make_report(seq_2qux)
-    entry = report_to_dict(report)["predictions"][0]
-    shapes = [
-        dict(entry, rank_scr=True), dict(entry, energy=9.0), dict(entry, rank_dr=None),
-        dict(entry, vertices=(1, 4)), dict(entry, pairs=tuple(entry["pairs"])),
-        dict(entry, dot_bracket=7), dict(entry, extra=1),
-        {k: entry[k] for k in reversed(entry)},
-        {k: v for k, v in entry.items() if k != "dot_bracket"},
-        [entry], "entry", None,
-    ]
-    taken = []
-    real = fileio._encode
-    monkeypatch.setattr(fileio, "_encode", lambda o, nl: taken.append(o) or real(o, nl))
-    template = fileio._entry_template("\n    ")
-    for shape in shapes:
-        taken.clear()
-        assert fileio._entry_text(shape, "\n    ", template) == real(shape, "\n    ")
-        assert taken[:1] == [shape]
-    # lists of the right type with other contents: the list encoder's own
-    # general path writes them
-    odd = dict(entry, vertices=[True, 4], pairs=[[1, 2.5], (3,)])
-    assert fileio._entry_text(odd, "\n    ", template) == real(odd, "\n    ")
-    doc = dict(report_to_dict(report), predictions=shapes + [odd])
-    assert _streamed(doc) == dumps_indented(doc) + "\n"
+def test_entry_template_equals_the_encoder(seq_2qux):
+    entries = []
+    for seq, profile in ((seq_2qux, "protein"), (_random_76mer(), "trna")):
+        _, report = run_pipeline(seq, resolve_profile(profile))
+        for with_seq in (seq, None):  # None: every dot_bracket is None
+            entries += report_to_dict(report, seq=with_seq)["predictions"]
+    entries.append(_hollow_entry(report_to_dict(report)))
+    assert len(entries) == 2 * (7 + 682) + 1
+    for nl in ("\n    ", "\n        "):  # a report's depth, a report set's depth
+        entry_text = fileio._entry_writer(nl)
+        for entry in entries:
+            assert entry_text(entry) == json.dumps(entry, indent=2).replace("\n", nl)

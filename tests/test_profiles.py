@@ -203,16 +203,16 @@ def test_domain_assembly_rejections():
 
 def test_gsl_toggle_changes_vertex_set():
     seq, cfg, *_ = mini_5s()
-    with_gsl = rrna5s_vertices(seq, cfg, use_gsl=True)
+    with_gsl = rrna5s_vertices(seq, replace(cfg, use_gsl=True))
     assert [(v.i, v.j, v.length, v.helix) for v in with_gsl] == [(1, 56, 15, "beta")]
-    without = rrna5s_vertices(seq, cfg, use_gsl=False)
+    without = rrna5s_vertices(seq, replace(cfg, use_gsl=False))
     assert {(v.i, v.j, v.helix) for v in without} == {
         (1, 56, "II"), (1, 40, "IV"), (12, 40, "IV"), (13, 55, "IV")}
 
 
 def test_composite_pairs_are_disjoint():
     seq, cfg, *_ = mini_5s()
-    for v in rrna5s_vertices(seq, cfg, use_gsl=True):
+    for v in rrna5s_vertices(seq, replace(cfg, use_gsl=True)):
         flat = [x for pq in v.pairs for x in pq]
         assert len(flat) == len(set(flat))
 
@@ -339,7 +339,7 @@ def test_profile_vertices_derive_from_full_stem_inventory():
 
     seq5, cfg5, *_ = mini_5s()
     full_sets = [set(s.pairs) for s in enumerate_stems(seq5, cfg5.pairing, 2)]
-    for v in rrna5s_vertices(seq5, cfg5, use_gsl=True):
+    for v in rrna5s_vertices(seq5, replace(cfg5, use_gsl=True)):
         segment = [v.pairs[0]]
         segments = []
         for prev, cur in zip(v.pairs, v.pairs[1:]):
@@ -438,7 +438,7 @@ def test_planted_5s_recovered_without_domains():
     text, designed = make_full_5s()
     seq = parse_sequence(text, id="planted5s")
     cfg = builtin_profile("rrna5s-archaeal-general")
-    graph = build_profile_graph(seq, cfg, use_gsl=False)
+    graph = build_profile_graph(seq, replace(cfg, use_gsl=False))
     assert len(graph.vertices) == 8  # helix candidates stand alone
     report = rank_predictions(graph, maximal_cliques(graph))
     top = report.predictions[0]

@@ -258,7 +258,7 @@ def test_coexistence_matches_disjointness_oracle():
         for cfg in map(builtin_profile, BUILTIN_PROFILES):
             domains = {d.name for d in cfg.domains}
             for use_gsl in (True, False):
-                stems = profile_vertices(seq, cfg, use_gsl=use_gsl)
+                stems = profile_vertices(seq, replace(cfg, use_gsl=use_gsl))
                 graph = build_stem_graph(stems)
                 gapped += sum(s.pattern is not None for s in stems)
                 composite += sum(s.helix in domains for s in stems)

@@ -296,10 +296,34 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _str(value, what: str) -> str:
+    """``value`` if it is a str; any other JSON value is a ValueError."""
+    if type(value) is not str:
+        raise ValueError(f"{what} {json.dumps(value)} is not a string")
+    return value
+
+
+def _pairs(value) -> tuple[tuple[int, int], ...]:
+    """Pairs (p, q) of ints with 1 <= p < q, no base index in two of them;
+    anything else is a ValueError."""
+    pairs = tuple((_int(p, "pair index"), _int(q, "pair index")) for p, q in value)
+    used = set()
+    for p, q in pairs:
+        if not 1 <= p < q:
+            raise ValueError(f"pair [{p}, {q}] does not have 1 <= p < q")
+        for x in (p, q):
+            if x in used:
+                raise ValueError(f"base {x} is in two pairs")
+            used.add(x)
+    return pairs
+
+
 def report_from_dict(doc: dict) -> PredictionReport:
     """A report read back from its document. Every rank, count, vertex and
-    pair index must be an int, as ``report_to_dict`` writes them; anything
-    else is a FormatError that names the prediction."""
+    pair index must be an int, as ``report_to_dict`` writes them, every pair
+    (p, q) must have 1 <= p < q and no base may be in two pairs of one
+    prediction, and the sequence id and profile must be strings; anything
+    else is a FormatError that names the prediction (or the report)."""
     if not isinstance(doc, dict):
         raise FormatError(f"not a report document: the top level is a {type(doc).__name__}")
     if doc.get("schema") != REPORT_SCHEMA:
@@ -312,14 +336,14 @@ def report_from_dict(doc: dict) -> PredictionReport:
             preds.append(FoldPrediction(
                 vertices=tuple(_int(v, "vertex") - 1 for v in entry["vertices"]),
                 energy=_int(entry["energy"], "energy"),
-                pairs=tuple((_int(p, "pair index"), _int(q, "pair index"))
-                            for p, q in entry["pairs"]),
+                pairs=_pairs(entry["pairs"]),
                 scr=_int(entry["rank_scr"], "rank_scr"),
                 dr=_int(entry["rank_dr"], "rank_dr"),
                 multiplicity=_int(entry["multiplicity"], "multiplicity"),
             ))
         where = "report"
-        report = PredictionReport(sequence_id=doc["sequence_id"], profile=doc["profile"],
+        report = PredictionReport(sequence_id=_str(doc["sequence_id"], "sequence_id"),
+                                  profile=_str(doc["profile"], "profile"),
                                   predictions=tuple(preds),
                                   timing=doc.get("timing_seconds"))
     except KeyError as exc:

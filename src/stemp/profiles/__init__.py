@@ -25,8 +25,7 @@ from ..errors import NotAcceptorCandidate, ProfileError
 from ..fileio import read_text
 from ..seq import PairingRule, Sequence
 from ..stems import (GapPattern, PairRuns, Stem, StemGraph, build_stem_graph,
-                    canonical_order, enumerate_partial_stems, enumerate_stems,
-                    pattern_of_pairs)
+                    canonical_order, contiguous_stem, pattern_of_pairs)
 
 PROFILE_SCHEMA = "stemp-profile/1"
 PROFILE_DIR_ENV = "STEMP_PROFILE_DIR"
@@ -206,39 +205,98 @@ def trna_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     Stems spanning more than half the sequence are kept iff their acceptor
     score passes. All other stems (partial stems included when enabled) are
     trimmed from the inner end until the Stem-Loop score clears the lower
-    bound, then must land inside the score and span windows.
+    bound, then must land inside the score and span windows. A trim keeps
+    the outer pair, so both windows are decided per span before any stem is
+    built.
     """
     n = seq.length
-    lo = cfg.sl.lo if cfg.sl is not None else None
-    raw = enumerate_stems(seq, cfg.pairing, cfg.min_stem_length)
-    out: dict[tuple, Stem] = {}
-
+    runs = PairRuns(seq, cfg.pairing)
+    out = []
     if cfg.acceptor is not None:
-        for s in raw:
-            if 2 * s.span > n and acceptor_sl(s, n) <= cfg.acceptor.max_score:
-                out.setdefault(s.pairs, s)
+        num, den = cfg.acceptor.max_score.numerator, cfg.acceptor.max_score.denominator
+        for d in runs.diagonals(n // 2 + 1):
+            # (n - d + 2r - 2) / r <= num / den  <=>  (n - d - 2) den <= (num - 2 den) r
+            need = cfg.min_stem_length
+            if num > 2 * den:
+                need = max(need, -(-(n - d - 2) * den // (num - 2 * den)))
+            out += [contiguous_stem(i, j, r) for i, j, r in runs.starts(need, (d,))
+                    if (n - d + 2 * r - 2) * den <= num * r]
+    lo, hi = _span_window(cfg.span, 1)
+    hi = n // 2 if hi is None else min(hi, n // 2)
+    out += _body_stems(runs, cfg, runs.diagonals(lo, hi), trim=True)
+    return canonical_order(out)
 
-    pool = enumerate_partial_stems(raw, cfg.min_stem_length) if cfg.partial_stems else raw
-    for s in pool:
-        if 2 * s.span > n:
-            continue  # acceptor side already handled
-        if lo is not None and lo > 0:
-            # the span stays fixed, so span / L' clears the bound for
-            # every kept length L' up to span / lo (below it if strict)
-            most = s.span / lo
-            keep = math.ceil(most) - 1 if cfg.sl.lo_strict else math.floor(most)
-            if keep < s.length:
-                if keep < cfg.min_stem_length:
-                    continue
-                kept = s.pairs[:keep]
-                s = Stem(i=s.i, j=s.j, pairs=kept, pattern=pattern_of_pairs(kept),
-                         helix=s.helix)
-        if cfg.sl is not None and not cfg.sl.contains(s.sl):
+
+def _span_window(iv: Interval | None, length: int) -> tuple[int | None, int | None]:
+    """The integer spans S with S / length inside ``iv``, as (lo, hi); an
+    open end is None."""
+    if iv is None:
+        return None, None
+    lo = hi = None
+    if iv.lo is not None:
+        x = iv.lo * length
+        lo = math.floor(x) + 1 if iv.lo_strict else math.ceil(x)
+    if iv.hi is not None:
+        x = iv.hi * length
+        hi = math.ceil(x) - 1 if iv.hi_strict else math.floor(x)
+    return lo, hi
+
+
+def _length_window(iv: Interval | None, span: int) -> tuple[int, int | None]:
+    """The stem lengths l >= 1 with span / l inside ``iv``, as (lo, hi); an
+    open upper end is None, an empty window has lo > hi."""
+    if iv is None:
+        return 1, None
+    lo, hi = 1, None
+    if iv.hi is not None:
+        if iv.hi <= 0:
+            return 1, 0
+        x = span / iv.hi
+        lo = max(1, math.floor(x) + 1 if iv.hi_strict else math.ceil(x))
+    if iv.lo is not None and iv.lo > 0:
+        x = span / iv.lo
+        hi = math.ceil(x) - 1 if iv.lo_strict else math.floor(x)
+    return lo, hi
+
+
+def _omit_one(i: int, j: int, length: int, t: int) -> Stem:
+    """The run of ``length`` + 1 pairs from (i, j) without its pair t."""
+    pairs = tuple((i + x, j - x) for x in range(length + 1) if x != t)
+    return Stem(i=i, j=j, pairs=pairs, pattern=GapPattern((t, length - t), ((1, 1),)))
+
+
+def _body_stems(runs: PairRuns, cfg: ProfileConfig, spans: Iterable[int],
+                trim: bool) -> list[Stem]:
+    """The pool stems with a span in ``spans`` that land inside ``cfg.sl``.
+
+    At each outer pair (i, j) whose run holds r >= L = ``cfg.min_stem_length``
+    pairs, the pool holds the run and, with ``cfg.partial_stems``, its
+    first k pairs for every k in L..r and, when r > L, the run without one
+    interior pair: the partial-stem closure of all runs, listed by outer
+    pair. With ``trim`` a stem whose score misses the lower bound first
+    loses inner pairs down to the longest length that clears it, and is
+    dropped if that is below L. A stem's span is its outer pair's, so the
+    score window is a window on the lengths of each span's stems.
+    """
+    L = cfg.min_stem_length
+    out = []
+    for d in spans:
+        shortest, longest = _length_window(cfg.sl, d)
+        shortest = max(shortest, L)
+        if longest is not None and shortest > longest:
             continue
-        if cfg.span is not None and not cfg.span.contains(s.span):
-            continue
-        out.setdefault(s.pairs, s)
-    return canonical_order(out.values())
+        for i, j, r in runs.starts(shortest, (d,)):
+            top = r if longest is None else min(r, longest)
+            if not cfg.partial_stems:
+                if trim or top == r:
+                    out.append(contiguous_stem(i, j, top))
+                continue
+            out += [contiguous_stem(i, j, k) for k in range(shortest, top + 1)]
+            if r > L:
+                gapped = min(r - 1, longest) if trim and longest is not None else r - 1
+                if shortest <= gapped and (longest is None or gapped <= longest):
+                    out += [_omit_one(i, j, gapped, t) for t in range(1, gapped)]
+    return out
 
 
 # ---------------------------------------------------------------- 5S rRNA
@@ -253,13 +311,12 @@ def rrna5s_helix_candidates(seq: Sequence, spec: HelixSpec,
 def _helix_candidates(runs: PairRuns, spec: HelixSpec) -> list[Stem]:
     out: dict[tuple, Stem] = {}
     for pattern in spec.patterns:
-        length = pattern.total_length
-        for i, j in runs.pattern_starts(pattern):
-            if spec.sl is not None and not spec.sl.contains(Fraction(j - i, length)):
-                continue
+        spans = runs.diagonals(*_span_window(spec.sl, pattern.total_length))
+        shape = pattern_of_pairs(pattern.pairs(0, 0))  # the same wherever it sits
+        for i, j in runs.pattern_starts(pattern, spans):
             pairs = pattern.pairs(i, j)
-            out.setdefault(pairs, Stem(i=i, j=j, pairs=pairs,
-                                       pattern=pattern_of_pairs(pairs), helix=spec.name))
+            out.setdefault(pairs, Stem(i=i, j=j, pairs=pairs, pattern=shape,
+                                       helix=spec.name))
     return canonical_order(out.values())
 
 
@@ -335,16 +392,9 @@ def rrna5s_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
 # ---------------------------------------------------------------- dispatch
 
 def protein_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
-    raw = enumerate_stems(seq, cfg.pairing, cfg.min_stem_length)
-    pool = enumerate_partial_stems(raw, cfg.min_stem_length) if cfg.partial_stems else raw
-    out = []
-    for s in pool:
-        if cfg.sl is not None and not cfg.sl.contains(s.sl):
-            continue
-        if cfg.span is not None and not cfg.span.contains(s.span):
-            continue
-        out.append(s)
-    return canonical_order(out)
+    runs = PairRuns(seq, cfg.pairing)
+    spans = runs.diagonals(*_span_window(cfg.span, 1))
+    return canonical_order(_body_stems(runs, cfg, spans, trim=False))
 
 
 def profile_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:

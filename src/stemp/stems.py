@@ -13,6 +13,7 @@ effective stem length is the number of pairs, gaps excluded.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -207,61 +208,118 @@ def _sl_ok(span: int, length: int, sl_bounds) -> bool:
     return lo <= score <= hi
 
 
-class PairRuns:
-    """How far a run of stacked pairs reaches inward from every (i, j).
+# per base a, the table that writes a as "1" and every other base as "0"
+_MARK = {a: str.maketrans({b: "1" if b == a else "0" for b in BASES}) for a in BASES}
 
-    ``run[i][j]`` (1-based) counts the consecutive pairs (i, j),
-    (i+1, j-1), ... that the rule allows while q - p >= MIN_PAIR_GAP, so
-    ``run[i][j] = run[i+1][j-1] + 1`` when (i, j) pairs and 0 otherwise. It
-    is built once per (sequence, rule), from the inside out, and answers
-    every stem enumerator: a contiguous stem's maximal length is one
-    lookup, a gap pattern one lookup per segment. ``starts`` lists every
-    outer pair (i, j) with j >= i + MIN_SPAN and a non-zero run as
-    (run, i, j), longest runs first.
+
+class _Diagonals(dict):
+    """``diagonal[d]`` of ``PairRuns``, each built on first use; 0 for a
+    d that holds no pair (d < MIN_PAIR_GAP, d >= n, negative d)."""
+
+    def __init__(self, seq: Sequence, rule: PairingRule):
+        super().__init__()
+        self.n = seq.length
+        backwards = seq.residues[::-1]
+        # bit p of at[a] is set iff base p is a (the trailing "0" is bit 0)
+        at = {a: int(backwards.translate(table) + "0", 2) for a, table in _MARK.items()}
+        # (positions of base a, positions of a's partners), for each base a
+        self.terms = [(at[a], sum(at[b] for b in BASES if rule.allows(a, b)))
+                      for a in BASES]
+
+    def __missing__(self, d: int) -> int:
+        mask = 0
+        if MIN_PAIR_GAP <= d < self.n:
+            for mine, theirs in self.terms:
+                mask |= mine & theirs >> d
+        self[d] = mask
+        return mask
+
+
+class PairRuns:
+    """Where runs of stacked pairs start, one diagonal at a time.
+
+    Diagonal d holds the cells (i, i + d). ``diagonal[d]`` is a bitmask with
+    bit i set iff (i, i + d) pairs under the rule and d >= MIN_PAIR_GAP, so
+    it is 0 for d < MIN_PAIR_GAP. A run of k stacked pairs from (i, j) puts
+    one cell (i + t, j - t) on each diagonal j - i - 2t, so every question
+    about runs is a few shifts and ANDs of whole diagonals: ``at_least``
+    marks the outer pairs of a diagonal whose run holds k pairs,
+    ``pattern_starts`` the outer pairs where a gap pattern matches. It is
+    built once per (sequence, rule) and answers every stem enumerator. A
+    diagonal is built on first use, in a few big-integer steps, so a caller
+    pays only for the diagonals its span and Stem-Loop windows reach.
     """
 
     def __init__(self, seq: Sequence, rule: PairingRule):
-        r = seq.residues
-        n = len(r)
-        partners = {a: frozenset(b for b in BASES if rule.allows(a, b)) for a in BASES}
-        run = [[0] * (n + 2) for _ in range(n + 2)]
-        for i in range(n - MIN_PAIR_GAP, 0, -1):
-            pal = partners[r[i - 1]]
-            # row[j] for j in i+2..n from run[i+1][j-1] and base j
-            run[i][i + MIN_PAIR_GAP:n + 1] = [
-                x + 1 if b in pal else 0
-                for x, b in zip(run[i + 1][i + 1:n], r[i + 1:n])]
-        self.run = run
-        self.starts = sorted(
-            ((run[i][j], i, j) for i in range(1, n + 1)
-             for j in range(i + MIN_SPAN, n + 1) if run[i][j]),
-            reverse=True)
+        self.n = seq.length
+        self.diagonal = _Diagonals(seq, rule)
 
-    def pattern_starts(self, pattern: GapPattern) -> list[Pair]:
-        """Outer pairs (i, j) at which ``pattern`` matches exactly.
+    def diagonals(self, lo: int | None = None, hi: int | None = None) -> range:
+        """Spans lo..hi (either end may be open) that an outer pair can have."""
+        lo = MIN_SPAN if lo is None else max(lo, MIN_SPAN)
+        hi = self.n - 1 if hi is None else min(hi, self.n - 1)
+        return range(lo, hi + 1)
 
-        A start is admitted iff every segment's first pair starts a run at
-        least the segment long, the innermost segment's run is exactly its
-        length (one more pair would extend it), and every skip leaves the
-        strands apart (q - p >= MIN_PAIR_GAP at each segment's first pair).
-        """
-        run = self.run
-        segments = pattern.segments
-        first = segments[0]
-        (dp_last, dq_last), last = pattern.offsets[-1], segments[-1]
-        need = dp_last + dq_last + MIN_PAIR_GAP
-        inner = tuple(zip(pattern.offsets[1:-1], segments[1:-1]))
-        out = []
-        for length, i, j in self.starts:
-            if length < first:
+    def at_least(self, k: int, d: int) -> int:
+        """Bit i set iff the run from (i, i + d) holds at least k >= 1 pairs."""
+        diagonal = self.diagonal
+        mask = diagonal[d]
+        for t in range(1, k):
+            if not mask:
                 break
-            # j - i >= need keeps every segment's first pair in range with
-            # q - p >= MIN_PAIR_GAP, since the offsets only grow inward
-            if j - i < need or run[i + dp_last][j - dq_last] != last:
-                continue
-            if all(run[i + dp][j - dq] >= seg for (dp, dq), seg in inner):
-                out.append((i, j))
+            mask &= diagonal[d - 2 * t] >> t
+        return mask
+
+    def starts(self, min_length: int, spans: Iterable[int]) -> list[tuple[int, int, int]]:
+        """(i, j, run) for every outer pair whose span is in ``spans`` and
+        whose run holds at least ``min_length`` >= 1 pairs."""
+        diagonal = self.diagonal
+        out = []
+        for d in spans:
+            for i in _set_bits(self.at_least(min_length, d)):
+                run = min_length
+                while diagonal[d - 2 * run] >> (i + run) & 1:
+                    run += 1
+                out.append((i, i + d, run))
         return out
+
+    def pattern_starts(self, pattern: GapPattern,
+                       spans: Iterable[int] | None = None) -> list[Pair]:
+        """Outer pairs (i, j), with j - i in ``spans`` (default: all), at
+        which ``pattern`` matches exactly.
+
+        A start is admitted iff every pair the pattern places pairs with the
+        strands apart (q - p >= MIN_PAIR_GAP), and the pair one step inward
+        from the innermost segment does not (one more pair would extend it).
+        """
+        # the pair (i + a, j - b) sits on diagonal j - i - (a + b): as
+        # (shift, inset), bit i of diagonal[d - inset] >> shift
+        cells = [(p, p - q) for p, q in pattern.pairs(0, 0)]
+        (a, b), last = pattern.offsets[-1], pattern.segments[-1]
+        beyond = (a + last, a + b + 2 * last)  # the next pair inward
+        diagonal = self.diagonal
+        out = []
+        for d in spans if spans is not None else self.diagonals():
+            mask = -1
+            for shift, inset in cells:
+                mask &= diagonal[d - inset] >> shift
+                if not mask:
+                    break
+            else:
+                shift, inset = beyond
+                mask &= ~(diagonal[d - inset] >> shift)
+                out.extend((i, i + d) for i in _set_bits(mask))
+        return out
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def enumerate_stems(seq: Sequence, rule: PairingRule, min_length: int,
@@ -276,13 +334,11 @@ def enumerate_stems(seq: Sequence, rule: PairingRule, min_length: int,
     if min_length < 2:
         raise ValueError("minimum stem length must be >= 2")
     _check_sl_bounds(sl_bounds)
-    out = []
-    for length, i, j in PairRuns(seq, rule).starts:
-        if length < min_length:
-            break
-        if _sl_ok(j - i, length, sl_bounds):
-            out.append(contiguous_stem(i, j, length))
-    return canonical_order(out)
+    runs = PairRuns(seq, rule)
+    return canonical_order(
+        contiguous_stem(i, j, length)
+        for i, j, length in runs.starts(min_length, runs.diagonals())
+        if _sl_ok(j - i, length, sl_bounds))
 
 
 def enumerate_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern,
@@ -293,13 +349,20 @@ def enumerate_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern
     the pattern's skips between them. Candidates whose skips cross the
     strands are silently discarded, as are candidates where one more pair
     would extend the innermost segment (so a zero-gap pattern reduces to
-    contiguous stems of exactly the pattern's total length).
+    contiguous stems of exactly the pattern's total length). With
+    ``sl_bounds`` only the spans the bounds admit are scanned.
     """
     _check_sl_bounds(sl_bounds)
+    runs = PairRuns(seq, rule)
+    spans = runs.diagonals()
+    if sl_bounds is not None:
+        lo, hi = sl_bounds
+        length = pattern.total_length
+        spans = runs.diagonals(math.ceil(Fraction(lo) * length),
+                               math.floor(Fraction(hi) * length))
     return canonical_order(
         Stem(i=i, j=j, pairs=pattern.pairs(i, j), pattern=pattern)
-        for i, j in PairRuns(seq, rule).pattern_starts(pattern)
-        if _sl_ok(j - i, pattern.total_length, sl_bounds))
+        for i, j in runs.pattern_starts(pattern, spans))
 
 
 def enumerate_partial_stems(stems: Iterable[Stem], min_length: int) -> list[Stem]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from stemp import parse_sequence
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Structured 25-mer used as the golden worked example (PDB entry 2QUX).
 SEQ_2QUX = "GGCACAGAAGAUAUGGCUUCGUGCC"
@@ -33,6 +36,17 @@ def pair_calls(monkeypatch):
     real = cliques.clique_pairs
     monkeypatch.setattr(cliques, "clique_pairs", lambda *a: calls.append(a) or real(*a))
     return calls
+
+
+def load_perfbench(name, monkeypatch):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path and
+    only read; it stays in ``sys.modules`` for the test's duration, since
+    ``workloads.py`` imports ``gen``."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def gutell_dir() -> Path:

@@ -5,7 +5,8 @@ every (i, j, l) triple or by walking pairs base by base from every start,
 cliques by enumerating every vertex subset, edges by raw index-set
 disjointness, tRNA trims by dropping one inner pair at a time, dot-bracket
 tiers by testing every pair of a tier for a crossing, report summaries by
-scoring every prediction on its own.
+scoring every prediction on its own, profile vertices by building every
+candidate stem before any window filters it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from fractions import Fraction
 from stemp.errors import IndexOutOfRange, TooManyLayers
 from stemp.fileio import BRACKET_TIERS
 from stemp.metrics import Metrics, ReferenceStructure, ReportSummary
-from stemp.profiles import ProfileConfig, acceptor_sl
+from stemp.profiles import HelixSpec, ProfileConfig, acceptor_sl, assemble_domains
 from stemp.seq import PairingRule, Sequence
-from stemp.stems import (GapPattern, Pair, Stem, _check_sl_bounds, _sl_ok,
+from stemp.stems import (BASES, GapPattern, Pair, Stem, _check_sl_bounds, _sl_ok,
                          canonical_order, contiguous_stem, enumerate_partial_stems,
-                         enumerate_stems, pattern_of_pairs)
+                         pattern_of_pairs)
 
 MIN_SPAN = 3
 MIN_PAIR_GAP = 2
@@ -68,9 +69,10 @@ def stems_disjoint(a, b) -> bool:
 
 def walk_trna_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     """profiles.trna_vertices, trimming each body stem one innermost pair
-    at a time while its Stem-Loop score sits at or below the lower bound."""
+    at a time while its Stem-Loop score sits at or below the lower bound,
+    from every stem the partial closure of the walked runs holds."""
     n = seq.length
-    raw = enumerate_stems(seq, cfg.pairing, cfg.min_stem_length)
+    raw = walk_stems(seq, cfg.pairing, cfg.min_stem_length)
     out: dict[tuple, Stem] = {}
     if cfg.acceptor is not None:
         for s in raw:
@@ -306,3 +308,88 @@ def score_each(report, reference: ReferenceStructure, metric: str = "mcc") -> Re
     return ReportSummary(metric=metric, top=top, best=best,
                          best_scr=best_pred.scr, best_dr=best_pred.dr,
                          best_multiplicity=best_pred.multiplicity)
+
+
+class RunTable:
+    """The whole pair-run table: ``run[i][j]`` (1-based) counts the stacked
+    pairs (i, j), (i+1, j-1), ... the rule allows while q - p >=
+    MIN_PAIR_GAP, built from the inside out for every cell; ``starts``
+    lists every (run, i, j) with j >= i + MIN_SPAN and a non-zero run,
+    longest first."""
+
+    def __init__(self, seq: Sequence, rule: PairingRule):
+        r = seq.residues
+        n = len(r)
+        partners = {a: frozenset(b for b in BASES if rule.allows(a, b)) for a in BASES}
+        run = [[0] * (n + 2) for _ in range(n + 2)]
+        for i in range(n - MIN_PAIR_GAP, 0, -1):
+            pal = partners[r[i - 1]]
+            run[i][i + MIN_PAIR_GAP:n + 1] = [
+                x + 1 if b in pal else 0
+                for x, b in zip(run[i + 1][i + 1:n], r[i + 1:n])]
+        self.run = run
+        self.starts = sorted(
+            ((run[i][j], i, j) for i in range(1, n + 1)
+             for j in range(i + MIN_SPAN, n + 1) if run[i][j]),
+            reverse=True)
+
+    def pattern_starts(self, pattern: GapPattern) -> list[Pair]:
+        """Every outer pair at which ``pattern`` matches exactly, scanned
+        over all starts: the first segment's run is long enough, every
+        middle one too, the innermost one's is exactly its length."""
+        run = self.run
+        first = pattern.segments[0]
+        (dp_last, dq_last), last = pattern.offsets[-1], pattern.segments[-1]
+        need = dp_last + dq_last + MIN_PAIR_GAP
+        inner = tuple(zip(pattern.offsets[1:-1], pattern.segments[1:-1]))
+        out = []
+        for length, i, j in self.starts:
+            if length < first:
+                break
+            if j - i < need or run[i + dp_last][j - dq_last] != last:
+                continue
+            if all(run[i + dp][j - dq] >= seg for (dp, dq), seg in inner):
+                out.append((i, j))
+        return out
+
+
+def scan_helix_candidates(runs: RunTable, spec: HelixSpec) -> list[Stem]:
+    """profiles.rrna5s_helix_candidates by scanning every start of every
+    pattern and only then testing the helix's Stem-Loop bounds."""
+    out: dict[tuple, Stem] = {}
+    for pattern in spec.patterns:
+        length = pattern.total_length
+        for i, j in runs.pattern_starts(pattern):
+            if spec.sl is not None and not spec.sl.contains(Fraction(j - i, length)):
+                continue
+            pairs = pattern.pairs(i, j)
+            out.setdefault(pairs, Stem(i=i, j=j, pairs=pairs,
+                                       pattern=pattern_of_pairs(pairs), helix=spec.name))
+    return canonical_order(out.values())
+
+
+def filter_profile_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
+    """profiles.profile_vertices by building every candidate stem first and
+    then dropping those outside the profile's windows."""
+    if cfg.family == "trna":
+        return walk_trna_vertices(seq, cfg)
+    if cfg.family == "protein":
+        raw = walk_stems(seq, cfg.pairing, cfg.min_stem_length)
+        pool = enumerate_partial_stems(raw, cfg.min_stem_length) if cfg.partial_stems else raw
+        return canonical_order(
+            s for s in pool
+            if (cfg.sl is None or cfg.sl.contains(s.sl))
+            and (cfg.span is None or cfg.span.contains(s.span)))
+    runs = RunTable(seq, cfg.pairing)
+    candidates = {h.name: scan_helix_candidates(runs, h) for h in cfg.helices}
+    claimed = {name for d in cfg.domains for name in (d.outer, d.inner)} if cfg.use_gsl else ()
+    out: dict[tuple, Stem] = {}
+    for h in cfg.helices:
+        if h.name not in claimed:
+            for s in candidates[h.name]:
+                out.setdefault(s.pairs, s)
+    for dom in cfg.domains if cfg.use_gsl else ():
+        for cand in assemble_domains(candidates[dom.outer], candidates[dom.inner], dom):
+            s = cand.as_stem()
+            out.setdefault(s.pairs, s)
+    return canonical_order(out.values())

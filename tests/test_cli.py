@@ -255,6 +255,20 @@ def _report_doc(*entries):
     (_report_doc({"multiplicity": "1"}),
      "prediction 1 is malformed: multiplicity \"1\" is not an integer"),
     (_report_doc({"energy": None}), "prediction 1 is malformed: energy null is not an integer"),
+    (_report_doc({"pairs": [[25, 1]]}),
+     "prediction 1 is malformed: pair [25, 1] does not have 1 <= p < q"),
+    (_report_doc({}, {"pairs": [[1, 1]]}),
+     "prediction 2 is malformed: pair [1, 1] does not have 1 <= p < q"),
+    (_report_doc({"pairs": [[0, 25]]}),
+     "prediction 1 is malformed: pair [0, 25] does not have 1 <= p < q"),
+    (_report_doc({"pairs": [[1, 25], [3, 25]]}),
+     "prediction 1 is malformed: base 25 is in two pairs"),
+    (_report_doc({"pairs": [[2, 24], [1, 2]]}),
+     "prediction 1 is malformed: base 2 is in two pairs"),
+    (dict(_report_doc({}), sequence_id=5), "report is malformed: sequence_id 5 is not a string"),
+    (dict(_report_doc({}), sequence_id=[1]),
+     "report is malformed: sequence_id [1] is not a string"),
+    (dict(_report_doc({}), profile=None), "report is malformed: profile null is not a string"),
 ])
 def test_evaluate_malformed_report_exit_2(tmp_path, capsys, doc, message):
     report = tmp_path / "r.json"

@@ -300,6 +300,18 @@ def test_report_schema_guard():
       "predictions": [{"rank_scr": 2, "rank_dr": 1, "multiplicity": 1, "energy": 1,
                        "vertices": [1], "pairs": [[1, 9]]}]},
      "report has predictions but none with rank_scr 1"),
+    ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p",
+      "predictions": [{"rank_scr": 1, "rank_dr": 1, "multiplicity": 1, "energy": 1,
+                       "vertices": [1], "pairs": [[9, 1]]}]},
+     r"prediction 1 is malformed: pair \[9, 1\] does not have 1 <= p < q"),
+    ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p",
+      "predictions": [{"rank_scr": 1, "rank_dr": 1, "multiplicity": 1, "energy": 2,
+                       "vertices": [1], "pairs": [[1, 9], [3, 9]]}]},
+     "prediction 1 is malformed: base 9 is in two pairs"),
+    ({"schema": "stemp-report/1", "sequence_id": 5, "profile": "p", "predictions": []},
+     "report is malformed: sequence_id 5 is not a string"),
+    ({"schema": "stemp-report/1", "sequence_id": "x", "profile": {}, "predictions": []},
+     "report is malformed: profile {} is not a string"),
 ])
 def test_report_from_dict_rejects_malformed_documents(doc, message):
     with pytest.raises(FormatError, match=message):

@@ -5,22 +5,11 @@ digest ``perfbench/golden.json`` records. The benchmark's modules are loaded
 by path and only read."""
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 from stemp.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name, monkeypatch):
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)  # workloads.py imports gen
-    spec.loader.exec_module(module)
-    return module
+from .conftest import PERFBENCH, load_perfbench as _load
 
 
 def test_census_trna_outputs_match_golden(tmp_path, monkeypatch, capsys):

@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from stemp import (GapPattern, NotAcceptorCandidate, PairingRule, ProfileError,
-                   acceptor_sl, assemble_domains, build_profile_graph,
+from stemp import (AcceptorSpec, GapPattern, NotAcceptorCandidate, PairingRule,
+                   ProfileError, acceptor_sl, assemble_domains, build_profile_graph,
                    builtin_profile, enumerate_stems, load_profile, maximal_cliques,
-                   parse_sequence, rank_predictions, resolve_profile, trna_vertices)
+                   parse_sequence, profile_vertices, rank_predictions, resolve_profile,
+                   trna_vertices)
 from stemp.profiles import (BUILTIN_PROFILES, DomainSpec, HelixSpec, Interval,
                             ProfileConfig, as_fraction, profile_from_dict,
                             profile_to_dict, render_fraction, rrna5s_helix_candidates,
                             rrna5s_vertices)
 from stemp.stems import contiguous_stem
 
-from .oracles import walk_trna_vertices
+from .oracles import filter_profile_vertices, walk_trna_vertices
 
 WOBBLE = PairingRule(wobble=True)
 
@@ -461,3 +462,70 @@ def test_domain_inner_must_sit_inside_innermost_pair():
     assert len(got) == 1
     composite = got[0].as_stem()
     assert composite.length == 7  # chain-nested union renders cleanly
+
+
+# ------------------------------------------------------------- window-first vertices
+
+def _cli_profile(name, flags):
+    """The profile ``predict --profile name *flags`` runs with."""
+    from stemp.cli import _configure, build_parser
+    return _configure(build_parser().parse_args(["predict", "--profile", name, *flags, "x.fa"]))
+
+
+def window_sequences(seed, count):
+    """Planted cloverleaf and 5S inputs, a short one where the tRNA span
+    window reaches past half the sequence, then seeded random ones; the
+    low-complexity alphabets give the long runs that 5S patterns need."""
+    rng = random.Random(seed)
+    seqs = [parse_sequence(make_cloverleaf(seed)[0], id="clover"),
+            parse_sequence(make_full_5s()[0], id="planted5s"),
+            parse_sequence("".join(rng.choice("GCU") for _ in range(30)), id="short")]
+    for k in range(count):
+        alphabet = rng.choice(("ACGU", "ACGU", "GC", "GCU", "ACGUU"))
+        n = rng.randint(12, 160)
+        seqs.append(parse_sequence("".join(rng.choice(alphabet) for _ in range(n)),
+                                   id=f"r{k}"))
+    return seqs
+
+
+@pytest.mark.parametrize("flags", [[], ["-L", "2"], ["--sl-min", "2.5", "--sl-max", "6"],
+                                   ["--sl-min", "3"], ["--sl-max", "4.7"], ["--no-gsl"],
+                                   ["--wobble", "--uu"]], ids=" ".join)
+@pytest.mark.parametrize("name", BUILTIN_PROFILES)
+def test_window_first_vertices_equal_filter_oracle(name, flags):
+    cfg = _cli_profile(name, flags)
+    for seq in window_sequences(len(flags) + BUILTIN_PROFILES.index(name), 4):
+        assert profile_vertices(seq, cfg) == filter_profile_vertices(seq, cfg), seq.id
+
+
+TRNA_WINDOWS = [
+    {"span": None},
+    {"span": Interval(as_fraction(12), as_fraction(18), lo_strict=True, hi_strict=True)},
+    {"span": Interval(as_fraction("12.5"), as_fraction("17.5"))},
+    {"sl": None, "span": None},
+    {"sl": Interval(hi=as_fraction(5), hi_strict=True)},
+    {"sl": Interval(as_fraction(-1), as_fraction(0))},
+    {"acceptor": AcceptorSpec(max_score=as_fraction(2))},
+    {"acceptor": AcceptorSpec(max_score=as_fraction("5/2"))},
+    {"acceptor": AcceptorSpec(max_score=as_fraction("7/2"))},
+    {"acceptor": None},
+    {"partial_stems": False},
+    {"partial_stems": False, "span": None, "min_stem_length": 2},
+]
+PROTEIN_WINDOWS = [
+    {"partial_stems": True},
+    {"sl": Interval(as_fraction(2), as_fraction(20))},
+    {"sl": Interval(as_fraction(3), as_fraction("5.4"), lo_strict=True),
+     "span": Interval(as_fraction(12), as_fraction(18)), "partial_stems": True},
+    {"sl": Interval(hi=as_fraction(5), hi_strict=True), "partial_stems": True},
+    {"span": Interval(as_fraction("12.5"), as_fraction("17.5"), hi_strict=True)},
+    {"sl": Interval(as_fraction(-1), as_fraction(0))},
+]
+
+
+@pytest.mark.parametrize("name, change", [("trna", c) for c in TRNA_WINDOWS]
+                         + [("protein", c) for c in PROTEIN_WINDOWS], ids=str)
+def test_window_first_vertices_equal_filter_oracle_on_windows(name, change):
+    cfg = replace(builtin_profile(name), **change)
+    for seq in window_sequences(7, 4):
+        assert profile_vertices(seq, cfg) == filter_profile_vertices(seq, cfg), seq.id

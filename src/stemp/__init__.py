@@ -15,12 +15,12 @@ from .errors import (AsymmetricPair, BudgetExceeded, FormatError, IndexOutOfRang
 from .metrics import (Metrics, ReferenceStructure, ReportSummary, drop_noncanonical,
                       score_prediction, summarize_report)
 from .profiles import (AcceptorSpec, DomainCandidate, DomainSpec, HelixSpec,
-                       Interval, ProfileConfig, acceptor_sl, assemble_domains,
+                       ProfileConfig, acceptor_sl, assemble_domains,
                        build_profile_graph, builtin_profile, load_profile,
                        profile_vertices, resolve_profile, rrna5s_helix_candidates,
                        trna_vertices)
 from .seq import PairingRule, Sequence, parse_sequence
-from .stems import (GapPattern, Stem, StemGraph, build_stem_graph, can_coexist,
+from .stems import (GapPattern, Interval, Stem, StemGraph, build_stem_graph, can_coexist,
                     enumerate_gapped_stems, enumerate_partial_stems, enumerate_stems)
 
 __version__ = "0.1.0"

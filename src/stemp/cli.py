@@ -28,10 +28,10 @@ from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_referenc
                      report_to_dict, stream_report, write_dot_bracket)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
-from .profiles import (Interval, ProfileConfig, as_fraction, build_profile_graph,
-                       profile_from_dict, profile_to_dict, resolve_profile)
+from .profiles import (ProfileConfig, as_fraction, build_profile_graph, profile_from_dict,
+                       profile_to_dict, resolve_profile)
 from .seq import Sequence
-from .stems import StemGraph, render_graph_text
+from .stems import Interval, StemGraph, render_graph_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -295,33 +295,33 @@ def _canonical_only(reference: ReferenceStructure, rule) -> ReferenceStructure:
     return drop_noncanonical(reference, rule)
 
 
+def _summary(report: PredictionReport, reference: ReferenceStructure,
+             metric: str) -> tuple[Metrics, Metrics, int, int, int]:
+    """(top, best, SCR, DR, multiplicity) of a report against the reference;
+    an empty report scores the empty structure, with SCR, DR and
+    multiplicity 0."""
+    if not report.predictions:
+        empty = score_prediction([], reference)
+        return empty, empty, 0, 0, 0
+    summary = summarize_report(report, reference, metric=metric)
+    return (summary.top, summary.best, summary.best_scr, summary.best_dr,
+            summary.best_multiplicity)
+
+
 def _evaluate_one(report: PredictionReport, seq: Sequence | None,
-                  reference: ReferenceStructure, cfg: ProfileConfig | None,
-                  args) -> dict:
+                  reference: ReferenceStructure, cfg: ProfileConfig, args) -> dict:
     if seq is not None and reference.length != seq.length:
         raise StempError(
             f"reference length {reference.length} != sequence length {seq.length}")
     if args.ignore_noncanonical:
-        rule = cfg.pairing if cfg is not None else None
-        if rule is None:
-            raise StempError("--ignore-noncanonical needs a profile's pairing rule")
-        reference = _canonical_only(reference, rule)
+        reference = _canonical_only(reference, cfg.pairing)
+    top, best, scr, dr, mult = _summary(report, reference, args.metric)
     doc = {"id": report.sequence_id or reference.id, "metric": args.metric,
-           "predictions": len(report.predictions)}
-    if report.predictions:
-        summary = summarize_report(report, reference, metric=args.metric)
-        doc.update({
-            "top": _metrics_dict(summary.top),
-            "best": _metrics_dict(summary.best),
-            "scr_of_best": summary.best_scr,
-            "dr_of_best": summary.best_dr,
-            "multiplicity": summary.best_multiplicity,
-        })
-    else:
-        empty = score_prediction([], reference)
-        doc.update({"top": _metrics_dict(empty), "best": _metrics_dict(empty),
-                    "scr_of_best": 0, "dr_of_best": 0, "multiplicity": 0,
-                    "note": "no predictions; scored the empty structure"})
+           "predictions": len(report.predictions),
+           "top": _metrics_dict(top), "best": _metrics_dict(best),
+           "scr_of_best": scr, "dr_of_best": dr, "multiplicity": mult}
+    if not report.predictions:
+        doc["note"] = "no predictions; scored the empty structure"
     return doc
 
 
@@ -382,14 +382,7 @@ def _batch_worker(payload: dict) -> dict:
                              max_seconds=payload["max_seconds"])
     elapsed = time.perf_counter() - start
     metric = payload["metric"]
-    if not report.predictions:
-        empty = score_prediction([], reference)
-        top = best = empty
-        scr = dr = mult = 0
-    else:
-        summary = summarize_report(report, reference, metric=metric)
-        top, best = summary.top, summary.best
-        scr, dr, mult = summary.best_scr, summary.best_dr, summary.best_multiplicity
+    top, best, scr, dr, mult = _summary(report, reference, metric)
     return {
         "id": seq.id,
         "length": seq.length,

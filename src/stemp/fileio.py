@@ -459,11 +459,18 @@ def _rebuild_stem(i: int, j: int, length: int, span: int, sl: str,
 
 
 def _graph_of(vertices, edges) -> StemGraph:
-    """A graph from its vertices and 0-based edges (u, v)."""
-    masks = [0] * len(vertices)
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    """A graph from its vertices and its edges, each (where, u, v) with
+    1-based u and v; FormatError names ``where`` for an edge that does not
+    join two different vertices."""
+    n = len(vertices)
+    masks = [0] * n
+    for where, u, v in edges:
+        if not (type(u) is type(v) is int and 1 <= min(u, v) and max(u, v) <= n
+                and u != v):
+            raise FormatError(f"{where} is malformed: [{u!r}, {v!r}] does not join two "
+                              f"of the {n} vertices")
+        masks[u - 1] |= 1 << v - 1
+        masks[v - 1] |= 1 << u - 1
     return StemGraph(vertices=tuple(vertices), neighbor_masks=tuple(masks))
 
 
@@ -492,12 +499,8 @@ def graph_from_dict(doc: dict) -> StemGraph:
         edges = []
         for number, edge in enumerate(doc["edges"], start=1):
             where = f"edge {number}"
-            u1, v1 = edge
-            if not (type(u1) is type(v1) is int and 1 <= min(u1, v1)
-                    and max(u1, v1) <= len(vertices)):
-                raise ValueError(f"[{u1!r}, {v1!r}] does not join two of the "
-                                 f"{len(vertices)} vertices")
-            edges.append((u1 - 1, v1 - 1))
+            u, v = edge
+            edges.append((where, u, v))
     except KeyError as exc:
         raise FormatError(f"{where} has no {exc.args[0]!r} key") from None
     except (TypeError, ValueError, AttributeError) as exc:
@@ -506,21 +509,25 @@ def graph_from_dict(doc: dict) -> StemGraph:
 
 
 def parse_graph_text(text: str) -> StemGraph:
-    """Inverse of stems.render_graph_text."""
+    """Inverse of stems.render_graph_text; FormatError names a bad line."""
     vertices: list[Stem] = []
-    edges: list[tuple[int, int]] = []
-    for line in text.splitlines():
+    edges: list[tuple[str, int, int]] = []
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         cols = line.split()
-        if cols[0].startswith("v"):
-            i, j, length, span = (int(x) for x in cols[1:5])
-            pattern = cols[6] if len(cols) > 6 else None
-            vertices.append(_rebuild_stem(i, j, length, span, cols[5], pattern, None,
-                                          f"inconsistent vertex line: {line!r}"))
-        elif cols[0] == "e":
-            edges.append((int(cols[1]) - 1, int(cols[2]) - 1))
-        else:
-            raise FormatError(f"unrecognized graph line: {line!r}")
+        try:
+            if cols[0].startswith("v"):
+                i, j, length, span = (int(x) for x in cols[1:5])
+                pattern = cols[6] if len(cols) > 6 else None
+                vertices.append(_rebuild_stem(i, j, length, span, cols[5], pattern, None,
+                                              f"inconsistent vertex line: {line!r}"))
+            elif cols[0] == "e":
+                _, u, v = cols
+                edges.append((f"graph line {number}", int(u), int(v)))
+            else:
+                raise FormatError(f"unrecognized graph line: {line!r}")
+        except (IndexError, ValueError):
+            raise FormatError(f"graph line {number} is malformed: {line!r}") from None
     return _graph_of(vertices, edges)

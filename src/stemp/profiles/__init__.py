@@ -13,7 +13,6 @@ All score comparisons are exact: bounds are rationals and a bound like
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +23,9 @@ from typing import Iterable
 from ..errors import NotAcceptorCandidate, ProfileError
 from ..fileio import read_text
 from ..seq import PairingRule, Sequence
-from ..stems import (GapPattern, PairRuns, Stem, StemGraph, build_stem_graph,
-                    canonical_order, contiguous_stem, pattern_of_pairs)
+from ..stems import (GapPattern, Interval, PairRuns, Stem, StemGraph, build_stem_graph,
+                     canonical_order, contiguous_stem, pattern_of_pairs, render_fraction,
+                     run_stems)
 
 PROFILE_SCHEMA = "stemp-profile/1"
 PROFILE_DIR_ENV = "STEMP_PROFILE_DIR"
@@ -47,45 +47,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     return Fraction(str(value))
-
-
-def render_fraction(value: Fraction) -> str:
-    """Decimal text when the denominator allows it, else p/q."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    scaled = value
-    for exp in range(1, 13):
-        scaled *= 10
-        if scaled.denominator == 1:
-            digits = str(abs(scaled.numerator)).rjust(exp + 1, "0")
-            sign = "-" if value < 0 else ""
-            return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
-    return f"{value.numerator}/{value.denominator}"
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A rational interval with independently open or closed ends."""
-
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    lo_strict: bool = False
-    hi_strict: bool = False
-
-    def __post_init__(self):
-        if self.lo is not None and self.hi is not None:
-            if self.lo > self.hi or (self.lo == self.hi and (self.lo_strict or self.hi_strict)):
-                raise ProfileError(f"empty interval: {self}")
-
-    def contains(self, x) -> bool:
-        if self.lo is not None and not (x > self.lo if self.lo_strict else x >= self.lo):
-            return False
-        return self.hi is None or (x < self.hi if self.hi_strict else x <= self.hi)
-
-    def __str__(self) -> str:
-        lo = "" if self.lo is None else render_fraction(self.lo)
-        hi = "" if self.hi is None else render_fraction(self.hi)
-        return f"{lo}{'<' if self.lo_strict else '<='}x{'<' if self.hi_strict else '<='}{hi}"
 
 
 def _interval_to_dict(iv: Interval | None) -> dict | None:
@@ -221,82 +182,11 @@ def trna_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
                 need = max(need, -(-(n - d - 2) * den // (num - 2 * den)))
             out += [contiguous_stem(i, j, r) for i, j, r in runs.starts(need, (d,))
                     if (n - d + 2 * r - 2) * den <= num * r]
-    lo, hi = _span_window(cfg.span, 1)
+    lo, hi = (cfg.span or Interval()).spans(1)
     hi = n // 2 if hi is None else min(hi, n // 2)
-    out += _body_stems(runs, cfg, runs.diagonals(lo, hi), trim=True)
+    out += run_stems(runs, cfg.min_stem_length, cfg.sl or Interval(), runs.diagonals(lo, hi),
+                     partial=cfg.partial_stems, trim=True)
     return canonical_order(out)
-
-
-def _span_window(iv: Interval | None, length: int) -> tuple[int | None, int | None]:
-    """The integer spans S with S / length inside ``iv``, as (lo, hi); an
-    open end is None."""
-    if iv is None:
-        return None, None
-    lo = hi = None
-    if iv.lo is not None:
-        x = iv.lo * length
-        lo = math.floor(x) + 1 if iv.lo_strict else math.ceil(x)
-    if iv.hi is not None:
-        x = iv.hi * length
-        hi = math.ceil(x) - 1 if iv.hi_strict else math.floor(x)
-    return lo, hi
-
-
-def _length_window(iv: Interval | None, span: int) -> tuple[int, int | None]:
-    """The stem lengths l >= 1 with span / l inside ``iv``, as (lo, hi); an
-    open upper end is None, an empty window has lo > hi."""
-    if iv is None:
-        return 1, None
-    lo, hi = 1, None
-    if iv.hi is not None:
-        if iv.hi <= 0:
-            return 1, 0
-        x = span / iv.hi
-        lo = max(1, math.floor(x) + 1 if iv.hi_strict else math.ceil(x))
-    if iv.lo is not None and iv.lo > 0:
-        x = span / iv.lo
-        hi = math.ceil(x) - 1 if iv.lo_strict else math.floor(x)
-    return lo, hi
-
-
-def _omit_one(i: int, j: int, length: int, t: int) -> Stem:
-    """The run of ``length`` + 1 pairs from (i, j) without its pair t."""
-    pairs = tuple((i + x, j - x) for x in range(length + 1) if x != t)
-    return Stem(i=i, j=j, pairs=pairs, pattern=GapPattern((t, length - t), ((1, 1),)))
-
-
-def _body_stems(runs: PairRuns, cfg: ProfileConfig, spans: Iterable[int],
-                trim: bool) -> list[Stem]:
-    """The pool stems with a span in ``spans`` that land inside ``cfg.sl``.
-
-    At each outer pair (i, j) whose run holds r >= L = ``cfg.min_stem_length``
-    pairs, the pool holds the run and, with ``cfg.partial_stems``, its
-    first k pairs for every k in L..r and, when r > L, the run without one
-    interior pair: the partial-stem closure of all runs, listed by outer
-    pair. With ``trim`` a stem whose score misses the lower bound first
-    loses inner pairs down to the longest length that clears it, and is
-    dropped if that is below L. A stem's span is its outer pair's, so the
-    score window is a window on the lengths of each span's stems.
-    """
-    L = cfg.min_stem_length
-    out = []
-    for d in spans:
-        shortest, longest = _length_window(cfg.sl, d)
-        shortest = max(shortest, L)
-        if longest is not None and shortest > longest:
-            continue
-        for i, j, r in runs.starts(shortest, (d,)):
-            top = r if longest is None else min(r, longest)
-            if not cfg.partial_stems:
-                if trim or top == r:
-                    out.append(contiguous_stem(i, j, top))
-                continue
-            out += [contiguous_stem(i, j, k) for k in range(shortest, top + 1)]
-            if r > L:
-                gapped = min(r - 1, longest) if trim and longest is not None else r - 1
-                if shortest <= gapped and (longest is None or gapped <= longest):
-                    out += [_omit_one(i, j, gapped, t) for t in range(1, gapped)]
-    return out
 
 
 # ---------------------------------------------------------------- 5S rRNA
@@ -311,9 +201,10 @@ def rrna5s_helix_candidates(seq: Sequence, spec: HelixSpec,
 def _helix_candidates(runs: PairRuns, spec: HelixSpec) -> list[Stem]:
     out: dict[tuple, Stem] = {}
     for pattern in spec.patterns:
-        spans = runs.diagonals(*_span_window(spec.sl, pattern.total_length))
-        shape = pattern_of_pairs(pattern.pairs(0, 0))  # the same wherever it sits
-        for i, j in runs.pattern_starts(pattern, spans):
+        starts = runs.pattern_starts(pattern, spec.sl or Interval())
+        # the same wherever it sits
+        shape = pattern_of_pairs(pattern.pairs(0, 0)) if starts else None
+        for i, j in starts:
             pairs = pattern.pairs(i, j)
             out.setdefault(pairs, Stem(i=i, j=j, pairs=pairs, pattern=shape,
                                        helix=spec.name))
@@ -393,8 +284,9 @@ def rrna5s_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
 
 def protein_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     runs = PairRuns(seq, cfg.pairing)
-    spans = runs.diagonals(*_span_window(cfg.span, 1))
-    return canonical_order(_body_stems(runs, cfg, spans, trim=False))
+    spans = runs.diagonals(*(cfg.span or Interval()).spans(1))
+    return canonical_order(run_stems(runs, cfg.min_stem_length, cfg.sl or Interval(), spans,
+                                     partial=cfg.partial_stems))
 
 
 def profile_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence as SequenceABC
 
-from .errors import FormatError
+from .errors import FormatError, ProfileError
 from .seq import BASES, PairingRule, Sequence
 
 # Shortest allowed hairpin: the outermost pair spans at least 3 positions and
@@ -30,6 +30,78 @@ MIN_SPAN = 3
 MIN_PAIR_GAP = 2
 
 Pair = tuple[int, int]
+
+
+def render_fraction(value: Fraction) -> str:
+    """Decimal text when the denominator allows it, else p/q."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    scaled = value
+    for exp in range(1, 13):
+        scaled *= 10
+        if scaled.denominator == 1:
+            digits = str(abs(scaled.numerator)).rjust(exp + 1, "0")
+            sign = "-" if value < 0 else ""
+            return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
+    return f"{value.numerator}/{value.denominator}"
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A rational interval with independently open or closed ends.
+
+    Stem-Loop, span and domain-score windows are all intervals. The ends
+    are ints or Fractions, so every test is exact. An empty interval is a
+    ProfileError when it is built; a lower end at or below 0 admits every
+    stem, whose score is positive.
+    """
+
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    lo_strict: bool = False
+    hi_strict: bool = False
+
+    def __post_init__(self):
+        if self.lo is not None and self.hi is not None:
+            if self.lo > self.hi or (self.lo == self.hi and (self.lo_strict or self.hi_strict)):
+                raise ProfileError(f"empty interval: {self}")
+
+    def contains(self, x) -> bool:
+        if self.lo is not None and not (x > self.lo if self.lo_strict else x >= self.lo):
+            return False
+        return self.hi is None or (x < self.hi if self.hi_strict else x <= self.hi)
+
+    def spans(self, length: int) -> tuple[int | None, int | None]:
+        """The integer spans S with S / ``length`` inside, as (lo, hi); an
+        open end is None."""
+        lo = hi = None
+        if self.lo is not None:
+            x = self.lo * length
+            lo = math.floor(x) + 1 if self.lo_strict else math.ceil(x)
+        if self.hi is not None:
+            x = self.hi * length
+            hi = math.ceil(x) - 1 if self.hi_strict else math.floor(x)
+        return lo, hi
+
+    def lengths(self, span: int) -> tuple[int, int | None]:
+        """The stem lengths l >= 1 with ``span`` / l inside, for a span
+        >= 1, as (lo, hi); an open upper end is None, an empty window has
+        lo > hi."""
+        lo, hi = 1, None
+        if self.hi is not None:
+            if self.hi <= 0:
+                return 1, 0
+            x = Fraction(span) / self.hi
+            lo = max(1, math.floor(x) + 1 if self.hi_strict else math.ceil(x))
+        if self.lo is not None and self.lo > 0:
+            x = Fraction(span) / self.lo
+            hi = math.ceil(x) - 1 if self.lo_strict else math.floor(x)
+        return lo, hi
+
+    def __str__(self) -> str:
+        lo = "" if self.lo is None else render_fraction(self.lo)
+        hi = "" if self.hi is None else render_fraction(self.hi)
+        return f"{lo}{'<' if self.lo_strict else '<='}x{'<' if self.hi_strict else '<='}{hi}"
 
 
 @dataclass(frozen=True)
@@ -192,22 +264,6 @@ def canonical_order(stems: Iterable[Stem]) -> list[Stem]:
     return sorted(stems, key=_sort_key)
 
 
-def _check_sl_bounds(sl_bounds) -> None:
-    if sl_bounds is None:
-        return
-    lo, hi = sl_bounds
-    if not 0 < lo <= hi:
-        raise ValueError(f"need 0 < sl_min <= sl_max, got [{lo}, {hi}]")
-
-
-def _sl_ok(span: int, length: int, sl_bounds) -> bool:
-    if sl_bounds is None:
-        return True
-    lo, hi = sl_bounds
-    score = Fraction(span, length)
-    return lo <= score <= hi
-
-
 # per base a, the table that writes a as "1" and every other base as "0"
 _MARK = {a: str.maketrans({b: "1" if b == a else "0" for b in BASES}) for a in BASES}
 
@@ -283,15 +339,23 @@ class PairRuns:
                 out.append((i, i + d, run))
         return out
 
-    def pattern_starts(self, pattern: GapPattern,
-                       spans: Iterable[int] | None = None) -> list[Pair]:
-        """Outer pairs (i, j), with j - i in ``spans`` (default: all), at
-        which ``pattern`` matches exactly.
+    def pattern_starts(self, pattern: GapPattern, sl: Interval) -> list[Pair]:
+        """Outer pairs (i, j) at which ``pattern`` matches exactly, with
+        (j - i) / the pattern's length inside ``sl``.
 
         A start is admitted iff every pair the pattern places pairs with the
         strands apart (q - p >= MIN_PAIR_GAP), and the pair one step inward
         from the innermost segment does not (one more pair would extend it).
+        Only the spans ``sl`` admits from the least one a match needs are
+        scanned; when there are none, nothing is built, so the cost of a
+        pattern too long for the sequence does not grow with the pattern.
         """
+        lo, hi = sl.spans(pattern.total_length)
+        # the innermost pair must keep the strands apart
+        least = 2 * pattern.total_length - 2 + sum(map(sum, pattern.gaps)) + MIN_PAIR_GAP
+        spans = self.diagonals(least if lo is None else max(lo, least), hi)
+        if not spans:
+            return []
         # the pair (i + a, j - b) sits on diagonal j - i - (a + b): as
         # (shift, inset), bit i of diagonal[d - inset] >> shift
         cells = [(p, p - q) for p, q in pattern.pairs(0, 0)]
@@ -299,7 +363,7 @@ class PairRuns:
         beyond = (a + last, a + b + 2 * last)  # the next pair inward
         diagonal = self.diagonal
         out = []
-        for d in spans if spans is not None else self.diagonals():
+        for d in spans:
             mask = -1
             for shift, inset in cells:
                 mask &= diagonal[d - inset] >> shift
@@ -322,47 +386,76 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
+def _omit_one(i: int, j: int, length: int, t: int) -> Stem:
+    """The run of ``length`` + 1 pairs from (i, j) without its pair t."""
+    pairs = tuple((i + x, j - x) for x in range(length + 1) if x != t)
+    return Stem(i=i, j=j, pairs=pairs, pattern=GapPattern((t, length - t), ((1, 1),)))
+
+
+def run_stems(runs: PairRuns, min_length: int, sl: Interval, spans: Iterable[int],
+              partial: bool = False, trim: bool = False) -> list[Stem]:
+    """The stems of the pair runs with a span in ``spans`` that land inside ``sl``.
+
+    At each outer pair (i, j) whose run holds r >= L = ``min_length`` pairs,
+    the pool holds the run and, with ``partial``, its first k pairs for
+    every k in L..r and, when r > L, the run without one interior pair: the
+    partial-stem closure of all runs, listed by outer pair. With ``trim`` a
+    stem whose score misses the lower bound first loses inner pairs down to
+    the longest length that clears it, and is dropped if that is below L. A
+    stem's span is its outer pair's, so the score window is a window on the
+    lengths of each span's stems.
+    """
+    L = min_length
+    out = []
+    for d in spans:
+        shortest, longest = sl.lengths(d)
+        shortest = max(shortest, L)
+        if longest is not None and shortest > longest:
+            continue
+        for i, j, r in runs.starts(shortest, (d,)):
+            top = r if longest is None else min(r, longest)
+            if not partial:
+                if trim or top == r:
+                    out.append(contiguous_stem(i, j, top))
+                continue
+            out += [contiguous_stem(i, j, k) for k in range(shortest, top + 1)]
+            if r > L:
+                gapped = min(r - 1, longest) if trim and longest is not None else r - 1
+                if shortest <= gapped and (longest is None or gapped <= longest):
+                    out += [_omit_one(i, j, gapped, t) for t in range(1, gapped)]
+    return out
+
+
 def enumerate_stems(seq: Sequence, rule: PairingRule, min_length: int,
-                    sl_bounds: tuple | None = None) -> list[Stem]:
+                    sl: Interval | None = None) -> list[Stem]:
     """All maximal contiguous stems of at least ``min_length`` pairs.
 
     Every start pair (i, j) with j >= i+3 yields its maximal run inward
-    (``PairRuns``), emitted when it meets the length and (optional,
-    inclusive) Stem-Loop bounds. Runs starting inside a longer stem are
-    their own vertices.
+    (``PairRuns``), emitted when it meets the length and, when given, its
+    Stem-Loop score span / length lies inside ``sl``. Runs starting inside
+    a longer stem are their own vertices.
     """
     if min_length < 2:
         raise ValueError("minimum stem length must be >= 2")
-    _check_sl_bounds(sl_bounds)
     runs = PairRuns(seq, rule)
-    return canonical_order(
-        contiguous_stem(i, j, length)
-        for i, j, length in runs.starts(min_length, runs.diagonals())
-        if _sl_ok(j - i, length, sl_bounds))
+    return canonical_order(run_stems(runs, min_length, sl or Interval(), runs.diagonals()))
 
 
 def enumerate_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern,
-                           sl_bounds: tuple | None = None) -> list[Stem]:
+                           sl: Interval | None = None) -> list[Stem]:
     """All stems matching a gap pattern exactly.
 
     From every start pair the prescribed segments are consumed inward with
     the pattern's skips between them. Candidates whose skips cross the
     strands are silently discarded, as are candidates where one more pair
     would extend the innermost segment (so a zero-gap pattern reduces to
-    contiguous stems of exactly the pattern's total length). With
-    ``sl_bounds`` only the spans the bounds admit are scanned.
+    contiguous stems of exactly the pattern's total length). With ``sl``
+    only the spans whose score it admits are scanned.
     """
-    _check_sl_bounds(sl_bounds)
     runs = PairRuns(seq, rule)
-    spans = runs.diagonals()
-    if sl_bounds is not None:
-        lo, hi = sl_bounds
-        length = pattern.total_length
-        spans = runs.diagonals(math.ceil(Fraction(lo) * length),
-                               math.floor(Fraction(hi) * length))
     return canonical_order(
         Stem(i=i, j=j, pairs=pattern.pairs(i, j), pattern=pattern)
-        for i, j in runs.pattern_starts(pattern, spans))
+        for i, j in runs.pattern_starts(pattern, sl or Interval()))
 
 
 def enumerate_partial_stems(stems: Iterable[Stem], min_length: int) -> list[Stem]:

@@ -18,9 +18,8 @@ from stemp.fileio import BRACKET_TIERS
 from stemp.metrics import Metrics, ReferenceStructure, ReportSummary
 from stemp.profiles import HelixSpec, ProfileConfig, acceptor_sl, assemble_domains
 from stemp.seq import PairingRule, Sequence
-from stemp.stems import (BASES, GapPattern, Pair, Stem, _check_sl_bounds, _sl_ok,
-                         canonical_order, contiguous_stem, enumerate_partial_stems,
-                         pattern_of_pairs)
+from stemp.stems import (BASES, GapPattern, Interval, Pair, Stem, canonical_order,
+                         contiguous_stem, enumerate_partial_stems, pattern_of_pairs)
 
 MIN_SPAN = 3
 MIN_PAIR_GAP = 2
@@ -38,7 +37,7 @@ def pair_run_valid(seq: Sequence, rule: PairingRule, i: int, j: int, length: int
 
 
 def brute_force_stems(seq: Sequence, rule: PairingRule, min_length: int,
-                      sl_bounds=None) -> set[tuple[int, int, int]]:
+                      sl: Interval | None = None) -> set[tuple[int, int, int]]:
     """All (i, j, l) with a maximal valid run of length l >= min_length."""
     found = set()
     n = seq.length
@@ -52,10 +51,8 @@ def brute_force_stems(seq: Sequence, rule: PairingRule, min_length: int,
                               and rule.allows(seq.base(p), seq.base(q)))
                 if extendable:
                     continue
-                if sl_bounds is not None:
-                    lo, hi = sl_bounds
-                    if not lo <= Fraction(j - i, l) <= hi:
-                        continue
+                if sl is not None and not sl.contains(Fraction(j - i, l)):
+                    continue
                 found.add((i, j, l))
     return found
 
@@ -211,11 +208,10 @@ def brute_force_gapped(seq: Sequence, rule: PairingRule, segments, gaps):
 
 
 def walk_stems(seq: Sequence, rule: PairingRule, min_length: int,
-               sl_bounds: tuple | None = None) -> list[Stem]:
+               sl: Interval | None = None) -> list[Stem]:
     """stems.enumerate_stems by walking each start's run base by base."""
     if min_length < 2:
         raise ValueError("minimum stem length must be >= 2")
-    _check_sl_bounds(sl_bounds)
     r = seq.residues
     n = len(r)
     out: list[Stem] = []
@@ -229,16 +225,15 @@ def walk_stems(seq: Sequence, rule: PairingRule, min_length: int,
                 if q - p < MIN_PAIR_GAP or not rule.allows(r[p - 1], r[q - 1]):
                     break
                 length += 1
-            if length >= min_length and _sl_ok(j - i, length, sl_bounds):
+            if length >= min_length and (sl is None or sl.contains(Fraction(j - i, length))):
                 out.append(contiguous_stem(i, j, length))
     return canonical_order(out)
 
 
 def walk_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern,
-                      sl_bounds: tuple | None = None) -> list[Stem]:
+                      sl: Interval | None = None) -> list[Stem]:
     """stems.enumerate_gapped_stems by walking the pattern base by base
     from every start."""
-    _check_sl_bounds(sl_bounds)
     r = seq.residues
     n = len(r)
     out: list[Stem] = []
@@ -267,7 +262,7 @@ def walk_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern,
                 continue
             if q - p >= MIN_PAIR_GAP and rule.allows(r[p - 1], r[q - 1]):
                 continue  # innermost segment would keep going
-            if _sl_ok(j - i, pattern.total_length, sl_bounds):
+            if sl is None or sl.contains(Fraction(j - i, pattern.total_length)):
                 out.append(Stem(i=i, j=j, pairs=tuple(pairs), pattern=pattern))
     return canonical_order(out)
 

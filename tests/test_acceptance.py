@@ -21,7 +21,7 @@ from stemp.cli import main, run_pipeline
 from stemp.fileio import parse_dot_bracket, read_ct, read_fasta, write_dot_bracket
 from stemp.metrics import ReferenceStructure
 from stemp.profiles import builtin_profile
-from stemp.stems import StemGraph, contiguous_stem
+from stemp.stems import Interval, StemGraph, contiguous_stem
 
 from .conftest import FIXTURES, require_gutell
 from .oracles import brute_force_maximal_cliques, brute_force_stems
@@ -290,9 +290,9 @@ def test_c8_filter_monotonicity():
             assert {(s.i, s.j, s.length)
                     for s in enumerate_stems(seq, CANON, min_len)} <= loose
         wide = {(s.i, s.j, s.length)
-                for s in enumerate_stems(seq, CANON, 2, sl_bounds=(Fraction(1), Fraction(30)))}
+                for s in enumerate_stems(seq, CANON, 2, sl=Interval(Fraction(1), Fraction(30)))}
         narrow = {(s.i, s.j, s.length)
-                  for s in enumerate_stems(seq, CANON, 2, sl_bounds=(Fraction(2), Fraction(8)))}
+                  for s in enumerate_stems(seq, CANON, 2, sl=Interval(Fraction(2), Fraction(8)))}
         assert narrow <= wide <= loose
 
 

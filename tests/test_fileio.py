@@ -386,10 +386,28 @@ def _graph_doc(**changes):
     (_graph_doc(edges=[[1, "2"]]), "^edge 1 is malformed"),
     (_graph_doc(edges=[[1.0, 2]]), "^edge 1 is malformed"),
     (_graph_doc(edges=[5]), "^edge 1 is malformed"),
+    (_graph_doc(edges=[[1, 2], [2, 2]]), "^edge 2 is malformed: \\[2, 2\\] does not join two "),
 ])
 def test_graph_from_dict_rejects_malformed_documents(doc, message):
     with pytest.raises(FormatError, match=message):
         graph_from_dict(doc)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("e 0 2", "^graph line 3 is malformed: \\[0, 2\\] does not join two of the 2 vertices$"),
+    ("e 1 9", "^graph line 3 is malformed: \\[1, 9\\] does not join two of the 2 vertices$"),
+    ("e 2 2", "^graph line 3 is malformed: \\[2, 2\\] does not join two of the 2 vertices$"),
+    ("e x 2", "^graph line 3 is malformed: 'e x 2'$"),
+    ("e 1", "^graph line 3 is malformed: 'e 1'$"),
+    ("e 1 2 3", "^graph line 3 is malformed: 'e 1 2 3'$"),
+    ("v3 7 20", "^graph line 3 is malformed: 'v3 7 20'$"),
+    ("v3 20 7 4 -13 -13/4", "^graph line 3 is malformed: 'v3 20 7 4 -13 -13/4'$"),
+])
+def test_parse_graph_text_rejects_malformed_lines(line, message):
+    text = render_graph_text(graph_from_dict(_graph_doc(edges=[])))
+    assert parse_graph_text(text).vertices  # the two vertex lines read back
+    with pytest.raises(FormatError, match=message):
+        parse_graph_text(text + line + "\n")
 
 
 def test_documents_match_shipped_schemas(seq_2qux):

@@ -447,6 +447,30 @@ def test_planted_5s_recovered_without_domains():
     assert sorted(top.pairs) == designed
 
 
+@pytest.mark.parametrize("sl", [Interval(as_fraction(11), as_fraction(21)), None],
+                         ids=("helix-window", "no-window"))
+def test_oversized_gap_pattern_builds_nothing(monkeypatch, sl):
+    # a pattern longer than the sequence matches nowhere; its pairs, a
+    # billion of them, must not be built on the way to that answer
+    rng = random.Random(7)
+    seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="r76")
+    cfg = builtin_profile("rrna5s-bacterial")
+    helix = replace(cfg.helices[0], sl=sl)
+    huge = GapPattern.parse("1000000000")
+    plain = replace(cfg, helices=(helix,) + cfg.helices[1:])
+    grown = replace(cfg, helices=(replace(helix, patterns=helix.patterns + (huge,)),)
+                    + cfg.helices[1:])
+    pairs = GapPattern.pairs
+
+    def guarded(pattern, i, j):
+        if pattern == huge:
+            raise AssertionError("built the pairs of a pattern too long to match")
+        return pairs(pattern, i, j)
+
+    monkeypatch.setattr(GapPattern, "pairs", guarded)
+    assert profile_vertices(seq, grown) == profile_vertices(seq, plain)
+
+
 def test_domain_inner_must_sit_inside_innermost_pair():
     # a stem lodged in the outer's side gap spans i/j-wise but opens a
     # second hairpin; it must not form a domain

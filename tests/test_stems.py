@@ -3,12 +3,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stemp import (GapPattern, PairingRule, Stem, build_stem_graph, can_coexist,
-                   enumerate_gapped_stems, enumerate_partial_stems, enumerate_stems,
-                   parse_sequence)
+from stemp import (GapPattern, Interval, PairingRule, ProfileError, Stem, build_stem_graph,
+                   can_coexist, enumerate_gapped_stems, enumerate_partial_stems,
+                   enumerate_stems, parse_sequence)
 from stemp.profiles import (BUILTIN_PROFILES, builtin_profile, profile_vertices,
                             rrna5s_helix_candidates)
 from stemp.stems import canonical_order, contiguous_stem, pattern_of_pairs
@@ -67,9 +67,9 @@ def test_enumeration_matches_brute_force(rule):
         assert got == brute_force_stems(seq, rule, 2)
 
 
-def test_sl_bounds_inclusive(seq_2qux):
+def test_sl_window_inclusive(seq_2qux):
     # the (1,25) stem scores exactly 24/5
-    bounded = enumerate_stems(seq_2qux, CANON, 3, sl_bounds=(Fraction(24, 5), Fraction(24, 5)))
+    bounded = enumerate_stems(seq_2qux, CANON, 3, sl=Interval(Fraction(24, 5), Fraction(24, 5)))
     assert [(s.i, s.j) for s in bounded] == [(1, 25)]
 
 
@@ -81,7 +81,7 @@ def test_filter_monotonicity_random():
         longer = {(s.i, s.j, s.length) for s in enumerate_stems(seq, CANON, 3)}
         assert longer <= base
         tight = {(s.i, s.j, s.length)
-                 for s in enumerate_stems(seq, CANON, 2, sl_bounds=(Fraction(2), Fraction(6)))}
+                 for s in enumerate_stems(seq, CANON, 2, sl=Interval(Fraction(2), Fraction(6)))}
         assert tight <= base
 
 
@@ -303,12 +303,40 @@ def test_stem_validation_rejects_bad_chains():
         Stem(i=1, j=10, pairs=((2, 9),))
 
 
-def test_sl_bounds_validated():
+# ends in -12..12 with denominators up to 5: open, closed and strict,
+# at or below 0 on either side
+WINDOW_ENDS = st.one_of(st.none(), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5)))
+
+
+@st.composite
+def intervals(draw):
+    ends = (draw(WINDOW_ENDS), draw(WINDOW_ENDS), draw(st.booleans()), draw(st.booleans()))
+    try:
+        return Interval(*ends)
+    except ProfileError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(intervals(), st.integers(1, 200), st.integers(1, 200))
+def test_interval_windows_equal_contains_filter(iv, length, span):
+    lo, hi = iv.spans(length)
+    reach = 12 * length + 2  # past both finite ends
+    for s in range(-reach, reach + 1):
+        inside = (lo is None or lo <= s) and (hi is None or s <= hi)
+        assert inside == iv.contains(Fraction(s, length)), s
+    shortest, longest = iv.lengths(span)
+    for l in range(1, 5 * span + 2):  # past span / (the least positive end)
+        inside = shortest <= l and (longest is None or l <= longest)
+        assert inside == iv.contains(Fraction(span, l)), l
+
+
+def test_sl_window_validated():
     seq = parse_sequence("GGGGAAAACCCC")
-    with pytest.raises(ValueError):
-        enumerate_stems(seq, CANON, 2, sl_bounds=(Fraction(0), Fraction(5)))
-    with pytest.raises(ValueError):
-        enumerate_stems(seq, CANON, 2, sl_bounds=(Fraction(6), Fraction(5)))
+    assert (enumerate_stems(seq, CANON, 2, sl=Interval(Fraction(0), Fraction(5)))
+            == enumerate_stems(seq, CANON, 2, sl=Interval(hi=Fraction(5))))
+    with pytest.raises(ProfileError):
+        Interval(Fraction(6), Fraction(5))
 
 
 @pytest.mark.parametrize("pattern_text", ["2[1/2]6", "2[0/1]3", "1[1/1]3[1/0]2", "4"])
@@ -350,9 +378,9 @@ def test_enumerate_stems_equals_walk(rule):
     for seq in oracle_sequences(31, 12):
         for min_length in (2, 3, 4):
             assert enumerate_stems(seq, rule, min_length) == walk_stems(seq, rule, min_length)
-        bounds = (Fraction(2), Fraction(8))
-        assert (enumerate_stems(seq, rule, 2, sl_bounds=bounds)
-                == walk_stems(seq, rule, 2, sl_bounds=bounds))
+        bounds = Interval(Fraction(2), Fraction(8))
+        assert (enumerate_stems(seq, rule, 2, sl=bounds)
+                == walk_stems(seq, rule, 2, sl=bounds))
 
 
 @pytest.mark.parametrize("rule", RULES, ids=("canon", "wobble", "wobble-uu"))
@@ -361,10 +389,10 @@ def test_enumerate_gapped_stems_equals_walk(rule):
         for pattern in RRNA5S_PATTERNS:
             assert (enumerate_gapped_stems(seq, rule, pattern)
                     == walk_gapped_stems(seq, rule, pattern))
-        bounds = (Fraction(3), Fraction(7))
+        bounds = Interval(Fraction(3), Fraction(7))
         for pattern in RRNA5S_PATTERNS[::5]:
-            assert (enumerate_gapped_stems(seq, rule, pattern, sl_bounds=bounds)
-                    == walk_gapped_stems(seq, rule, pattern, sl_bounds=bounds))
+            assert (enumerate_gapped_stems(seq, rule, pattern, sl=bounds)
+                    == walk_gapped_stems(seq, rule, pattern, sl=bounds))
 
 
 def walked_helix_candidates(seq, spec, rule):

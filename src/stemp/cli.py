@@ -18,20 +18,19 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from pathlib import Path
 
 from .cliques import PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
 from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference,
-                     report_to_dict, stream_report, write_dot_bracket)
+                     read_report, report_to_dict, stream_report, write_dot_bracket)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
-from .profiles import (ProfileConfig, as_fraction, build_profile_graph, profile_from_dict,
-                       profile_to_dict, resolve_profile)
+from .profiles import ProfileConfig, build_profile_graph, resolve_profile
 from .seq import Sequence
-from .stems import Interval, StemGraph, render_graph_text
+from .stems import Interval, StemGraph, as_fraction, render_graph_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -158,19 +157,16 @@ class _Deadline:
 
 
 def run_pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None = None,
-                 max_seconds: float | None = None,
-                 top_k: int | None = None) -> tuple[StemGraph, PredictionReport]:
+                 max_seconds: float | None = None, top_k: int | None = None,
+                 deadline: _Deadline | None = None) -> tuple[StemGraph, PredictionReport]:
     """Graph construction, clique search, and ranking for one sequence.
 
     With ``top_k`` the report holds only the k best predictions, the same
     as the first k of the full report, and the search prunes below them.
-    ``max_seconds`` bounds the whole call.
+    ``max_seconds`` bounds the whole call; a ``deadline`` that the caller
+    shares with its other work replaces it.
     """
-    return _pipeline(seq, cfg, max_cliques, _Deadline(max_seconds), top_k)
-
-
-def _pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None,
-              deadline: _Deadline, top_k: int | None) -> tuple[StemGraph, PredictionReport]:
+    deadline = deadline or _Deadline(max_seconds)
     start = time.perf_counter()
     graph = build_profile_graph(seq, cfg)
     try:
@@ -245,23 +241,34 @@ def _report_document(report: PredictionReport, seq: Sequence, include_timing: bo
     return doc
 
 
+def _dump_paths(dump_graph: str | None, sequences: list[Sequence]) -> list[Path | None]:
+    """Each record's graph dump path: ``dump_graph`` for one record, else
+    ``<stem>-<id><suffix>`` beside it. A record id that cannot be part of a
+    file name is an input error."""
+    path = dump_graph and Path(dump_graph)
+    if not path or len(sequences) == 1:
+        return [path] * len(sequences)
+    for seq in sequences:
+        if {"\0", os.sep, os.altsep} & set(seq.id):
+            raise StempError(f"record {seq.id!r} cannot name a graph dump file: its id "
+                             f"holds a path separator or a NUL byte")
+    return [path.with_name(f"{path.stem}-{seq.id}{path.suffix}") for seq in sequences]
+
+
 def cmd_predict(args) -> int:
     deadline = _Deadline(args.max_seconds)
     cfg = _configure(args)
     sequences = read_fasta(args.input)
+    dumps = _dump_paths(args.dump_graph, sequences)
     structures = []
 
-    def document(seq: Sequence) -> dict:
-        graph, report = _pipeline(seq, cfg, args.max_cliques, deadline, args.top_k)
-        if args.dump_graph:
-            path = Path(args.dump_graph)
-            if len(sequences) > 1:  # one dump per record
-                path = path.with_name(f"{path.stem}-{seq.id}{path.suffix}")
-            if path.suffix == ".txt":
-                path.write_text(render_graph_text(graph), encoding="utf-8")
-            else:
-                path.write_text(json.dumps(graph_to_dict(graph), indent=2) + "\n",
-                                encoding="utf-8")
+    def document(seq: Sequence, dump: Path | None) -> dict:
+        graph, report = run_pipeline(seq, cfg, args.max_cliques, top_k=args.top_k,
+                                     deadline=deadline)
+        if dump:  # text for a .txt path, else a JSON document
+            dump.write_text(render_graph_text(graph) if dump.suffix == ".txt"
+                            else json.dumps(graph_to_dict(graph), indent=2) + "\n",
+                            encoding="utf-8")
         # the rank-1 predictions come first: build only them
         tied = report.predictions[0].multiplicity if args.all_ties and report.predictions else 1
         for pred in report.predictions[:tied]:
@@ -270,10 +277,10 @@ def cmd_predict(args) -> int:
 
     with _replacing(args.output) as out:
         if len(sequences) == 1:
-            stream_report(out, document(sequences[0]))
+            stream_report(out, document(sequences[0], dumps[0]))
         else:  # each record is searched only once the one before is written
             stream_report(out, {"schema": REPORT_SET_SCHEMA,
-                                "reports": map(document, sequences)})
+                                "reports": map(document, sequences, dumps)})
         if args.dot_bracket:  # complete before the report replaces -o
             lines = []
             for seq, pred in structures:
@@ -295,43 +302,29 @@ def _canonical_only(reference: ReferenceStructure, rule) -> ReferenceStructure:
     return drop_noncanonical(reference, rule)
 
 
-def _summary(report: PredictionReport, reference: ReferenceStructure,
-             metric: str) -> tuple[Metrics, Metrics, int, int, int]:
-    """(top, best, SCR, DR, multiplicity) of a report against the reference;
-    an empty report scores the empty structure, with SCR, DR and
-    multiplicity 0."""
-    if not report.predictions:
-        empty = score_prediction([], reference)
-        return empty, empty, 0, 0, 0
-    summary = summarize_report(report, reference, metric=metric)
-    return (summary.top, summary.best, summary.best_scr, summary.best_dr,
-            summary.best_multiplicity)
-
-
-def _evaluate_one(report: PredictionReport, seq: Sequence | None,
-                  reference: ReferenceStructure, cfg: ProfileConfig, args) -> dict:
-    if seq is not None and reference.length != seq.length:
-        raise StempError(
-            f"reference length {reference.length} != sequence length {seq.length}")
-    if args.ignore_noncanonical:
-        reference = _canonical_only(reference, cfg.pairing)
-    top, best, scr, dr, mult = _summary(report, reference, args.metric)
-    doc = {"id": report.sequence_id or reference.id, "metric": args.metric,
-           "predictions": len(report.predictions),
-           "top": _metrics_dict(top), "best": _metrics_dict(best),
-           "scr_of_best": scr, "dr_of_best": dr, "multiplicity": mult}
-    if not report.predictions:
-        doc["note"] = "no predictions; scored the empty structure"
-    return doc
+def _scores(report: PredictionReport, reference: ReferenceStructure, metric: str) -> dict:
+    """The score fields that an evaluation document and a batch row share:
+    the top and best metrics and the best prediction's SCR, DR and
+    multiplicity. An empty report scores the empty structure, with SCR, DR
+    and multiplicity 0."""
+    if report.predictions:
+        summary = summarize_report(report, reference, metric=metric)
+        top, best = summary.top, summary.best
+        scr, dr, mult = summary.best_scr, summary.best_dr, summary.best_multiplicity
+    else:
+        top = best = score_prediction([], reference)
+        scr = dr = mult = 0
+    return {"top": _metrics_dict(top), "best": _metrics_dict(best),
+            "scr_of_best": scr, "dr_of_best": dr, "multiplicity": mult}
 
 
 def cmd_evaluate(args) -> int:
+    if bool(args.input) == bool(args.report):
+        raise StempError("evaluate needs a FASTA input or --report, not both/neither")
     cfg = _configure(args)
     reference = read_reference(args.reference)
     if args.report:
-        from .fileio import read_report
         report = read_report(args.report)
-        doc = _evaluate_one(report, None, reference, cfg, args)
     else:
         sequences = read_fasta(args.input)
         if len(sequences) != 1:
@@ -339,7 +332,16 @@ def cmd_evaluate(args) -> int:
         seq = sequences[0]
         _, report = run_pipeline(seq, cfg, max_cliques=args.max_cliques,
                                  max_seconds=args.max_seconds)
-        doc = _evaluate_one(report, seq, reference, cfg, args)
+        if reference.length != seq.length:
+            raise StempError(
+                f"reference length {reference.length} != sequence length {seq.length}")
+    if args.ignore_noncanonical:
+        reference = _canonical_only(reference, cfg.pairing)
+    doc = {"id": report.sequence_id or reference.id, "metric": args.metric,
+           "predictions": len(report.predictions),
+           **_scores(report, reference, args.metric)}
+    if not report.predictions:
+        doc["note"] = "no predictions; scored the empty structure"
     text = json.dumps(doc, indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -350,12 +352,10 @@ def cmd_evaluate(args) -> int:
 
 # ---------------------------------------------------------------- batch
 
-def _metric_fraction(m: Metrics, metric: str) -> Fraction:
-    # Bucket thresholds compare exactly: mcc >= t iff mcc_squared >= t*t.
-    return m.mcc_squared if metric == "mcc" else m.f1
-
-
-def _bucket_metric(value: Fraction, metric: str) -> str:
+def _bucket_metric(scores: dict, metric: str) -> str:
+    """The histogram bucket of a row's ``top`` or ``best`` scores. Thresholds
+    compare exactly: mcc >= t iff mcc_squared >= t*t."""
+    value = Fraction(scores["mcc_squared" if metric == "mcc" else "f1"])
     for label, threshold in METRIC_BUCKETS:
         cut = threshold * threshold if metric == "mcc" else threshold
         if value >= cut:
@@ -364,37 +364,20 @@ def _bucket_metric(value: Fraction, metric: str) -> str:
 
 
 def _bucket_scr(scr: int) -> str:
+    """SCR's histogram bucket; SCR 0 marks an empty report, filed with the worst."""
     for threshold in SCR_BUCKETS:
-        if scr <= threshold:
+        if 1 <= scr <= threshold:
             return f"<={threshold}"
     return f">{SCR_BUCKETS[-1]}"
 
 
-def _batch_worker(payload: dict) -> dict:
-    seq = Sequence(id=payload["id"], residues=payload["residues"])
-    cfg = profile_from_dict(payload["profile"])
-    reference = ReferenceStructure(
-        id=payload["ref_id"], length=payload["ref_length"],
-        pairs=frozenset(tuple(p) for p in payload["ref_pairs"]),
-        bases=payload["ref_bases"])
+def _batch_row(seq: Sequence, reference: ReferenceStructure, cfg: ProfileConfig,
+               metric: str, max_cliques: int | None, max_seconds: float | None) -> dict:
     start = time.perf_counter()
-    _, report = run_pipeline(seq, cfg, max_cliques=payload["max_cliques"],
-                             max_seconds=payload["max_seconds"])
+    _, report = run_pipeline(seq, cfg, max_cliques=max_cliques, max_seconds=max_seconds)
     elapsed = time.perf_counter() - start
-    metric = payload["metric"]
-    top, best, scr, dr, mult = _summary(report, reference, metric)
-    return {
-        "id": seq.id,
-        "length": seq.length,
-        "top": _metrics_dict(top),
-        "best": _metrics_dict(best),
-        "scr_of_best": scr,
-        "dr_of_best": dr,
-        "multiplicity": mult,
-        "seconds": elapsed,
-        "_top_key": str(_metric_fraction(top, metric)),
-        "_best_key": str(_metric_fraction(best, metric)),
-    }
+    return {"id": seq.id, "length": seq.length, **_scores(report, reference, metric),
+            "seconds": elapsed}
 
 
 def _pair_inputs(directory: Path) -> list[tuple[Path, Path]]:
@@ -415,16 +398,16 @@ def cmd_batch(args) -> int:
     directory = Path(args.input)
     if not directory.is_dir():
         raise StempError(f"batch input must be a directory: {directory}")
-    profile_doc = profile_to_dict(cfg)
-    tasks = []
+    sequences = []
+    references = []
     skipped = []
     failures = []
     for fasta, ref_path in _pair_inputs(directory):
         try:
-            sequences = read_fasta(fasta)
-            if len(sequences) != 1:
-                raise StempError(f"{fasta.name}: expected one record, found {len(sequences)}")
-            seq = sequences[0]
+            records = read_fasta(fasta)
+            if len(records) != 1:
+                raise StempError(f"{fasta.name}: expected one record, found {len(records)}")
+            seq = records[0]
             reference = read_reference(ref_path)
             if reference.length != seq.length:
                 raise StempError(f"{fasta.name}: reference length {reference.length} "
@@ -442,19 +425,16 @@ def cmd_batch(args) -> int:
             failures.append({"file": fasta.name, "error": str(exc)})
             print(f"error: {exc}", file=sys.stderr)
             continue
-        tasks.append({
-            "id": seq.id, "residues": seq.residues, "profile": profile_doc,
-            "ref_id": reference.id, "ref_length": reference.length,
-            "ref_pairs": sorted(reference.pairs), "ref_bases": reference.bases,
-            "metric": args.metric, "max_cliques": args.max_cliques,
-            "max_seconds": args.max_seconds,
-        })
+        sequences.append(seq)
+        references.append(reference)
 
-    if args.jobs > 1 and len(tasks) > 1:
+    score = partial(_batch_row, cfg=cfg, metric=args.metric, max_cliques=args.max_cliques,
+                    max_seconds=args.max_seconds)
+    if args.jobs > 1 and len(sequences) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_batch_worker, tasks))
+            rows = list(pool.map(score, sequences, references))
     else:
-        rows = [_batch_worker(t) for t in tasks]
+        rows = list(map(score, sequences, references))
 
     scr_hist = {f"<={t}": 0 for t in SCR_BUCKETS}
     scr_hist[f">{SCR_BUCKETS[-1]}"] = 0
@@ -462,11 +442,9 @@ def cmd_batch(args) -> int:
     top_hist[f"<{METRIC_BUCKETS[-1][0]}"] = 0
     best_hist = dict(top_hist)
     for row in rows:
-        # scr 0 marks an empty report; file it with the worst bucket
-        scr = row["scr_of_best"]
-        scr_hist[_bucket_scr(scr) if scr >= 1 else f">{SCR_BUCKETS[-1]}"] += 1
-        top_hist[_bucket_metric(Fraction(row.pop("_top_key")), args.metric)] += 1
-        best_hist[_bucket_metric(Fraction(row.pop("_best_key")), args.metric)] += 1
+        scr_hist[_bucket_scr(row["scr_of_best"])] += 1
+        top_hist[_bucket_metric(row["top"], args.metric)] += 1
+        best_hist[_bucket_metric(row["best"], args.metric)] += 1
         if not args.timing:
             row.pop("seconds", None)
 
@@ -556,10 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "evaluate" and bool(args.input) == bool(args.report):
-        print("error: evaluate needs a FASTA input or --report, not both/neither",
-              file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except BudgetExceeded as exc:

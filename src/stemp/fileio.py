@@ -461,7 +461,7 @@ def _rebuild_stem(i: int, j: int, length: int, span: int, sl: str,
 def _graph_of(vertices, edges) -> StemGraph:
     """A graph from its vertices and its edges, each (where, u, v) with
     1-based u and v; FormatError names ``where`` for an edge that does not
-    join two different vertices."""
+    join two different vertices, or joins two stems that share a base."""
     n = len(vertices)
     masks = [0] * n
     for where, u, v in edges:
@@ -469,6 +469,9 @@ def _graph_of(vertices, edges) -> StemGraph:
                 and u != v):
             raise FormatError(f"{where} is malformed: [{u!r}, {v!r}] does not join two "
                               f"of the {n} vertices")
+        if vertices[u - 1].base_mask & vertices[v - 1].base_mask:
+            raise FormatError(f"{where} is malformed: [{u}, {v}] joins two stems that "
+                              f"share a base")
         masks[u - 1] |= 1 << v - 1
         masks[v - 1] |= 1 << u - 1
     return StemGraph(vertices=tuple(vertices), neighbor_masks=tuple(masks))

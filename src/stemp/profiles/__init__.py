@@ -23,9 +23,9 @@ from typing import Iterable
 from ..errors import NotAcceptorCandidate, ProfileError
 from ..fileio import read_text
 from ..seq import PairingRule, Sequence
-from ..stems import (GapPattern, Interval, PairRuns, Stem, StemGraph, build_stem_graph,
-                     canonical_order, contiguous_stem, pattern_of_pairs, render_fraction,
-                     run_stems)
+from ..stems import (GapPattern, Interval, PairRuns, Stem, StemGraph, as_fraction,
+                     build_stem_graph, canonical_order, contiguous_stem, pattern_of_pairs,
+                     render_fraction, run_stems)
 
 PROFILE_SCHEMA = "stemp-profile/1"
 PROFILE_DIR_ENV = "STEMP_PROFILE_DIR"
@@ -38,15 +38,6 @@ BUILTIN_PROFILES = (
     "rrna5s-bacterial",
     "rrna5s-eukaryotic",
 )
-
-
-def as_fraction(value) -> Fraction:
-    """Exact rational from an int, a decimal string, or a p/q string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(str(value))
 
 
 def _interval_to_dict(iv: Interval | None) -> dict | None:

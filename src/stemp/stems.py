@@ -46,14 +46,25 @@ def render_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def as_fraction(value) -> Fraction:
+    """Exact rational from an int, a float (as its shortest repr, so 0.7 is
+    7/10), a decimal string, or a p/q string."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        return Fraction(repr(value))
+    return Fraction(str(value))
+
+
 @dataclass(frozen=True)
 class Interval:
     """A rational interval with independently open or closed ends.
 
     Stem-Loop, span and domain-score windows are all intervals. The ends
-    are ints or Fractions, so every test is exact. An empty interval is a
-    ProfileError when it is built; a lower end at or below 0 admits every
-    stem, whose score is positive.
+    are ints or Fractions, so every test is exact; a float end becomes a
+    Fraction by ``as_fraction`` when the interval is built. An empty or
+    non-finite interval is a ProfileError when it is built; a lower end at
+    or below 0 admits every stem, whose score is positive.
     """
 
     lo: Fraction | None = None
@@ -62,6 +73,12 @@ class Interval:
     hi_strict: bool = False
 
     def __post_init__(self):
+        for end in ("lo", "hi"):
+            value = getattr(self, end)
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise ProfileError(f"interval end {end}={value} is not finite")
+                object.__setattr__(self, end, as_fraction(value))
         if self.lo is not None and self.hi is not None:
             if self.lo > self.hi or (self.lo == self.hi and (self.lo_strict or self.hi_strict)):
                 raise ProfileError(f"empty interval: {self}")

@@ -181,6 +181,22 @@ def test_predict_multi_record(tmp_path):
     assert [r["sequence_id"] for r in doc["reports"]] == ["a", "b"]
 
 
+@pytest.mark.parametrize("bad_id", ["a/b", "x\0y"], ids=["slash", "nul"])
+def test_dump_graph_rejects_a_record_id_that_cannot_name_a_file(tmp_path, capsys, bad_id):
+    # every dump name is checked before the first record is searched
+    fasta = tmp_path / "multi.fasta"
+    fasta.write_text(f">ok\nGGGGAAAACCCC\n>{bad_id}\nGGCACAGAAGAUAUGGCUUCGUGCC\n")
+    out = tmp_path / "set.json"
+    out.write_text("earlier\n")
+    assert run("predict", "--profile", "protein", str(fasta), "-o", str(out),
+               "--dump-graph", str(tmp_path / "g.json")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: record {bad_id!r} cannot name a graph dump file: its id "
+                   f"holds a path separator or a NUL byte"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["multi.fasta", "set.json"]
+    assert out.read_text() == "earlier\n"
+
+
 def test_predict_overrides_change_graph(tmp_path):
     out = tmp_path / "r.json"
     graph = tmp_path / "g.json"
@@ -416,6 +432,20 @@ def test_batch_rows_and_histograms(batch_dir, tmp_path, capsys):
         assert sum(hist.values()) == len(doc["rows"])
     table = capsys.readouterr().out
     assert "synth" in table and "pin" in table
+
+
+def test_batch_files_an_empty_report_in_the_worst_scr_bucket(tmp_path):
+    d = tmp_path / "empty"
+    d.mkdir()
+    polya = parse_sequence("A" * 60, id="polya")  # no stem: an empty report
+    (d / "polya.fasta").write_text(f">polya\n{polya.residues}\n")
+    (d / "polya.ct").write_text(write_ct(polya, [(1, 60)]))
+    out = tmp_path / "batch.json"
+    assert run("batch", "--profile", "trna", str(d), "-o", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["rows"][0]["scr_of_best"] == 0
+    assert doc["histograms"]["scr_of_best"] == {"<=1": 0, "<=5": 0, "<=10": 0, "<=15": 0,
+                                                ">15": 1}
 
 
 def test_batch_parallel_matches_serial(batch_dir, tmp_path):

@@ -387,6 +387,9 @@ def _graph_doc(**changes):
     (_graph_doc(edges=[[1.0, 2]]), "^edge 1 is malformed"),
     (_graph_doc(edges=[5]), "^edge 1 is malformed"),
     (_graph_doc(edges=[[1, 2], [2, 2]]), "^edge 2 is malformed: \\[2, 2\\] does not join two "),
+    (_graph_doc(vertices=[_graph_doc()["vertices"][0],
+                          {"i": 2, "j": 24, "length": 4, "span": 22, "sl": "11/2"}]),
+     "^edge 1 is malformed: \\[1, 2\\] joins two stems that share a base$"),
 ])
 def test_graph_from_dict_rejects_malformed_documents(doc, message):
     with pytest.raises(FormatError, match=message):
@@ -402,6 +405,8 @@ def test_graph_from_dict_rejects_malformed_documents(doc, message):
     ("e 1 2 3", "^graph line 3 is malformed: 'e 1 2 3'$"),
     ("v3 7 20", "^graph line 3 is malformed: 'v3 7 20'$"),
     ("v3 20 7 4 -13 -13/4", "^graph line 3 is malformed: 'v3 20 7 4 -13 -13/4'$"),
+    ("v3 2 24 4 22 11/2\ne 1 3",
+     "^graph line 4 is malformed: \\[1, 3\\] joins two stems that share a base$"),
 ])
 def test_parse_graph_text_rejects_malformed_lines(line, message):
     text = render_graph_text(graph_from_dict(_graph_doc(edges=[])))

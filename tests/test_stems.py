@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -303,9 +304,10 @@ def test_stem_validation_rejects_bad_chains():
         Stem(i=1, j=10, pairs=((2, 9),))
 
 
-# ends in -12..12 with denominators up to 5: open, closed and strict,
-# at or below 0 on either side
-WINDOW_ENDS = st.one_of(st.none(), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5)))
+# ends in -12..12 with denominators up to 5, and floats in tenths over the
+# same range: open, closed and strict, at or below 0 on either side
+WINDOW_ENDS = st.one_of(st.none(), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5)),
+                        st.builds(lambda k: k / 10, st.integers(-120, 120)))
 
 
 @st.composite
@@ -326,9 +328,20 @@ def test_interval_windows_equal_contains_filter(iv, length, span):
         inside = (lo is None or lo <= s) and (hi is None or s <= hi)
         assert inside == iv.contains(Fraction(s, length)), s
     shortest, longest = iv.lengths(span)
-    for l in range(1, 5 * span + 2):  # past span / (the least positive end)
+    for l in range(1, 10 * span + 2):  # past span / (the least positive end)
         inside = shortest <= l and (longest is None or l <= longest)
         assert inside == iv.contains(Fraction(span, l)), l
+
+
+def test_interval_float_ends_are_exact():
+    # 0.7 is a little below 7/10 in binary; the end is taken as its repr
+    iv = Interval(hi=0.7)
+    assert iv.hi == Fraction(7, 10) and type(iv.hi) is Fraction
+    assert iv.lengths(7) == (10, None) and iv.contains(Fraction(7, 10))
+    assert Interval(0.5, 2).spans(3) == (2, 6)
+    for end in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ProfileError, match="not finite"):
+            Interval(hi=end)
 
 
 def test_sl_window_validated():

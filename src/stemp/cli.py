@@ -244,14 +244,19 @@ def _report_document(report: PredictionReport, seq: Sequence, include_timing: bo
 def _dump_paths(dump_graph: str | None, sequences: list[Sequence]) -> list[Path | None]:
     """Each record's graph dump path: ``dump_graph`` for one record, else
     ``<stem>-<id><suffix>`` beside it. A record id that cannot be part of a
-    file name is an input error."""
+    file name, or that two records share, is an input error."""
     path = dump_graph and Path(dump_graph)
     if not path or len(sequences) == 1:
         return [path] * len(sequences)
+    seen = set()
     for seq in sequences:
         if {"\0", os.sep, os.altsep} & set(seq.id):
             raise StempError(f"record {seq.id!r} cannot name a graph dump file: its id "
                              f"holds a path separator or a NUL byte")
+        if seq.id in seen:
+            raise StempError(f"records share the id {seq.id!r}, so their graph dumps "
+                             f"would share one file")
+        seen.add(seq.id)
     return [path.with_name(f"{path.stem}-{seq.id}{path.suffix}") for seq in sequences]
 
 
@@ -330,11 +335,11 @@ def cmd_evaluate(args) -> int:
         if len(sequences) != 1:
             raise StempError(f"evaluate expects one sequence, found {len(sequences)}")
         seq = sequences[0]
-        _, report = run_pipeline(seq, cfg, max_cliques=args.max_cliques,
-                                 max_seconds=args.max_seconds)
-        if reference.length != seq.length:
+        if reference.length != seq.length:  # before the search, as batch does
             raise StempError(
                 f"reference length {reference.length} != sequence length {seq.length}")
+        _, report = run_pipeline(seq, cfg, max_cliques=args.max_cliques,
+                                 max_seconds=args.max_seconds)
     if args.ignore_noncanonical:
         reference = _canonical_only(reference, cfg.pairing)
     doc = {"id": report.sequence_id or reference.id, "metric": args.metric,

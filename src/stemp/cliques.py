@@ -33,10 +33,14 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
     With ``top_k`` set, the search is a weighted-clique branch-and-bound on
     energy (total stem length): once k cliques are found, a branch is not
     entered when its energy plus a bound on what its candidates P can add
-    falls below the k-th best energy so far. The bound is the smaller of the
-    summed stem lengths in P and half the bases P's stems cover. The result
-    is then exactly the maximal cliques whose energy is at least the k-th
-    best energy overall, ties included, so ``rank_predictions(...,
+    falls below the k-th best energy so far. The bound is half the bases
+    P's stems cover. The summed stem length of P is never below it and
+    costs one popcount, so it is tested first: each vertex v owns a block
+    of ``lengths[v]`` bits of its own, the search carries W(P), the union of
+    P's blocks, next to P, and since the blocks are disjoint a child's
+    W(P & N(v)) is W(P) masked by the union of v's neighbours' blocks. The
+    result is then exactly the maximal cliques whose energy is at least the
+    k-th best energy overall, ties included, so ``rank_predictions(...,
     top_k=k)`` on it ranks the same k predictions, with the same SCR, DR and
     multiplicity, as on the full list. ``max_cliques`` counts the cliques
     the pruned search reaches.
@@ -48,28 +52,31 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
         return []
     masks = graph.neighbor_masks
     lengths = [s.length for s in graph.vertices]
-    # planes[b] holds the vertices whose length has bit b set, so the summed
-    # length of a vertex set is a few popcounts, not a walk over its bits.
-    planes = [sum(1 << v for v, length in enumerate(lengths) if length >> b & 1)
-              for b in range(max(lengths).bit_length())]
     bases = graph.base_masks
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     out: list[tuple[int, ...]] = []
     energies: list[int] = []  # energy of each clique in out, kept only with top_k
     best: list[int] = []  # min-heap of the top_k best energies found so far
+    # With top_k, vertex v owns the bits of unit[v], lengths[v] of them, and
+    # wmask[v] is the union of its neighbours' blocks. The blocks are
+    # disjoint, so a vertex set's summed length is the popcount of its blocks.
+    unit: list[int] = []
+    wmask: list[int] = []
+    if top_k is not None:
+        offset = 0
+        for length in lengths:
+            unit.append(((1 << length) - 1) << offset)
+            offset += length
+        for m in masks:
+            w = 0
+            while m:
+                low = m & -m
+                w |= unit[low.bit_length() - 1]
+                m ^= low
+            wmask.append(w)
 
-    def may_reach(energy: int, p: int) -> bool:
-        """Whether a clique from R (of this energy) and P reaches best[0]."""
-        need = best[0] - energy
-        if sum((p & plane).bit_count() << b for b, plane in enumerate(planes)) < need:
-            return False
-        used = 0
-        while p:
-            used |= bases[(p & -p).bit_length() - 1]
-            p &= p - 1
-        return used.bit_count() >> 1 >= need
-
-    def expand(r: list[int], p: int, x: int, energy: int):
+    def expand(r: list[int], p: int, x: int, energy: int, wp: int):
+        """Extend clique r by candidates p, excluded x; wp is W(p) with top_k, else 0."""
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"clique search passed {max_seconds} s")
         if p == 0 and x == 0:
@@ -98,17 +105,31 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
             bit = 1 << v
             cand &= cand - 1
             mv = masks[v]
-            child_p = p & mv
-            child_energy = energy + lengths[v]
-            # len(best) == top_k never holds without top_k, so nothing is pruned
-            if len(best) != top_k or may_reach(child_energy, child_p):
-                r.append(v)
-                expand(r, child_p, x & mv, child_energy)
-                r.pop()
-            p &= ~bit
+            child_p, child_x, child_wp = p & mv, x & mv, wp
+            p &= ~bit  # v moves from P to X before its branch is searched or pruned
             x |= bit
+            child_energy = energy + lengths[v]
+            if top_k is not None:
+                child_wp &= wmask[v]
+                wp ^= unit[v]  # v was in P, so its block is all set in wp
+                # enter when the k-th best may still be reached: its energy
+                # less this clique's is at most half the bases P's stems
+                # cover, and so at most P's summed stem length
+                need = best[0] - child_energy if len(best) == top_k else 0
+                if need > 0:
+                    if child_wp.bit_count() < need:
+                        continue
+                    used, q = 0, child_p
+                    while q:
+                        used |= bases[(q & -q).bit_length() - 1]
+                        q &= q - 1
+                    if used.bit_count() >> 1 < need:
+                        continue
+            r.append(v)
+            expand(r, child_p, child_x, child_energy, child_wp)
+            r.pop()
 
-    expand([], (1 << n) - 1, 0, 0)
+    expand([], (1 << n) - 1, 0, 0, (1 << sum(lengths)) - 1 if top_k is not None else 0)
     if len(best) == top_k:
         # drop cliques found before the k-th best energy rose past them
         out = [c for c, energy in zip(out, energies) if energy >= best[0]]

@@ -6,11 +6,14 @@ cliques by enumerating every vertex subset, edges by raw index-set
 disjointness, tRNA trims by dropping one inner pair at a time, dot-bracket
 tiers by testing every pair of a tier for a crossing, report summaries by
 scoring every prediction on its own, profile vertices by building every
-candidate stem before any window filters it.
+candidate stem before any window filters it. The one exception is the
+top-k clique search, whose reference is the search with its earlier length
+bound: one popcount per bit-plane of the stem lengths at every child.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from stemp.errors import IndexOutOfRange, TooManyLayers
@@ -150,6 +153,61 @@ def brute_force_maximal_cliques_np(neighbor_masks: list[int]) -> set[frozenset[i
             continue
         out.add(frozenset(v for v in range(n) if s >> v & 1))
     return out
+
+
+def plane_bound_top_k(graph, top_k: int) -> tuple[list[tuple[int, ...]], int, int]:
+    """The exact top-k Bron-Kerbosch search with the length bound taken per
+    bit-plane: the cliques it returns, the number it reaches (the least
+    ``max_cliques`` that does not trip) and the number of search nodes it
+    enters. Pivot, candidate order and bounds are those of
+    ``cliques.maximal_cliques``."""
+    masks = graph.neighbor_masks
+    lengths = [s.length for s in graph.vertices]
+    planes = [sum(1 << v for v, length in enumerate(lengths) if length >> b & 1)
+              for b in range(max(lengths, default=0).bit_length())]
+    bases = graph.base_masks
+    out: list[tuple[tuple[int, ...], int]] = []
+    best: list[int] = []
+    nodes = 0
+
+    def may_reach(energy: int, p: int) -> bool:
+        need = best[0] - energy
+        if sum((p & plane).bit_count() << b for b, plane in enumerate(planes)) < need:
+            return False
+        used = 0
+        while p:
+            used |= bases[(p & -p).bit_length() - 1]
+            p &= p - 1
+        return used.bit_count() >> 1 >= need
+
+    def expand(r: list[int], p: int, x: int, energy: int):
+        nonlocal nodes
+        nodes += 1
+        if p == 0 and x == 0:
+            out.append((tuple(sorted(r)), energy))
+            if len(best) < top_k:
+                heapq.heappush(best, energy)
+            elif energy > best[0]:
+                heapq.heapreplace(best, energy)
+            return
+        pivot, best_cnt = -1, -1
+        for u in range(len(masks)):
+            if (p | x) >> u & 1 and (p & masks[u]).bit_count() > best_cnt:
+                pivot, best_cnt = u, (p & masks[u]).bit_count()
+        cand = p & ~masks[pivot]
+        for v in range(len(masks)):
+            if not cand >> v & 1:
+                continue
+            child_energy = energy + lengths[v]
+            if len(best) != top_k or may_reach(child_energy, p & masks[v]):
+                expand(r + [v], p & masks[v], x & masks[v], child_energy)
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    if masks:
+        expand([], (1 << len(masks)) - 1, 0, 0)
+    floor = best[0] if len(best) == top_k else 0
+    return sorted(c for c, energy in out if energy >= floor), len(out), nodes
 
 
 def pairwise_dot_bracket(seq: Sequence | int, pairs) -> str:

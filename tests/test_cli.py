@@ -197,6 +197,20 @@ def test_dump_graph_rejects_a_record_id_that_cannot_name_a_file(tmp_path, capsys
     assert out.read_text() == "earlier\n"
 
 
+def test_dump_graph_rejects_a_repeated_record_id(tmp_path, capsys):
+    # the second graph would silently replace the first one's dump
+    fasta = tmp_path / "multi.fasta"
+    fasta.write_text(">a\nGGGGAAAACCCC\n>b\nGGCACAGAAGAUAUGGCUUCGUGCC\n>a\nGGGAAACCC\n")
+    out = tmp_path / "set.json"
+    out.write_text("earlier\n")
+    assert run("predict", "--profile", "protein", str(fasta), "-o", str(out),
+               "--dump-graph", str(tmp_path / "g.json")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: records share the id 'a', so their graph dumps would share one file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["multi.fasta", "set.json"]
+    assert out.read_text() == "earlier\n"
+
+
 def test_predict_overrides_change_graph(tmp_path):
     out = tmp_path / "r.json"
     graph = tmp_path / "g.json"
@@ -236,6 +250,16 @@ def test_evaluate_length_mismatch_exit_2(tmp_path):
     short.write_text(write_ct(seq, [(1, 12), (2, 11)]))
     assert run("evaluate", "--profile", "protein", TWOQUX_FASTA,
                "--reference", str(short)) == 2
+
+
+def test_evaluate_length_mismatch_is_found_before_the_search(tmp_path, capsys):
+    # a search would trip the budget first and exit 3
+    long = tmp_path / "long.ct"
+    long.write_text(write_ct(parse_sequence("GGGAAACCC" * 8 + "AAA", id="x"), [(1, 75)]))
+    assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--reference", str(long),
+               "--max-cliques", "0") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: reference length 75 != sequence length 25"]
 
 
 def test_evaluate_non_integer_ct_column_exit_2(tmp_path, capsys):

@@ -6,11 +6,12 @@ import pytest
 
 from stemp import (BudgetExceeded, PairingRule, build_stem_graph, enumerate_stems,
                    maximal_cliques, parse_sequence, rank_predictions)
+from stemp import cliques as cliques_module
 from stemp.cliques import FoldPrediction, clique_pairs
 from stemp.profiles import build_profile_graph, builtin_profile
 from stemp.stems import StemGraph, contiguous_stem
 
-from .oracles import brute_force_maximal_cliques
+from .oracles import brute_force_maximal_cliques, plane_bound_top_k
 
 CANON = PairingRule()
 
@@ -272,6 +273,55 @@ def test_exact_top_k_random_sequences():
         n = rng.randint(24, 28)
         seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(n)), id="r")
         assert_exact_top_k(build_stem_graph(enumerate_stems(seq, CANON, 2)))
+
+
+class NodeClock:
+    """Stands in for the ``time`` module in ``stemp.cliques``: under a time
+    budget the search reads the clock once to set its deadline and once on
+    entering each node."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return 0.0
+
+
+def assert_same_search_as_plane_bound(graph, clock):
+    """The weighted-mask bound enters the plane bound's nodes, returns its
+    cliques and trips ``max_cliques`` at the same count."""
+    for k in (1, 2, 5):
+        cliques, reached, nodes = plane_bound_top_k(graph, k)
+        clock.reads = 0
+        assert maximal_cliques(graph, max_cliques=reached, max_seconds=1.0, top_k=k) == cliques, k
+        assert clock.reads == 1 + nodes, k
+        if reached:
+            with pytest.raises(BudgetExceeded):
+                maximal_cliques(graph, max_cliques=reached - 1, top_k=k)
+
+
+def test_top_k_search_matches_the_plane_bound_oracle(seq_2qux, monkeypatch):
+    clock = NodeClock()
+    monkeypatch.setattr(cliques_module, "time", clock)
+    for lengths in itertools.product((2, 3), repeat=4):
+        for bits in range(1 << 6):
+            edges = [e for k, e in enumerate(itertools.combinations(range(4), 2))
+                     if bits >> k & 1]
+            assert_same_search_as_plane_bound(graph_from_edges(4, edges, list(lengths)), clock)
+    rng = random.Random(14)
+    for _ in range(60):
+        n = rng.randint(5, 14)
+        lengths = [rng.choice((2, 3)) for _ in range(n)]
+        assert_same_search_as_plane_bound(
+            random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]), lengths), clock)
+    assert_same_search_as_plane_bound(build_stem_graph(enumerate_stems(seq_2qux, CANON, 3)),
+                                      clock)
+    protein = builtin_profile("protein")
+    for seed in (0, 1, 3, 6):  # 415 to 10,247 cliques in full
+        rng = random.Random(seed)
+        seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="p")
+        assert_same_search_as_plane_bound(build_profile_graph(seq, protein), clock)
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -14,15 +14,13 @@ import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
 from pathlib import Path
 
-from .cliques import PredictionReport, maximal_cliques, rank_predictions
+from .cliques import Deadline, PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
 from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference,
                      read_report, report_to_dict, stream_report, write_dot_bracket)
@@ -46,8 +44,6 @@ SCR_BUCKETS = (1, 5, 10, 15)
 # on a 41k-prediction report, slices of 1024 spent ~0.45 s in cyclic GC,
 # slices of 16 ~0.06 s.
 RENDER_SLICE = 16
-# Cliques handed to rank_predictions between two deadline checks.
-RANK_CHECK_EVERY = 4096
 
 
 def _at_least(minimum: int):
@@ -134,47 +130,20 @@ def _configure(args) -> ProfileConfig:
     return cfg
 
 
-class _Deadline:
-    """One monotonic deadline ``seconds`` from now; None sets none."""
-
-    def __init__(self, seconds: float | None):
-        self.seconds = seconds
-        self.at = None if seconds is None else time.monotonic() + seconds
-
-    def left(self) -> float | None:
-        return None if self.at is None else self.at - time.monotonic()
-
-    def check(self, stage: str):
-        if self.at is not None and time.monotonic() > self.at:
-            raise BudgetExceeded(f"time budget of {self.seconds} s ran out during {stage}")
-
-    def checked(self, items, stage: str):
-        """``items``, checking the deadline before each RANK_CHECK_EVERY of them."""
-        items = iter(items)
-        while chunk := list(islice(items, RANK_CHECK_EVERY)):
-            self.check(stage)
-            yield from chunk
-
-
 def run_pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None = None,
-                 max_seconds: float | None = None, top_k: int | None = None,
-                 deadline: _Deadline | None = None) -> tuple[StemGraph, PredictionReport]:
+                 top_k: int | None = None,
+                 deadline: Deadline | None = None) -> tuple[StemGraph, PredictionReport]:
     """Graph construction, clique search, and ranking for one sequence.
 
     With ``top_k`` the report holds only the k best predictions, the same
     as the first k of the full report, and the search prunes below them.
-    ``max_seconds`` bounds the whole call; a ``deadline`` that the caller
-    shares with its other work replaces it.
+    ``deadline`` bounds the search and the ranking; the caller may share it
+    with its other work.
     """
-    deadline = deadline or _Deadline(max_seconds)
+    deadline = deadline or Deadline(None)
     start = time.perf_counter()
     graph = build_profile_graph(seq, cfg)
-    try:
-        cliques = maximal_cliques(graph, max_cliques=max_cliques,
-                                  max_seconds=deadline.left(), top_k=top_k)
-    except BudgetExceeded:
-        deadline.check("search")  # a time trip: report it against the whole budget
-        raise
+    cliques = maximal_cliques(graph, max_cliques=max_cliques, deadline=deadline, top_k=top_k)
     report = rank_predictions(graph, deadline.checked(cliques, "ranking"),
                               sequence_id=seq.id, profile=cfg.name, top_k=top_k)
     deadline.check("ranking")  # the sort after the last checked clique
@@ -194,7 +163,7 @@ def _metrics_dict(m: Metrics) -> dict:
 # ---------------------------------------------------------------- predict
 
 @contextmanager
-def _replacing(path: str | None):
+def _replacing(path: str | Path | None):
     """A text file that becomes ``path``, or is copied to stdout without
     one, only once the block completes; until then ``path`` and stdout are
     untouched, and on an error the file is deleted. A symbolic link is
@@ -223,7 +192,7 @@ def _replacing(path: str | None):
 
 
 def _report_document(report: PredictionReport, seq: Sequence, include_timing: bool,
-                     deadline: _Deadline) -> dict:
+                     deadline: Deadline) -> dict:
     """``report_to_dict``'s document whose predictions are rendered
     RENDER_SLICE at a time, as the writer reads them."""
     def part(start: int) -> PredictionReport:
@@ -261,39 +230,43 @@ def _dump_paths(dump_graph: str | None, sequences: list[Sequence]) -> list[Path 
 
 
 def cmd_predict(args) -> int:
-    deadline = _Deadline(args.max_seconds)
+    deadline = Deadline(args.max_seconds)
     cfg = _configure(args)
     sequences = read_fasta(args.input)
     dumps = _dump_paths(args.dump_graph, sequences)
+    graphs = []  # (dump path, graph) of each record searched with a dump path
     structures = []
 
     def document(seq: Sequence, dump: Path | None) -> dict:
         graph, report = run_pipeline(seq, cfg, args.max_cliques, top_k=args.top_k,
                                      deadline=deadline)
-        if dump:  # text for a .txt path, else a JSON document
-            dump.write_text(render_graph_text(graph) if dump.suffix == ".txt"
-                            else json.dumps(graph_to_dict(graph), indent=2) + "\n",
-                            encoding="utf-8")
+        if dump:
+            graphs.append((dump, graph))
         # the rank-1 predictions come first: build only them
         tied = report.predictions[0].multiplicity if args.all_ties and report.predictions else 1
         for pred in report.predictions[:tied]:
             structures.append((seq, pred))
         return _report_document(report, seq, args.timing, deadline)
 
-    with _replacing(args.output) as out:
+    # the graph dumps and the dot-bracket file are complete before any of
+    # them, or the report, replaces its target
+    with _replacing(args.output) as out, ExitStack() as files:
         if len(sequences) == 1:
             stream_report(out, document(sequences[0], dumps[0]))
         else:  # each record is searched only once the one before is written
             stream_report(out, {"schema": REPORT_SET_SCHEMA,
                                 "reports": map(document, sequences, dumps)})
-        if args.dot_bracket:  # complete before the report replaces -o
+        for dump, graph in graphs:  # text for a .txt path, else a JSON document
+            files.enter_context(_replacing(dump)).write(
+                render_graph_text(graph) if dump.suffix == ".txt"
+                else json.dumps(graph_to_dict(graph), indent=2) + "\n")
+        if args.dot_bracket:
             lines = []
             for seq, pred in structures:
                 lines.append(f">{seq.id} energy={pred.energy} scr={pred.scr} dr={pred.dr}")
                 lines.append(seq.residues)
                 lines.append(write_dot_bracket(seq, pred.pairs))
-            with _replacing(args.dot_bracket) as dot_bracket:
-                dot_bracket.write("\n".join(lines) + "\n")
+            files.enter_context(_replacing(args.dot_bracket)).write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -339,7 +312,7 @@ def cmd_evaluate(args) -> int:
             raise StempError(
                 f"reference length {reference.length} != sequence length {seq.length}")
         _, report = run_pipeline(seq, cfg, max_cliques=args.max_cliques,
-                                 max_seconds=args.max_seconds)
+                                 deadline=Deadline(args.max_seconds))
     if args.ignore_noncanonical:
         reference = _canonical_only(reference, cfg.pairing)
     doc = {"id": report.sequence_id or reference.id, "metric": args.metric,
@@ -378,11 +351,10 @@ def _bucket_scr(scr: int) -> str:
 
 def _batch_row(seq: Sequence, reference: ReferenceStructure, cfg: ProfileConfig,
                metric: str, max_cliques: int | None, max_seconds: float | None) -> dict:
-    start = time.perf_counter()
-    _, report = run_pipeline(seq, cfg, max_cliques=max_cliques, max_seconds=max_seconds)
-    elapsed = time.perf_counter() - start
+    _, report = run_pipeline(seq, cfg, max_cliques=max_cliques,
+                             deadline=Deadline(max_seconds))
     return {"id": seq.id, "length": seq.length, **_scores(report, reference, metric),
-            "seconds": elapsed}
+            "seconds": report.timing}
 
 
 def _pair_inputs(directory: Path) -> list[tuple[Path, Path]]:
@@ -436,6 +408,8 @@ def cmd_batch(args) -> int:
     score = partial(_batch_row, cfg=cfg, metric=args.metric, max_cliques=args.max_cliques,
                     max_seconds=args.max_seconds)
     if args.jobs > 1 and len(sequences) > 1:
+        # imported only here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(score, sequences, references))
     else:

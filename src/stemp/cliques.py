@@ -13,22 +13,47 @@ import heapq
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .errors import BudgetExceeded
 from .stems import Pair, StemGraph
 
+# Items that Deadline.checked passes on between two reads of the clock.
+CHECK_EVERY = 4096
+
+
+class Deadline:
+    """One monotonic deadline ``seconds`` from now; None sets none. It is
+    the one time budget of a run: its stages share it, and ``check`` names
+    the stage in which it ran out."""
+
+    def __init__(self, seconds: float | None):
+        self.seconds = seconds
+        self.at = None if seconds is None else time.monotonic() + seconds
+
+    def check(self, stage: str):
+        if self.at is not None and time.monotonic() > self.at:
+            raise BudgetExceeded(f"time budget of {self.seconds} s ran out during {stage}")
+
+    def checked(self, items, stage: str):
+        """``items``, checking the deadline before each CHECK_EVERY of them."""
+        items = iter(items)
+        while chunk := list(islice(items, CHECK_EVERY)):
+            self.check(stage)
+            yield from chunk
+
 
 def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
-                    max_seconds: float | None = None,
+                    deadline: Deadline | None = None,
                     top_k: int | None = None) -> list[tuple[int, ...]]:
     """All maximal cliques, each once, as sorted vertex-index tuples.
 
     Bron-Kerbosch with pivoting: the pivot is the vertex of P | X with the
     most neighbours in P, ties broken by lowest index. Isolated vertices come
     out as singleton cliques. Worst case is exponential, so callers may set a
-    clique-count or wall-time budget; exceeding it raises BudgetExceeded and
-    no partial result is returned.
+    clique-count budget or a ``deadline``, checked on entering each node;
+    exceeding either raises BudgetExceeded and no partial result is returned.
 
     With ``top_k`` set, the search is a weighted-clique branch-and-bound on
     energy (total stem length): once k cliques are found, a branch is not
@@ -53,7 +78,7 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
     masks = graph.neighbor_masks
     lengths = [s.length for s in graph.vertices]
     bases = graph.base_masks
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+    at = deadline.at if deadline is not None else None
     out: list[tuple[int, ...]] = []
     energies: list[int] = []  # energy of each clique in out, kept only with top_k
     best: list[int] = []  # min-heap of the top_k best energies found so far
@@ -77,8 +102,8 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
 
     def expand(r: list[int], p: int, x: int, energy: int, wp: int):
         """Extend clique r by candidates p, excluded x; wp is W(p) with top_k, else 0."""
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"clique search passed {max_seconds} s")
+        if at is not None and time.monotonic() > at:
+            deadline.check("search")
         if p == 0 and x == 0:
             out.append(tuple(sorted(r)))
             if max_cliques is not None and len(out) > max_cliques:

@@ -246,10 +246,6 @@ class Stem:
             mask |= 1 << p | 1 << q
         return mask
 
-    def describe(self) -> str:
-        pat = f" {self.pattern.render()}" if self.pattern else ""
-        return f"({self.i},{self.j},{self.length},{self.span}){pat}"
-
 
 def contiguous_stem(i: int, j: int, length: int, helix: str | None = None) -> Stem:
     pairs = tuple((i + t, j - t) for t in range(length))

@@ -2,9 +2,12 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -642,16 +645,50 @@ def test_predict_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("first", [None, "2qux.fasta"])
+def test_failed_predict_leaves_the_graph_dumps_unchanged(tmp_path, capsys, first):
+    """A graph dump is written only once the whole report is: a record that
+    fails while rendered, alone or after one that succeeds, leaves every
+    dump file as it was."""
+    r76 = Path(_fifth_tier_76mer(tmp_path)).read_text()
+    fasta = tmp_path / "in.fasta"
+    fasta.write_text(((FIXTURES / first).read_text() if first else "") + r76)
+    out = tmp_path / "out"
+    out.mkdir()
+    dumps = [out / "g.json"] if first is None else [out / "g-2QUX.json", out / "g-r76.json"]
+    for dump in dumps:
+        dump.write_text("earlier dump\n")
+    assert run("predict", "--profile", "protein", str(fasta), "-o", str(out / "r.json"),
+               "--dump-graph", str(out / "g.json")) == 2
+    assert "fifth bracket tier" in capsys.readouterr().err
+    assert all(dump.read_text() == "earlier dump\n" for dump in dumps)
+    assert sorted(p.name for p in out.iterdir()) == sorted(d.name for d in dumps)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only ``batch --jobs`` loads the process pool and multiprocessing."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, stemp.cli; print(sorted({'multiprocessing', 'concurrent.futures'}"
+             " & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
 def test_failed_dot_bracket_leaves_the_report_unchanged(tmp_path, capsys):
     out = tmp_path / "r.json"
     out.write_text("earlier report\n")
+    dump = tmp_path / "g.json"
+    dump.write_text("earlier dump\n")
     dot_bracket = tmp_path / "missing" / "x.dbn"
     assert run("predict", "--profile", "protein", TWOQUX_FASTA, "-o", str(out),
-               "--dot-bracket", str(dot_bracket)) == 2
+               "--dot-bracket", str(dot_bracket), "--dump-graph", str(dump)) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert out.read_bytes() == b"earlier report\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]  # no temporary left
+    assert dump.read_bytes() == b"earlier dump\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "r.json"]  # no temporary
 
 
 def test_predict_output_through_a_link_or_a_pipe(tmp_path):

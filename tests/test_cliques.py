@@ -7,7 +7,7 @@ import pytest
 from stemp import (BudgetExceeded, PairingRule, build_stem_graph, enumerate_stems,
                    maximal_cliques, parse_sequence, rank_predictions)
 from stemp import cliques as cliques_module
-from stemp.cliques import FoldPrediction, clique_pairs
+from stemp.cliques import Deadline, FoldPrediction, clique_pairs
 from stemp.profiles import build_profile_graph, builtin_profile
 from stemp.stems import StemGraph, contiguous_stem
 
@@ -101,7 +101,7 @@ def test_clique_budget(seq_2qux):
 def test_time_budget(seq_2qux):
     graph = build_stem_graph(enumerate_stems(seq_2qux, CANON, 3))
     with pytest.raises(BudgetExceeded):
-        maximal_cliques(graph, max_seconds=-1.0)
+        maximal_cliques(graph, deadline=Deadline(-1.0))
 
 
 # ------------------------------------------------------------- ranking
@@ -294,7 +294,8 @@ def assert_same_search_as_plane_bound(graph, clock):
     for k in (1, 2, 5):
         cliques, reached, nodes = plane_bound_top_k(graph, k)
         clock.reads = 0
-        assert maximal_cliques(graph, max_cliques=reached, max_seconds=1.0, top_k=k) == cliques, k
+        assert maximal_cliques(graph, max_cliques=reached, deadline=Deadline(1.0),
+                               top_k=k) == cliques, k
         assert clock.reads == 1 + nodes, k
         if reached:
             with pytest.raises(BudgetExceeded):

@@ -162,12 +162,37 @@ def _metrics_dict(m: Metrics) -> dict:
 
 # ---------------------------------------------------------------- predict
 
+def _output_targets(named: list[tuple[str, str | Path | None]]) -> list[str | Path | None]:
+    """The target of each (option, path) output, checked before any search:
+    the resolved file that the output replaces, or the path as given for
+    none (stdout) or for one that exists and is not a regular file
+    (``/dev/null``, a pipe), which may be named twice. A path whose
+    directory does not exist, a directory, and two options that name one
+    file are input errors."""
+    seen: dict[Path, str] = {}
+    targets = []
+    for option, path in named:
+        if path and os.path.isdir(path):
+            raise StempError(f"{option} {path} is a directory")
+        if not path or os.path.exists(path) and not os.path.isfile(path):
+            targets.append(path)
+            continue
+        target = Path(path).resolve()
+        if not target.parent.is_dir():
+            raise StempError(f"{option} {path}: its directory does not exist")
+        if target in seen:
+            raise StempError(f"{seen[target]} and {option} both name {path}")
+        seen[target] = option
+        targets.append(target)
+    return targets
+
+
 @contextmanager
 def _replacing(path: str | Path | None):
-    """A text file that becomes ``path``, or is copied to stdout without
-    one, only once the block completes; until then ``path`` and stdout are
-    untouched, and on an error the file is deleted. A symbolic link is
-    followed; a ``path`` that is not a regular file (``/dev/null``, a pipe)
+    """A text file that becomes ``path``, an ``_output_targets`` target, or
+    is copied to stdout without one, only once the block completes; until
+    then ``path`` and stdout are untouched, and on an error the file is
+    deleted. A ``path`` that is not a regular file (``/dev/null``, a pipe)
     is not replaced but, like stdout, written from the finished file."""
     if not path or os.path.exists(path) and not os.path.isfile(path):
         with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
@@ -179,13 +204,12 @@ def _replacing(path: str | Path | None):
                 with open(path, "w", encoding="utf-8") as sink:
                     shutil.copyfileobj(out, sink)
         return
-    target = Path(path).resolve()
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     out = temporary.open("x", encoding="utf-8")
     try:
         with out:
             yield out
-        os.replace(temporary, target)
+        os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
@@ -233,7 +257,9 @@ def cmd_predict(args) -> int:
     deadline = Deadline(args.max_seconds)
     cfg = _configure(args)
     sequences = read_fasta(args.input)
-    dumps = _dump_paths(args.dump_graph, sequences)
+    output, dot_bracket, *dumps = _output_targets(
+        [("-o", args.output), ("--dot-bracket", args.dot_bracket),
+         *(("--dump-graph", dump) for dump in _dump_paths(args.dump_graph, sequences))])
     graphs = []  # (dump path, graph) of each record searched with a dump path
     structures = []
 
@@ -250,7 +276,7 @@ def cmd_predict(args) -> int:
 
     # the graph dumps and the dot-bracket file are complete before any of
     # them, or the report, replaces its target
-    with _replacing(args.output) as out, ExitStack() as files:
+    with _replacing(output) as out, ExitStack() as files:
         if len(sequences) == 1:
             stream_report(out, document(sequences[0], dumps[0]))
         else:  # each record is searched only once the one before is written
@@ -260,13 +286,13 @@ def cmd_predict(args) -> int:
             files.enter_context(_replacing(dump)).write(
                 render_graph_text(graph) if dump.suffix == ".txt"
                 else json.dumps(graph_to_dict(graph), indent=2) + "\n")
-        if args.dot_bracket:
+        if dot_bracket:
             lines = []
             for seq, pred in structures:
                 lines.append(f">{seq.id} energy={pred.energy} scr={pred.scr} dr={pred.dr}")
                 lines.append(seq.residues)
                 lines.append(write_dot_bracket(seq, pred.pairs))
-            files.enter_context(_replacing(args.dot_bracket)).write("\n".join(lines) + "\n")
+            files.enter_context(_replacing(dot_bracket)).write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -518,7 +544,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (StempError, OSError, json.JSONDecodeError) as exc:
+    except (StempError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

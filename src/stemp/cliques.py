@@ -57,18 +57,15 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
 
     With ``top_k`` set, the search is a weighted-clique branch-and-bound on
     energy (total stem length): once k cliques are found, a branch is not
-    entered when its energy plus a bound on what its candidates P can add
-    falls below the k-th best energy so far. The bound is half the bases
-    P's stems cover. The summed stem length of P is never below it and
-    costs one popcount, so it is tested first: each vertex v owns a block
-    of ``lengths[v]`` bits of its own, the search carries W(P), the union of
-    P's blocks, next to P, and since the blocks are disjoint a child's
-    W(P & N(v)) is W(P) masked by the union of v's neighbours' blocks. The
-    result is then exactly the maximal cliques whose energy is at least the
-    k-th best energy overall, ties included, so ``rank_predictions(...,
-    top_k=k)`` on it ranks the same k predictions, with the same SCR, DR and
-    multiplicity, as on the full list. ``max_cliques`` counts the cliques
-    the pruned search reaches.
+    entered when its energy plus half the bases its candidates P's stems
+    cover falls below the k-th best energy so far. That cover is read from
+    one table per byte of vertex indices: ``covers[c][s]`` is the OR of the
+    base masks of the vertices 8c + b for the bits b set in s. The result
+    is then exactly the maximal cliques whose energy is at least the k-th
+    best energy overall, ties included, so ``rank_predictions(...,
+    top_k=k)`` on it ranks the same k predictions, with the same SCR, DR
+    and multiplicity, as on the full list. ``max_cliques`` counts the
+    cliques the pruned search reaches.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -77,31 +74,21 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
         return []
     masks = graph.neighbor_masks
     lengths = [s.length for s in graph.vertices]
-    bases = graph.base_masks
     at = deadline.at if deadline is not None else None
     out: list[tuple[int, ...]] = []
     energies: list[int] = []  # energy of each clique in out, kept only with top_k
     best: list[int] = []  # min-heap of the top_k best energies found so far
-    # With top_k, vertex v owns the bits of unit[v], lengths[v] of them, and
-    # wmask[v] is the union of its neighbours' blocks. The blocks are
-    # disjoint, so a vertex set's summed length is the popcount of its blocks.
-    unit: list[int] = []
-    wmask: list[int] = []
+    covers: list[list[int]] = []  # with top_k, one table per byte of vertex indices
     if top_k is not None:
-        offset = 0
-        for length in lengths:
-            unit.append(((1 << length) - 1) << offset)
-            offset += length
-        for m in masks:
-            w = 0
-            while m:
-                low = m & -m
-                w |= unit[low.bit_length() - 1]
-                m ^= low
-            wmask.append(w)
+        bases = graph.base_masks
+        for c in range(0, n, 8):
+            table = [0]
+            for mask in bases[c:c + 8]:
+                table += [t | mask for t in table]  # the entries with this vertex's bit set
+            covers.append(table)
 
-    def expand(r: list[int], p: int, x: int, energy: int, wp: int):
-        """Extend clique r by candidates p, excluded x; wp is W(p) with top_k, else 0."""
+    def expand(r: list[int], p: int, x: int, energy: int):
+        """Extend clique r by candidates p, excluded x."""
         if at is not None and time.monotonic() > at:
             deadline.check("search")
         if p == 0 and x == 0:
@@ -130,31 +117,28 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
             bit = 1 << v
             cand &= cand - 1
             mv = masks[v]
-            child_p, child_x, child_wp = p & mv, x & mv, wp
+            child_p, child_x = p & mv, x & mv
             p &= ~bit  # v moves from P to X before its branch is searched or pruned
             x |= bit
             child_energy = energy + lengths[v]
-            if top_k is not None:
-                child_wp &= wmask[v]
-                wp ^= unit[v]  # v was in P, so its block is all set in wp
+            if top_k is not None and len(best) == top_k:
                 # enter when the k-th best may still be reached: its energy
-                # less this clique's is at most half the bases P's stems
-                # cover, and so at most P's summed stem length
-                need = best[0] - child_energy if len(best) == top_k else 0
+                # less this clique's is at most half the bases P's stems cover
+                need = best[0] - child_energy
                 if need > 0:
-                    if child_wp.bit_count() < need:
-                        continue
                     used, q = 0, child_p
-                    while q:
-                        used |= bases[(q & -q).bit_length() - 1]
-                        q &= q - 1
+                    for table in covers:
+                        if not q:
+                            break
+                        used |= table[q & 255]
+                        q >>= 8
                     if used.bit_count() >> 1 < need:
                         continue
             r.append(v)
-            expand(r, child_p, child_x, child_energy, child_wp)
+            expand(r, child_p, child_x, child_energy)
             r.pop()
 
-    expand([], (1 << n) - 1, 0, 0, (1 << sum(lengths)) - 1 if top_k is not None else 0)
+    expand([], (1 << n) - 1, 0, 0)
     if len(best) == top_k:
         # drop cliques found before the k-th best energy rose past them
         out = [c for c, energy in zip(out, energies) if energy >= best[0]]

@@ -19,7 +19,7 @@ from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
                      InvalidCharacter, TooManyLayers)
 from .metrics import ReferenceStructure
 from .seq import Sequence, parse_sequence
-from .stems import GapPattern, Pair, Stem, StemGraph, contiguous_stem
+from .stems import GapPattern, Pair, Stem, StemGraph
 
 BRACKET_TIERS = ("()", "[]", "{}", "<>")
 _OPEN = {pair[0]: tier for tier, pair in enumerate(BRACKET_TIERS)}
@@ -32,6 +32,18 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def read_json(path: str | Path):
+    """The JSON value of a UTF-8 file; text that is not JSON is a
+    FormatError naming the file and, where it has one, the line and column."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not JSON: {exc.msg} at line {exc.lineno}, "
+                          f"column {exc.colno}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply to read") from None
 
 
 # ---------------------------------------------------------------- FASTA
@@ -427,7 +439,7 @@ def write_report(report: PredictionReport, path: str | Path,
 
 
 def read_report(path: str | Path) -> PredictionReport:
-    return report_from_dict(json.loads(read_text(path)))
+    return report_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------- graph dumps
@@ -446,13 +458,17 @@ def _stem_to_dict(stem: Stem) -> dict:
 
 def _rebuild_stem(i: int, j: int, length: int, span: int, sl: str,
                   pattern: str | None, helix: str | None, error: str) -> Stem:
-    """A dumped vertex from its outer pair and gap notation; FormatError
-    ``error`` unless its length, span and score match the dump."""
-    if pattern:
-        shape = GapPattern.parse(pattern)
-        stem = Stem(i=i, j=j, pairs=shape.pairs(i, j), pattern=shape, helix=helix)
-    else:
-        stem = contiguous_stem(i, j, length, helix=helix)
+    """A dumped vertex from its outer pair and gap notation. ValueError
+    when no stem of ``length`` pairs has the outer pair (i, j); FormatError
+    ``error`` when its pairs cannot nest inside its span, which is checked
+    before they are built, or its length, span or score is not the dump's."""
+    if not (i < j and (pattern or length >= 1)):
+        raise ValueError(f"no stem of length {length} has the outer pair ({i}, {j})")
+    shape = GapPattern.parse(pattern) if pattern else GapPattern((length,), ())
+    if shape.inset >= j - i:
+        raise FormatError(error)
+    stem = Stem(i=i, j=j, pairs=shape.pairs(i, j), pattern=shape if pattern else None,
+                helix=helix)
     if stem.length != length or stem.span != span or str(stem.sl) != sl:
         raise FormatError(error)
     return stem
@@ -464,12 +480,14 @@ def _graph_of(vertices, edges) -> StemGraph:
     join two different vertices, or joins two stems that share a base."""
     n = len(vertices)
     masks = [0] * n
+    # sets, not base masks: a mask is as wide as its highest base index
+    bases = [{x for pair in stem.pairs for x in pair} for stem in vertices]
     for where, u, v in edges:
         if not (type(u) is type(v) is int and 1 <= min(u, v) and max(u, v) <= n
                 and u != v):
             raise FormatError(f"{where} is malformed: [{u!r}, {v!r}] does not join two "
                               f"of the {n} vertices")
-        if vertices[u - 1].base_mask & vertices[v - 1].base_mask:
+        if not bases[u - 1].isdisjoint(bases[v - 1]):
             raise FormatError(f"{where} is malformed: [{u}, {v}] joins two stems that "
                               f"share a base")
         masks[u - 1] |= 1 << v - 1

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..errors import NotAcceptorCandidate, ProfileError
-from ..fileio import read_text
+from ..fileio import read_json
 from ..seq import PairingRule, Sequence
 from ..stems import (GapPattern, Interval, PairRuns, Stem, StemGraph, as_fraction,
                      build_stem_graph, canonical_order, contiguous_stem, pattern_of_pairs,
@@ -392,7 +392,7 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
 
 
 def load_profile(path: str | Path) -> ProfileConfig:
-    return profile_from_dict(json.loads(read_text(path)))
+    return profile_from_dict(read_json(path))
 
 
 def builtin_profile(name: str) -> ProfileConfig:

@@ -149,6 +149,12 @@ class GapPattern:
         return sum(self.segments)
 
     @property
+    def inset(self) -> int:
+        """How much shorter the innermost pair's span is than the outer
+        pair's: the pairs nest inside a span only if it exceeds this."""
+        return 2 * self.total_length - 2 + sum(map(sum, self.gaps))
+
+    @property
     def offsets(self) -> tuple[Pair, ...]:
         """Where each segment's first pair sits: segment k of a stem with
         outer pair (i, j) starts at (i + dp, j - dq) for ``offsets[k]``."""
@@ -365,7 +371,7 @@ class PairRuns:
         """
         lo, hi = sl.spans(pattern.total_length)
         # the innermost pair must keep the strands apart
-        least = 2 * pattern.total_length - 2 + sum(map(sum, pattern.gaps)) + MIN_PAIR_GAP
+        least = pattern.inset + MIN_PAIR_GAP
         spans = self.diagonals(least if lo is None else max(lo, least), hi)
         if not spans:
             return []

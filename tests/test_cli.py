@@ -343,6 +343,31 @@ def test_predict_malformed_profile_exit_2(tmp_path, capsys, doc, message):
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
+NOT_JSON = [
+    ("", "not JSON: Expecting value at line 1, column 1"),
+    ('{\n  "schema": 1,\n}\n', "not JSON: Expecting property name enclosed in double quotes "
+                               "at line 3, column 1"),
+    ("[" * 100_000, "JSON nested too deeply to read"),
+]
+
+
+@pytest.mark.parametrize("text,message", NOT_JSON, ids=["empty", "comma", "deep"])
+def test_predict_names_a_profile_that_is_not_json(tmp_path, capsys, text, message):
+    profile = tmp_path / "bad.json"
+    profile.write_text(text)
+    assert run("predict", "--profile", str(profile), TWOQUX_FASTA) == 2
+    assert capsys.readouterr() == ("", f"error: {profile}: {message}\n")
+
+
+@pytest.mark.parametrize("text,message", NOT_JSON, ids=["empty", "comma", "deep"])
+def test_evaluate_names_a_report_that_is_not_json(tmp_path, capsys, text, message):
+    report = tmp_path / "bad.json"
+    report.write_text(text)
+    assert run("evaluate", "--profile", "protein", "--report", str(report),
+               "--reference", TWOQUX_CT) == 2
+    assert capsys.readouterr() == ("", f"error: {report}: {message}\n")
+
+
 def test_evaluate_needs_exactly_one_input_source():
     assert run("evaluate", "--profile", "protein", "--reference", TWOQUX_CT) == 2
     assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--report", "x.json",
@@ -689,6 +714,57 @@ def test_failed_dot_bracket_leaves_the_report_unchanged(tmp_path, capsys):
     assert out.read_bytes() == b"earlier report\n"
     assert dump.read_bytes() == b"earlier dump\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "r.json"]  # no temporary
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fails the test if a run reaches the search."""
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+    monkeypatch.setattr(cli, "run_pipeline", search)
+
+
+@pytest.mark.parametrize("options,message", [
+    (["-o", "g.json", "--dot-bracket", "g.json"], "-o and --dot-bracket both name g.json"),
+    (["-o", "g.json", "--dump-graph", "g.json"], "-o and --dump-graph both name g.json"),
+    (["-o", "g.json", "--dump-graph", "./g.json"], "-o and --dump-graph both name g.json"),
+    (["--dot-bracket", "d.dbn", "--dump-graph", "d.dbn"],
+     "--dot-bracket and --dump-graph both name d.dbn"),
+    (["-o", "link.json", "--dot-bracket", "g.json"], "-o and --dot-bracket both name g.json"),
+    (["-o", "new.json", "--dot-bracket", "sub/../new.json"],
+     "-o and --dot-bracket both name sub/../new.json"),
+    (["--dot-bracket", "missing/x"], "--dot-bracket missing/x: its directory does not exist"),
+    (["-o", "missing/r.json"], "-o missing/r.json: its directory does not exist"),
+    (["--dump-graph", "g.json/g.json"],
+     "--dump-graph g.json/g.json: its directory does not exist"),
+    (["-o", "sub"], "-o sub is a directory"),
+])
+def test_output_paths_are_checked_before_the_search(tmp_path, capsys, monkeypatch, no_search,
+                                                    options, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "g.json").write_text("earlier\n")
+    (tmp_path / "link.json").symlink_to(tmp_path / "g.json")
+    assert run("predict", "--profile", "protein", TWOQUX_FASTA, *options) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "link.json", "sub"]
+    assert (tmp_path / "g.json").read_text() == "earlier\n"
+    assert not any((tmp_path / "sub").iterdir())  # no temporary in the directory either
+
+
+def test_a_record_dump_may_not_name_the_report(tmp_path, capsys, no_search):
+    fasta = tmp_path / "multi.fasta"
+    fasta.write_text(">a\nGGGGAAAACCCC\n>b\nGGCACAGAAGAUAUGGCUUCGUGCC\n")
+    assert run("predict", "--profile", "protein", str(fasta), "-o", str(tmp_path / "g-b.json"),
+               "--dump-graph", str(tmp_path / "g.json")) == 2
+    assert capsys.readouterr().err == f"error: -o and --dump-graph both name {tmp_path}/g-b.json\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["multi.fasta"]
+
+
+def test_a_device_may_be_named_by_two_outputs(tmp_path, capsys):
+    assert run("predict", "--profile", "protein", TWOQUX_FASTA, "-o", os.devnull,
+               "--dot-bracket", os.devnull, "--dump-graph", os.devnull) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_predict_output_through_a_link_or_a_pipe(tmp_path):

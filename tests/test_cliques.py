@@ -316,6 +316,10 @@ def test_top_k_search_matches_the_plane_bound_oracle(seq_2qux, monkeypatch):
         lengths = [rng.choice((2, 3)) for _ in range(n)]
         assert_same_search_as_plane_bound(
             random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]), lengths), clock)
+    for n in (15, 16, 17, 24, 25):  # about the edges of the search's per-byte tables
+        lengths = [rng.choice((2, 3)) for _ in range(n)]
+        assert_same_search_as_plane_bound(
+            random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]), lengths), clock)
     assert_same_search_as_plane_bound(build_stem_graph(enumerate_stems(seq_2qux, CANON, 3)),
                                       clock)
     protein = builtin_profile("protein")

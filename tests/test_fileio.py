@@ -1,7 +1,12 @@
 import io
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,7 @@ from .conftest import FIXTURES, PAIRS_2QUX
 from .oracles import pairwise_dot_bracket
 
 CANON = PairingRule()
+SRC = str(Path(fileio.__file__).resolve().parents[1])
 
 
 # ------------------------------------------------------------- FASTA
@@ -354,6 +360,14 @@ def test_graph_round_trip_with_gapped_vertex():
     assert graph_from_dict(graph_to_dict(graph)) == graph
 
 
+def test_read_report_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text('{"schema": "stemp-report/1",\n "predictions": [}\n')
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not JSON: Expecting value "
+                                          f"at line 2, column 18$"):
+        read_report(path)
+
+
 def test_graph_rebuild_rejects_inconsistent_vertices(seq_2qux):
     graph, _ = make_report(seq_2qux)
     doc = graph_to_dict(graph)
@@ -363,6 +377,36 @@ def test_graph_rebuild_rejects_inconsistent_vertices(seq_2qux):
     text = render_graph_text(graph).replace("v1 1 25 5 24 24/5", "v1 1 25 5 24 5")
     with pytest.raises(FormatError, match="^inconsistent vertex line: 'v1 1 25 5 24 5'$"):
         parse_graph_text(text)
+    # Pairs that cannot nest inside their span are rejected before they are
+    # built, and an edge to a stem at a far base index is read without a
+    # base mask that wide. A child process with 1 GiB of address space reads
+    # them, so that building either fails the test instead of exhausting
+    # memory.
+    probe = r"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from stemp.errors import FormatError
+from stemp.fileio import graph_from_dict, parse_graph_text
+vertex = {"i": 1, "j": 10, "length": 10 ** 9, "span": 9, "sl": "9/1000000000"}
+for read, given in [(parse_graph_text, "v1 1 10 1000000000 9 3"),
+                    (parse_graph_text, "v1 1 10 1 9 3 1000000000"),
+                    (graph_from_dict, {"schema": "stemp-graph/1", "vertices": [vertex],
+                                       "edges": []}),
+                    (parse_graph_text, "v1 1 10000000001 1 10000000000 10000000000\n"
+                                       "v2 2 9 1 7 7\ne 1 2")]:
+    try:
+        print(len(read(given).edges), "edge")
+    except FormatError as exc:
+        print(exc)
+"""
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert result.stdout.splitlines() == [
+        "inconsistent vertex line: 'v1 1 10 1000000000 9 3'",
+        "inconsistent vertex line: 'v1 1 10 1 9 3 1000000000'",
+        "inconsistent stem entry: {'i': 1, 'j': 10, 'length': 1000000000, 'span': 9, "
+        "'sl': '9/1000000000'}",
+        "1 edge"], result.stderr
 
 
 def _graph_doc(**changes):

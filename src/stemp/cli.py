@@ -144,9 +144,9 @@ def run_pipeline(seq: Sequence, cfg: ProfileConfig, max_cliques: int | None = No
     start = time.perf_counter()
     graph = build_profile_graph(seq, cfg)
     cliques = maximal_cliques(graph, max_cliques=max_cliques, deadline=deadline, top_k=top_k)
-    report = rank_predictions(graph, deadline.checked(cliques, "ranking"),
-                              sequence_id=seq.id, profile=cfg.name, top_k=top_k)
-    deadline.check("ranking")  # the sort after the last checked clique
+    report = rank_predictions(graph, cliques, sequence_id=seq.id, profile=cfg.name,
+                              top_k=top_k)
+    deadline.check("ranking")
     return graph, replace(report, timing=time.perf_counter() - start)
 
 

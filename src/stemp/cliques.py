@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from operator import itemgetter, neg
 from typing import Iterable
 
 from .errors import BudgetExceeded
 from .stems import Pair, StemGraph
-
-# Items that Deadline.checked passes on between two reads of the clock.
-CHECK_EVERY = 4096
 
 
 class Deadline:
@@ -36,18 +34,38 @@ class Deadline:
         if self.at is not None and time.monotonic() > self.at:
             raise BudgetExceeded(f"time budget of {self.seconds} s ran out during {stage}")
 
-    def checked(self, items, stage: str):
-        """``items``, checking the deadline before each CHECK_EVERY of them."""
-        items = iter(items)
-        while chunk := list(islice(items, CHECK_EVERY)):
-            self.check(stage)
-            yield from chunk
+
+class Cliques(list):
+    """Cliques of ``graph`` as sorted vertex tuples in lexicographic order,
+    with ``energies[k]`` the total stem length of clique k. It is a list,
+    and equals the plain list of the same tuples."""
+
+    __slots__ = ("graph", "energies")
+
+    def __init__(self, graph: StemGraph, cliques: Iterable[tuple[int, ...]] = (),
+                 energies: Iterable[int] = ()):
+        super().__init__(cliques)
+        self.graph = graph
+        self.energies = list(energies)
+
+
+def _in_order(graph: StemGraph, cliques: list[tuple[int, ...]], energies: list[int],
+              floor: int | None = None) -> Cliques:
+    """The cliques of energy at least ``floor`` (all without one), sorted
+    together with their energies."""
+    keep = (range(len(cliques)) if floor is None
+            else [k for k, energy in enumerate(energies) if energy >= floor])
+    order = sorted(keep, key=cliques.__getitem__)
+    return Cliques(graph, map(cliques.__getitem__, order), map(energies.__getitem__, order))
 
 
 def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
                     deadline: Deadline | None = None,
-                    top_k: int | None = None) -> list[tuple[int, ...]]:
-    """All maximal cliques, each once, as sorted vertex-index tuples.
+                    top_k: int | None = None) -> Cliques:
+    """All maximal cliques, each once, as a Cliques: sorted vertex-index
+    tuples in lexicographic order, with the energy (total stem length) that
+    the search carried down to each in ``energies``, so that
+    ``rank_predictions`` need not price them again.
 
     Bron-Kerbosch with pivoting: the pivot is the vertex of P | X with the
     most neighbours in P, ties broken by lowest index. Isolated vertices come
@@ -71,12 +89,12 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     n = len(graph.vertices)
     if n == 0:
-        return []
+        return Cliques(graph)
     masks = graph.neighbor_masks
     lengths = [s.length for s in graph.vertices]
     at = deadline.at if deadline is not None else None
     out: list[tuple[int, ...]] = []
-    energies: list[int] = []  # energy of each clique in out, kept only with top_k
+    energies: list[int] = []  # energy of each clique in out
     best: list[int] = []  # min-heap of the top_k best energies found so far
     covers: list[list[int]] = []  # with top_k, one table per byte of vertex indices
     if top_k is not None:
@@ -93,10 +111,10 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
             deadline.check("search")
         if p == 0 and x == 0:
             out.append(tuple(sorted(r)))
+            energies.append(energy)
             if max_cliques is not None and len(out) > max_cliques:
                 raise BudgetExceeded(f"more than {max_cliques} maximal cliques")
             if top_k is not None:
-                energies.append(energy)
                 if len(best) < top_k:
                     heapq.heappush(best, energy)
                 elif energy > best[0]:
@@ -139,11 +157,8 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
             r.pop()
 
     expand([], (1 << n) - 1, 0, 0)
-    if len(best) == top_k:
-        # drop cliques found before the k-th best energy rose past them
-        out = [c for c, energy in zip(out, energies) if energy >= best[0]]
-    out.sort()
-    return out
+    # drop cliques found before the k-th best energy rose past them
+    return _in_order(graph, out, energies, best[0] if len(best) == top_k else None)
 
 
 @dataclass(frozen=True)
@@ -225,42 +240,60 @@ class RankedPredictions(Sequence):
         return hash(tuple(self))
 
 
+def _priced(graph: StemGraph, cliques: Iterable[Iterable[int]]) -> Cliques:
+    """``cliques`` as sorted vertex tuples, each priced from its stems and
+    checked: a clique whose stems share a base index raises ValueError."""
+    lengths = [s.length for s in graph.vertices]
+    bases = graph.base_masks
+    out: list[tuple[int, ...]] = []
+    energies: list[int] = []
+    for clique in cliques:
+        vs = tuple(sorted(clique))
+        energy = used = 0
+        for v in vs:
+            energy += lengths[v]
+            used |= bases[v]
+        if used.bit_count() != 2 * energy:
+            raise ValueError(f"clique {vs} reuses base indices; not a valid structure")
+        out.append(vs)
+        energies.append(energy)
+    return _in_order(graph, out, energies)
+
+
 def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
                      sequence_id: str = "", profile: str = "",
                      timing: float | None = None,
                      top_k: int | None = None) -> PredictionReport:
     """Score cliques by total matched pairs and assign SCR and DR ranks.
 
-    Every clique is priced and checked, and counts towards the ranks: a
+    Only what the search did not price is priced here. A Cliques that
+    ``maximal_cliques`` returned for this same graph object is ranked by
+    the energies it carries, when no edge of the graph joins two stems that
+    share a base (``StemGraph.conflict_free``, true of every graph that
+    ``build_stem_graph`` or the graph readers make): none of its cliques
+    can then reuse a base. Any other cliques (a plain list, a generator,
+    another graph's Cliques) are priced and checked first, each of them: a
     clique whose stems share a base index raises ValueError whether or not
-    it is emitted. The report's predictions are a RankedPredictions: no
-    pair is built until a prediction is read. With ``top_k`` set only the k
-    best predictions, ordered by (-energy, vertex tuple), are kept; they
-    equal the first k of the full report, SCR, DR and multiplicity
-    included, as long as the cliques passed in hold every clique of energy
-    at least the k-th best (``maximal_cliques(..., top_k=k)`` returns
-    exactly those).
+    it is emitted. Every clique counts towards the ranks.
+
+    The report's predictions are a RankedPredictions: no pair is built
+    until a prediction is read. With ``top_k`` set only the k best
+    predictions, ordered by (-energy, vertex tuple), are kept; they equal
+    the first k of the full report, SCR, DR and multiplicity included, as
+    long as the cliques passed in hold every clique of energy at least the
+    k-th best (``maximal_cliques(..., top_k=k)`` returns exactly those).
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    lengths = [s.length for s in graph.vertices]
-    bases = graph.base_masks
-    counts: dict[int, int] = {}
+    if not (isinstance(cliques, Cliques) and cliques.graph is graph and graph.conflict_free):
+        cliques = _priced(graph, cliques)
+    entries = zip(map(neg, cliques.energies), cliques)
+    # the cliques come in lexicographic order, so a stable sort on energy
+    # alone breaks its ties by vertex tuple
+    entries = (sorted(entries, key=itemgetter(0)) if top_k is None
+               else heapq.nsmallest(top_k, entries))
 
-    def priced():
-        for clique in cliques:
-            vs = tuple(sorted(clique))
-            energy = used = 0
-            for v in vs:
-                energy += lengths[v]
-                used |= bases[v]
-            if used.bit_count() != 2 * energy:
-                raise ValueError(f"clique {vs} reuses base indices; not a valid structure")
-            counts[energy] = counts.get(energy, 0) + 1
-            yield -energy, vs
-
-    entries = sorted(priced()) if top_k is None else heapq.nsmallest(top_k, priced())
-
+    counts = Counter(cliques.energies)
     ranks: dict[int, tuple[int, int, int]] = {}
     better = 0
     for dense, energy in enumerate(sorted(counts, reverse=True), start=1):

@@ -19,7 +19,7 @@ from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
                      InvalidCharacter, TooManyLayers)
 from .metrics import ReferenceStructure
 from .seq import Sequence, parse_sequence
-from .stems import GapPattern, Pair, Stem, StemGraph
+from .stems import MIN_PAIR_GAP, GapPattern, Pair, Stem, StemGraph
 
 BRACKET_TIERS = ("()", "[]", "{}", "<>")
 _OPEN = {pair[0]: tier for tier, pair in enumerate(BRACKET_TIERS)}
@@ -270,6 +270,10 @@ def read_reference(path: str | Path) -> ReferenceStructure:
 REPORT_SCHEMA = "stemp-report/1"
 REPORT_SET_SCHEMA = "stemp-report-set/1"
 GRAPH_SCHEMA = "stemp-graph/1"
+# The largest base index a graph file may name: far above any sequence whose
+# stem graph can be searched, and small enough that no vertex within it
+# holds more pairs than memory does.
+MAX_GRAPH_BASE_INDEX = 10 ** 6
 # A prediction entry of report_to_dict, in key order; the first four are ints.
 _ENTRY_KEYS = ("rank_scr", "rank_dr", "multiplicity", "energy", "vertices", "pairs",
                "dot_bracket")
@@ -457,15 +461,20 @@ def _stem_to_dict(stem: Stem) -> dict:
 
 
 def _rebuild_stem(i: int, j: int, length: int, span: int, sl: str,
-                  pattern: str | None, helix: str | None, error: str) -> Stem:
+                  pattern: str | None, helix: str | None, where: str, error: str) -> Stem:
     """A dumped vertex from its outer pair and gap notation. ValueError
-    when no stem of ``length`` pairs has the outer pair (i, j); FormatError
-    ``error`` when its pairs cannot nest inside its span, which is checked
-    before they are built, or its length, span or score is not the dump's."""
+    when no stem of ``length`` pairs has the outer pair (i, j). FormatError
+    naming ``where`` for a base index past MAX_GRAPH_BASE_INDEX, and
+    FormatError ``error`` when its innermost pair would join bases less than
+    MIN_PAIR_GAP apart, or its length, span or score is not the dump's; the
+    first two are checked before any pair is built."""
     if not (i < j and (pattern or length >= 1)):
         raise ValueError(f"no stem of length {length} has the outer pair ({i}, {j})")
+    if j > MAX_GRAPH_BASE_INDEX:
+        raise FormatError(f"{where}: base index {j} is past {MAX_GRAPH_BASE_INDEX}, "
+                          f"the largest a graph file may name")
     shape = GapPattern.parse(pattern) if pattern else GapPattern((length,), ())
-    if shape.inset >= j - i:
+    if j - i - shape.inset < MIN_PAIR_GAP:  # the innermost pair's q - p
         raise FormatError(error)
     stem = Stem(i=i, j=j, pairs=shape.pairs(i, j), pattern=shape if pattern else None,
                 helix=helix)
@@ -514,7 +523,7 @@ def graph_from_dict(doc: dict) -> StemGraph:
         for number, e in enumerate(doc["vertices"], start=1):
             where = f"vertex {number}"
             vertices.append(_rebuild_stem(e["i"], e["j"], e["length"], e["span"], e["sl"],
-                                          e.get("pattern"), e.get("helix"),
+                                          e.get("pattern"), e.get("helix"), where,
                                           f"inconsistent stem entry: {e}"))
         where = "graph"
         edges = []
@@ -543,6 +552,7 @@ def parse_graph_text(text: str) -> StemGraph:
                 i, j, length, span = (int(x) for x in cols[1:5])
                 pattern = cols[6] if len(cols) > 6 else None
                 vertices.append(_rebuild_stem(i, j, length, span, cols[5], pattern, None,
+                                              f"graph line {number}",
                                               f"inconsistent vertex line: {line!r}"))
             elif cols[0] == "e":
                 _, u, v = cols

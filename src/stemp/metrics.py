@@ -9,9 +9,12 @@ square is stored and the root is taken only for display.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable
 
 from .cliques import FoldPrediction, PredictionReport, RankedPredictions
 from .errors import IndexOutOfRange
@@ -138,57 +141,73 @@ def summarize_report(report: PredictionReport, reference: ReferenceStructure,
     Comparison is exact (rational F1, rational squared MCC); the first
     prediction in report order wins ties, which cannot change either value.
     A report holds thousands of predictions but few distinct confusion
-    counts, so each count is scored once. The counts of a ranking come from
-    its stems (see ``_ranked_counts``), and only the best prediction is
-    built.
+    counts, so each count is scored once, and only the best prediction is
+    built. A ranking whose stems all lie within the reference is scored
+    from its stems and energies alone (see ``_ranked_choice``); any other
+    report from each prediction's pairs.
     """
     predictions = report.predictions
     if not predictions:
         raise ValueError("cannot summarize an empty report")
+    key = partial(_metric_key, metric=metric)
+    # with a stem past the reference the pair path runs, and its
+    # IndexOutOfRange names the first such index in report order
+    if (isinstance(predictions, RankedPredictions)
+            and all(stem.j <= reference.length for stem in predictions.graph.vertices)):
+        top, best, index = _ranked_choice(predictions, reference, key)
+    else:
+        top, best, index = _pair_choice(predictions, reference, key)
+    best_pred = predictions[index]
+    return ReportSummary(metric=metric, top=top, best=best,
+                         best_scr=best_pred.scr, best_dr=best_pred.dr,
+                         best_multiplicity=best_pred.multiplicity)
+
+
+def _pair_choice(predictions: Sequence[FoldPrediction], reference: ReferenceStructure,
+                 key) -> tuple[Metrics, Metrics, int]:
+    """(top, best, report index of the best) from each prediction's pairs."""
     # first report index of each distinct count, overall and among SCR=1
     first: dict[tuple[int, int, int], int] = {}
     first_top: dict[tuple[int, int, int], int] = {}
-    for index, (counts, scr) in enumerate(_report_counts(predictions, reference)):
+    for index, pred in enumerate(predictions):
+        counts = confusion_counts(pred.pairs, reference)
         first.setdefault(counts, index)
-        if scr == 1:
+        if pred.scr == 1:
             first_top.setdefault(counts, index)
     scores = {counts: score_counts(*counts) for counts in first}
 
     def pick(firsts: dict) -> tuple[int, int, int]:
         # highest score; among equal scores, the earliest prediction
-        return max(firsts, key=lambda c: (_metric_key(scores[c], metric), -firsts[c]))
+        return max(firsts, key=lambda c: (key(scores[c]), -firsts[c]))
 
-    top = scores[pick(first_top)]
-    best_counts = pick(first)
-    best_pred = predictions[first[best_counts]]
-    return ReportSummary(metric=metric, top=top, best=scores[best_counts],
-                         best_scr=best_pred.scr, best_dr=best_pred.dr,
-                         best_multiplicity=best_pred.multiplicity)
+    best = pick(first)
+    return scores[pick(first_top)], scores[best], first[best]
 
 
-def _report_counts(predictions: Iterable[FoldPrediction], reference: ReferenceStructure
-                   ) -> Iterator[tuple[tuple[int, int, int], int]]:
-    """(confusion counts, SCR) of each prediction, in report order."""
-    if isinstance(predictions, RankedPredictions):
-        stems = predictions.graph.vertices
-        # with a stem past the reference the pair path runs, and its
-        # IndexOutOfRange names the first such index in report order
-        if all(stem.j <= reference.length for stem in stems):
-            return _ranked_counts(predictions, reference)
-    return ((confusion_counts(pred.pairs, reference), pred.scr) for pred in predictions)
+def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
+                   key) -> tuple[Metrics, Metrics, int]:
+    """(top, best, report index of the best) of a ranking, from the
+    distinct (energy, tp) of its entries.
 
-
-def _ranked_counts(ranked: RankedPredictions, reference: ReferenceStructure
-                   ) -> Iterator[tuple[tuple[int, int, int], int]]:
-    """The counts of a ranking, from its stems and energies alone.
-
-    The stems of a ranked clique share no base (``rank_predictions``
-    checks it), so its pair set is the disjoint union of theirs: tp is the
-    sum of the stems' tp, fp = energy - tp and fn = |ref| - tp.
+    The stems of a ranked clique share no base, so its pair set is the
+    disjoint union of theirs: tp is the sum of the stems' tp, fp = energy -
+    tp and fn = |ref| - tp. At a fixed energy E both mcc² = tp²/(|ref|·E)
+    and F1 = 2tp/(|ref|+E) strictly increase with tp, so two distinct
+    counts of one energy never tie, and among predictions of equal score
+    the first in report order has the highest energy. SCR=1 is the top
+    energy, and SCR, DR and multiplicity follow from the energy alone.
     """
     ref = reference.pairs
     tps = [len(ref.intersection(stem.pairs)) for stem in ranked.graph.vertices]
-    ranks = ranked.ranks
-    for neg_energy, vs in ranked.entries:
-        tp = sum([tps[v] for v in vs])
-        yield (tp, -neg_energy - tp, len(ref) - tp), ranks[-neg_energy][0]
+    entries = ranked.entries
+    seen = {(-neg_energy, sum([tps[v] for v in vs])) for neg_energy, vs in entries}
+    scores = {(energy, tp): score_counts(tp, energy - tp, len(ref) - tp)
+              for energy, tp in seen}
+    top_energy = -entries[0][0]
+    top = max((scores[c] for c in seen if c[0] == top_energy), key=key)
+    energy, tp = max(seen, key=lambda c: (key(scores[c]), c[0]))
+    # the first entry of that energy, in report order, with that tp
+    index = bisect_left(entries, (-energy,))
+    while sum([tps[v] for v in entries[index][1]]) != tp:
+        index += 1
+    return top, scores[energy, tp], index

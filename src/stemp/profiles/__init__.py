@@ -16,6 +16,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -395,7 +396,11 @@ def load_profile(path: str | Path) -> ProfileConfig:
     return profile_from_dict(read_json(path))
 
 
+@cache
 def builtin_profile(name: str) -> ProfileConfig:
+    """The packaged profile ``name``, read and parsed once per process: a
+    ProfileConfig is frozen and holds only tuples, so one object serves
+    every caller."""
     ref = resources.files("stemp.profiles").joinpath(f"{name}.json")
     if not ref.is_file():
         raise ProfileError(f"no builtin profile {name!r}; known: {', '.join(BUILTIN_PROFILES)}")

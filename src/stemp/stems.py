@@ -535,6 +535,14 @@ class StemGraph:
         """Per vertex, its stem's ``base_mask``."""
         return tuple(s.base_mask for s in self.vertices)
 
+    @cached_property
+    def conflict_free(self) -> bool:
+        """True when no edge joins two stems that share a base, so that no
+        clique reuses a base: ``build_stem_graph`` joins no such stems, and
+        the graph readers refuse such an edge."""
+        return not any(mask & shared for mask, shared
+                       in zip(self.neighbor_masks, _sharing_masks(self.vertices)))
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -554,26 +562,35 @@ class StemGraph:
         return bool(self.neighbor_masks[u] >> v & 1)
 
 
-def build_stem_graph(vertices: Iterable[Stem]) -> StemGraph:
-    """Join every pair of vertices that ``can_coexist``; vertex order is kept.
-
-    A vertex's neighbours are all vertices but the occupants of its bases
-    (itself among them), each base's occupants gathered in one mask first.
-    """
-    vs = tuple(vertices)
+def _sharing_masks(vertices: tuple[Stem, ...]) -> list[int]:
+    """Per vertex, the mask of the vertices whose stems share a base with
+    its stem (itself among them), each base's occupants gathered in one
+    mask first."""
     occupants: defaultdict[int, int] = defaultdict(int)
-    for v, s in enumerate(vs):
+    for v, s in enumerate(vertices):
         for p, q in s.pairs:
             occupants[p] |= 1 << v
             occupants[q] |= 1 << v
-    everyone = (1 << len(vs)) - 1
-    masks = []
-    for s in vs:
-        conflicts = 0
+    out = []
+    for s in vertices:
+        shared = 0
         for p, q in s.pairs:
-            conflicts |= occupants[p] | occupants[q]
-        masks.append(everyone & ~conflicts)
-    return StemGraph(vertices=vs, neighbor_masks=tuple(masks))
+            shared |= occupants[p] | occupants[q]
+        out.append(shared)
+    return out
+
+
+def build_stem_graph(vertices: Iterable[Stem]) -> StemGraph:
+    """Join every pair of vertices that ``can_coexist``; vertex order is kept.
+
+    A vertex's neighbours are all vertices but those sharing a base with it.
+    """
+    vs = tuple(vertices)
+    everyone = (1 << len(vs)) - 1
+    graph = StemGraph(vertices=vs,
+                      neighbor_masks=tuple(everyone & ~shared for shared in _sharing_masks(vs)))
+    graph.__dict__["conflict_free"] = True  # known by construction, so never computed
+    return graph
 
 
 def render_graph_text(graph: StemGraph) -> str:

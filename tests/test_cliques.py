@@ -336,3 +336,69 @@ def test_top_k_below_one_rejected(seq_2qux, k):
         maximal_cliques(graph, top_k=k)
     with pytest.raises(ValueError):
         rank_predictions(graph, maximal_cliques(graph), top_k=k)
+
+
+# ------------------------------------------------------------- energies from the search
+
+def _same_ranking(a, b):
+    """Two reports agree field for field: entries, ranks and every prediction."""
+    assert a.predictions.entries == b.predictions.entries
+    assert a.predictions.ranks == b.predictions.ranks
+    assert tuple(a.predictions) == tuple(b.predictions)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_search_energies_rank_as_the_priced_list(seed, monkeypatch):
+    """The energies a Cliques carries are its cliques' summed lengths, and
+    ranking it gives what pricing the plain list gives, with and without
+    top_k, on graphs of 0 to 25 vertices with tied energies."""
+    priced = []
+    real = cliques_module._priced
+    monkeypatch.setattr(cliques_module, "_priced",
+                        lambda *a: priced.append(a[0]) or real(*a))
+    rng = random.Random(seed)
+    for n in range(26):
+        graph = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]),
+                             [rng.choice((2, 3)) for _ in range(n)])
+        for top_k in (None, 1, 2, 5):
+            found = maximal_cliques(graph, top_k=top_k)
+            assert type(found) is cliques_module.Cliques and found.graph is graph
+            assert found.energies == [_energy(graph, c) for c in found]
+            del priced[:]
+            direct = rank_predictions(graph, found, top_k=top_k)
+            assert priced == []
+            _same_ranking(direct, rank_predictions(graph, list(found), top_k=top_k))
+            _same_ranking(direct, rank_predictions(graph, iter(found[::-1]), top_k=top_k))
+            # an equal graph that is another object: priced
+            twin = StemGraph(vertices=graph.vertices, neighbor_masks=graph.neighbor_masks)
+            del priced[:]
+            _same_ranking(direct, rank_predictions(twin, found, top_k=top_k))
+            assert priced == [twin]
+
+
+def test_a_graph_with_a_base_sharing_edge_prices_its_own_cliques():
+    a = contiguous_stem(1, 20, 3)
+    b = contiguous_stem(1, 30, 3)  # shares base 1 with a
+    c = contiguous_stem(40, 70, 10)
+    graph = StemGraph(vertices=(a, b, c), neighbor_masks=(2, 1, 0))  # forced bogus edge
+    assert not graph.conflict_free
+    found = maximal_cliques(graph)
+    assert found == [(0, 1), (2,)]
+    for top_k in (None, 1):
+        with pytest.raises(ValueError) as own:
+            rank_predictions(graph, found, top_k=top_k)
+        with pytest.raises(ValueError) as plain:
+            rank_predictions(graph, list(found), top_k=top_k)
+        assert str(own.value) == str(plain.value) == \
+            "clique (0, 1) reuses base indices; not a valid structure"
+
+
+def test_built_and_read_graphs_are_conflict_free(seq_2qux):
+    from stemp.fileio import graph_from_dict, graph_to_dict
+
+    built = build_stem_graph(enumerate_stems(seq_2qux, CANON, 3))
+    assert built.conflict_free
+    assert StemGraph(vertices=built.vertices, neighbor_masks=built.neighbor_masks).conflict_free
+    assert graph_from_dict(graph_to_dict(built)).conflict_free
+    assert graph_from_edges(0, []).conflict_free
+    assert random_graph(random.Random(1), 12).conflict_free  # stems spaced apart

@@ -21,7 +21,7 @@ from stemp.fileio import (graph_from_dict, graph_to_dict, parse_ct,
                           read_reference, read_report, report_from_dict,
                           report_to_dict, stream_report, write_ct, write_dot_bracket,
                           write_report)
-from stemp.stems import render_graph_text
+from stemp.stems import MIN_PAIR_GAP, render_graph_text
 
 from .conftest import FIXTURES, PAIRS_2QUX
 from .oracles import pairwise_dot_bracket
@@ -377,22 +377,27 @@ def test_graph_rebuild_rejects_inconsistent_vertices(seq_2qux):
     text = render_graph_text(graph).replace("v1 1 25 5 24 24/5", "v1 1 25 5 24 5")
     with pytest.raises(FormatError, match="^inconsistent vertex line: 'v1 1 25 5 24 5'$"):
         parse_graph_text(text)
-    # Pairs that cannot nest inside their span are rejected before they are
-    # built, and an edge to a stem at a far base index is read without a
-    # base mask that wide. A child process with 1 GiB of address space reads
-    # them, so that building either fails the test instead of exhausting
-    # memory.
+    # Pairs that cannot nest inside their span, and base indices past the
+    # largest a graph file may name, are rejected before any pair is built;
+    # an edge to a stem at the largest index is read without a base mask
+    # that wide. A child process with 1 GiB of address space reads them, so
+    # that building any of them fails the test instead of exhausting memory.
     probe = r"""
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from stemp.errors import FormatError
 from stemp.fileio import graph_from_dict, parse_graph_text
 vertex = {"i": 1, "j": 10, "length": 10 ** 9, "span": 9, "sl": "9/1000000000"}
+huge = {"i": 1, "j": 3000000001, "length": 10 ** 9, "span": 3000000000, "sl": "3"}
 for read, given in [(parse_graph_text, "v1 1 10 1000000000 9 3"),
                     (parse_graph_text, "v1 1 10 1 9 3 1000000000"),
                     (graph_from_dict, {"schema": "stemp-graph/1", "vertices": [vertex],
                                        "edges": []}),
-                    (parse_graph_text, "v1 1 10000000001 1 10000000000 10000000000\n"
+                    (parse_graph_text, "v1 1 3000000001 1000000000 3000000000 3"),
+                    (graph_from_dict, {"schema": "stemp-graph/1", "vertices": [huge],
+                                       "edges": []}),
+                    (parse_graph_text, "v1 1 10000000001 1 10000000000 10000000000"),
+                    (parse_graph_text, "v1 1 1000000 1 999999 999999\n"
                                        "v2 2 9 1 7 7\ne 1 2")]:
     try:
         print(len(read(given).edges), "edge")
@@ -406,7 +411,39 @@ for read, given in [(parse_graph_text, "v1 1 10 1000000000 9 3"),
         "inconsistent vertex line: 'v1 1 10 1 9 3 1000000000'",
         "inconsistent stem entry: {'i': 1, 'j': 10, 'length': 1000000000, 'span': 9, "
         "'sl': '9/1000000000'}",
+        "graph line 1: base index 3000000001 is past 1000000, the largest a graph file "
+        "may name",
+        "vertex 1: base index 3000000001 is past 1000000, the largest a graph file may name",
+        "graph line 1: base index 10000000001 is past 1000000, the largest a graph file "
+        "may name",
         "1 edge"], result.stderr
+
+
+def _entry(line: str) -> dict:
+    """The JSON graph entry of a text vertex line."""
+    _, i, j, length, span, sl, *pattern = line.split()
+    return {"i": int(i), "j": int(j), "length": int(length), "span": int(span), "sl": sl,
+            **({"pattern": pattern[0]} if pattern else {})}
+
+
+@pytest.mark.parametrize("line,wider", [
+    ("v1 1 10 5 9 9/5", "v1 1 11 5 10 2"),
+    ("v1 1 10 4 9 9/4 1[1/1]3", "v1 1 11 4 10 5/2 1[1/1]3"),
+    ("v1 3 4 1 1 1", "v1 3 5 1 2 2"),
+])
+def test_graph_readers_reject_a_pair_on_adjacent_bases(line, wider):
+    """A vertex whose innermost pair joins bases less than MIN_PAIR_GAP
+    apart is a stem no enumerator makes: both readers refuse it, and read
+    the same vertex one base wider."""
+    with pytest.raises(FormatError, match=f"^inconsistent vertex line: {re.escape(repr(line))}$"):
+        parse_graph_text(line)
+    with pytest.raises(FormatError, match="^inconsistent stem entry: "):
+        graph_from_dict({"schema": "stemp-graph/1", "vertices": [_entry(line)], "edges": []})
+    (stem,) = parse_graph_text(wider).vertices
+    p, q = stem.pairs[-1]
+    assert q - p == MIN_PAIR_GAP
+    assert graph_from_dict({"schema": "stemp-graph/1", "vertices": [_entry(wider)],
+                            "edges": []}).vertices == (stem,)
 
 
 def _graph_doc(**changes):

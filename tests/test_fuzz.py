@@ -2,11 +2,14 @@
 raises a StempError, never another exception. Example counts are kept small
 and the examples derandomized, so that the suite stays fast and stable."""
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from stemp.cli import main
 from stemp.errors import StempError
 from stemp.fileio import (graph_from_dict, graph_to_dict, parse_ct, parse_dot_bracket,
                           parse_graph_text, read_fasta, report_from_dict, report_to_dict)
@@ -106,3 +109,58 @@ def test_graph_from_dict_takes_any_json(data):
 def test_profile_from_dict_takes_any_json(data):
     profile = data.draw(st.sampled_from(PROFILES))
     _parses_or_stemp_error(profile_from_dict, _with_one_node_replaced(profile, data))
+
+
+# ------------------------------------------------------------- the command line
+
+OPTIONS = {
+    "predict": ["-L", "--sl-min", "--sl-max", "--max-seconds", "--top-k", "--wobble",
+                "--uu", "--no-gsl", "--all-ties", "--timing"],
+    "evaluate": ["-L", "--sl-min", "--sl-max", "--max-seconds", "--metric", "--wobble",
+                 "--ignore-noncanonical"],
+    "batch": ["-L", "--sl-min", "--sl-max", "--max-seconds", "--metric", "--min-length",
+              "--allow-empty-reference", "--ignore-noncanonical", "--timing"],
+}
+VALUES = st.one_of(st.sampled_from(["0", "1", "2", "5", "-1", "0.5", "1/2", "3/0", "1e400",
+                                    "nan", "inf", "-inf", "mcc", "f1", "x", ""]),
+                   st.integers(-3, 80).map(str))
+FASTA = st.one_of(st.just((FIXTURES / "2qux.fasta").read_bytes()),
+                  _lines([">a", ">a b", "GGCAC", "AGAAG", "GUGCC", "N", "x", "1"])
+                  .map(str.encode),
+                  st.binary(max_size=30))
+REFERENCE = st.one_of(st.just((FIXTURES / "2qux.ct").read_text()),
+                      _lines(["25", "2QUX", "1", "G", "0", "2", "25", "24", "A", "-1"]),
+                      st.text(alphabet="().[]x\n", max_size=30))
+
+
+@FUZZ
+@given(command=st.sampled_from(sorted(OPTIONS)),
+       profile=st.sampled_from([*BUILTIN_PROFILES, "nope", "bad.json"]),
+       fasta=FASTA, reference=REFERENCE, suffix=st.sampled_from([".ct", ".dbn"]),
+       flags=st.data(), max_cliques=st.sampled_from(["0", "1", "100", "2000", "-1", "x"]))
+def test_main_exits_0_2_or_3(command, profile, fasta, reference, suffix, flags, max_cliques):
+    """Whatever the files and flag values, ``main()`` ends in 0, 2 or 3
+    (argparse's own exit 2 included), never in a traceback. The clique
+    budget comes last, so no example can search for long."""
+    options = flags.draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=3))
+    with tempfile.TemporaryDirectory() as directory:
+        base = Path(directory)
+        (base / "in.fasta").write_bytes(fasta)
+        (base / f"in{suffix}").write_text(reference, encoding="utf-8")
+        target = {"predict": [str(base / "in.fasta"), "-o", str(base / "out.json")],
+                  "evaluate": [str(base / "in.fasta"), "--reference", str(base / f"in{suffix}")],
+                  "batch": [directory, "--min-length", "1"]}[command]
+        argv = [command, "--profile", profile, *target]
+        for option in options:
+            argv.append(option)
+            if not option.startswith(("--wobble", "--uu", "--no-", "--all", "--timing",
+                                      "--allow", "--ignore")):
+                argv.append(flags.draw(VALUES))
+        argv += ["--max-cliques", max_cliques]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected a flag
+                code = exc.code
+    assert code in (0, 2, 3), argv

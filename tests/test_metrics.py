@@ -7,6 +7,7 @@ import pytest
 from stemp import (IndexOutOfRange, PairingRule, ReferenceStructure,
                    drop_noncanonical, maximal_cliques, parse_sequence, rank_predictions,
                    score_prediction, summarize_report)
+from stemp import cli
 from stemp.cli import run_pipeline
 from stemp.cliques import FoldPrediction, PredictionReport
 from stemp.profiles import builtin_profile
@@ -294,3 +295,45 @@ def test_ranked_summary_past_the_reference_names_the_same_index():
                 summarize_report(report, reference, metric)
             assert got.value.index == expected.value.index
             assert str(got.value) == str(expected.value)
+
+
+# ------------------------------------------------------------- evaluate and batch
+
+def _score_fields(summary):
+    """``cli._scores``' fields of a summary."""
+    return {"top": cli._metrics_dict(summary.top), "best": cli._metrics_dict(summary.best),
+            "scr_of_best": summary.best_scr, "dr_of_best": summary.best_dr,
+            "multiplicity": summary.best_multiplicity}
+
+
+@pytest.mark.parametrize("profile,length,seed", [("trna", 76, 6), ("protein", 60, 2)])
+def test_evaluate_and_batch_scores_match_the_oracle(profile, length, seed):
+    """``evaluate``'s and each ``batch`` row's scores equal scoring every
+    prediction on its own: against a reference near the predictions, an
+    empty one, and one shorter than the graph (the same IndexOutOfRange),
+    under both metrics."""
+    rng = random.Random(seed)
+    cfg = builtin_profile(profile)
+    seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(length)), id="r")
+    _, report = run_pipeline(seq, cfg)
+    assert len(report.predictions) > 100
+    kept = {pq for pq in rng.choice(report.predictions).pairs if rng.random() < 0.7}
+    past = max(stem.j for stem in report.predictions.graph.vertices) - 1
+    tripped = []
+    for reference in (ref(kept, length), ref([], length), ref([], past)):
+        for metric in ("mcc", "f1"):
+            try:
+                expected = _score_fields(score_each(report, reference, metric))
+            except IndexOutOfRange as exc:
+                tripped.append(reference.length)
+                for score in (lambda: cli._scores(report, reference, metric),
+                              lambda: cli._batch_row(seq, reference, cfg, metric, None, None)):
+                    with pytest.raises(IndexOutOfRange) as got:
+                        score()
+                    assert str(got.value) == str(exc)
+                continue
+            assert reference.length == length
+            assert cli._scores(report, reference, metric) == expected
+            row = cli._batch_row(seq, reference, cfg, metric, None, None)
+            assert {k: row[k] for k in expected} == expected
+    assert tripped == [past, past]

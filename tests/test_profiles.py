@@ -302,6 +302,30 @@ def test_load_profile_from_path(tmp_path):
     assert resolve_profile(str(path)) == builtin_profile("trna")
 
 
+def test_builtin_profiles_are_parsed_once(tmp_path, monkeypatch):
+    from importlib import resources
+
+    monkeypatch.delenv("STEMP_PROFILE_DIR", raising=False)
+    for name in BUILTIN_PROFILES:
+        text = resources.files("stemp.profiles").joinpath(f"{name}.json").read_text()
+        assert builtin_profile(name) is builtin_profile(name) is resolve_profile(name)
+        assert builtin_profile(name) == profile_from_dict(json.loads(text))
+    for _ in range(2):  # an error is raised again, not remembered as a result
+        with pytest.raises(ProfileError, match="no builtin profile 'nope'"):
+            builtin_profile("nope")
+    # a path and the override directory are read afresh on every call
+    path = tmp_path / "protein.json"
+    path.write_text(json.dumps(profile_to_dict(replace(builtin_profile("protein"),
+                                                       min_stem_length=2))))
+    assert resolve_profile(str(path)) is not resolve_profile(str(path))
+    monkeypatch.setenv("STEMP_PROFILE_DIR", str(tmp_path))
+    assert resolve_profile("protein").min_stem_length == 2
+    path.write_text(json.dumps(profile_to_dict(replace(builtin_profile("protein"),
+                                                       min_stem_length=4))))
+    assert resolve_profile("protein").min_stem_length == 4
+    assert builtin_profile("protein").min_stem_length == 3
+
+
 def test_partial_closure_contains_true_stems_gated():
     from .conftest import require_gutell
     from stemp.fileio import read_ct, read_fasta

@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
-from .cliques import Deadline, PredictionReport, maximal_cliques, rank_predictions
+from .cliques import (Deadline, PredictionReport, RankedPredictions, maximal_cliques,
+                      rank_predictions)
 from .errors import BudgetExceeded, StempError
 from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference,
                      read_report, report_to_dict, stream_report, write_dot_bracket)
@@ -217,10 +218,15 @@ def _replacing(path: str | Path | None):
 
 def _report_document(report: PredictionReport, seq: Sequence, include_timing: bool,
                      deadline: Deadline) -> dict:
-    """``report_to_dict``'s document whose predictions are rendered
-    RENDER_SLICE at a time, as the writer reads them."""
+    """``report_to_dict``'s document whose predictions, a RankedPredictions,
+    are rendered RENDER_SLICE at a time, as the writer reads them. Each
+    part is a RankedPredictions over a slice of the entries, so that no
+    FoldPrediction is built."""
+    ranked = report.predictions
+
     def part(start: int) -> PredictionReport:
-        return replace(report, predictions=report.predictions[start:start + RENDER_SLICE])
+        entries = ranked.entries[start:start + RENDER_SLICE]
+        return replace(report, predictions=RankedPredictions(ranked.graph, entries, ranked.ranks))
 
     def entries(batch: list):
         for start in range(RENDER_SLICE, len(report.predictions), RENDER_SLICE):
@@ -326,6 +332,7 @@ def cmd_evaluate(args) -> int:
     if bool(args.input) == bool(args.report):
         raise StempError("evaluate needs a FASTA input or --report, not both/neither")
     cfg = _configure(args)
+    (output,) = _output_targets([("-o", args.output)])
     reference = read_reference(args.reference)
     if args.report:
         report = read_report(args.report)
@@ -347,8 +354,8 @@ def cmd_evaluate(args) -> int:
     if not report.predictions:
         doc["note"] = "no predictions; scored the empty structure"
     text = json.dumps(doc, indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -401,6 +408,7 @@ def cmd_batch(args) -> int:
     directory = Path(args.input)
     if not directory.is_dir():
         raise StempError(f"batch input must be a directory: {directory}")
+    (output,) = _output_targets([("-o", args.output)])
     sequences = []
     references = []
     skipped = []
@@ -466,7 +474,7 @@ def cmd_batch(args) -> int:
     print(f"top {args.metric}:  {top_hist}")
     print(f"best {args.metric}: {best_hist}")
 
-    if args.output:
+    if output:
         doc = {
             "schema": "stemp-batch/1",
             "profile": cfg.name,
@@ -476,7 +484,7 @@ def cmd_batch(args) -> int:
             "failures": failures,
             "histograms": {"scr_of_best": scr_hist, "top": top_hist, "best": best_hist},
         }
-        Path(args.output).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        Path(output).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 
 

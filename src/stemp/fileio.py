@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .cliques import FoldPrediction, PredictionReport
+from .cliques import FoldPrediction, PredictionReport, RankedPredictions
 from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
                      InvalidCharacter, TooManyLayers)
 from .metrics import ReferenceStructure
@@ -168,6 +168,29 @@ def write_ct(seq: Sequence, pairs: Iterable[Pair], title: str | None = None) -> 
 
 # ---------------------------------------------------------------- dot-bracket
 
+class HelixPairs(list):
+    """The pairs of some stems, sorted, as fresh ``[p, q]`` lists.
+
+    ``helices`` holds the stems' helices (``Stem.helices``), sorted, for
+    ``write_dot_bracket`` and ``stream_report`` to work one helix at a
+    time. They read ``helices``, not the items, so a HelixPairs is for
+    reading: edit a copy of it.
+    """
+
+    __slots__ = ("helices",)
+
+    def __init__(self, stems: Iterable[Stem]):
+        pairs: list[Pair] = []
+        helices: list[tuple[int, int, int]] = []
+        for stem in stems:
+            pairs += stem.pairs
+            helices += stem.helices
+        pairs.sort()
+        helices.sort()
+        self += map(list, pairs)
+        self.helices = helices
+
+
 def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
     """Render pairs as dot-bracket text, pseudoknots on higher tiers.
 
@@ -181,8 +204,16 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
     index p, so they nest; pair (p, q) crosses one of them iff some open
     closing index lies in (p, q), i.e. iff the top of the stack, once the
     closings below p are popped, is below q. Linear after the sort.
+
+    A HelixPairs is layered one helix at a time (``_layered_helices``),
+    with the same text; where that finds a pair past n, a base used twice
+    or a fifth tier, the pair loop below raises the error.
     """
     n = seq if isinstance(seq, int) else seq.length
+    if type(pairs) is HelixPairs:
+        text = _layered_helices(n, pairs.helices, len(pairs))
+        if text is not None:
+            return text
     chars = ["."] * n
     stacks: list[list[int]] = []
     used = bytearray(n + 1)
@@ -206,6 +237,53 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
         stack.append(q)
         chars[p - 1], chars[q - 1] = BRACKET_TIERS[tier]
     return "".join(chars)
+
+
+_DOT = ord(".")
+_OPENING = tuple(tier[0].encode() for tier in BRACKET_TIERS)
+_CLOSING = tuple(tier[1].encode() for tier in BRACKET_TIERS)
+
+
+def _layered_helices(n: int, helices: list[tuple[int, int, int]], pairs: int) -> str | None:
+    """``write_dot_bracket``'s text of the sorted helices of stems, holding
+    ``pairs`` pairs in all, or None if a base serves two pairs, a pair is
+    past n, or a pair needs a fifth tier.
+
+    Where it gives a text, it is the pair loop's. No base serves two pairs,
+    so no other pair opens inside a helix's 5' run, and the helices' pairs
+    in helix order are the sorted pairs. The pair loop puts each pair of a
+    helix on its first pair's tier: a lower tier that refuses (p, q) holds
+    an open closing c with p < c < q that is no base of the helix, so it
+    refuses (p+1, q-1) too. And a tier's stack needs only the helix's
+    innermost closing: no later pair opens inside the helix's 3' run, so
+    its closings are popped together, and the innermost is the top.
+
+    A stem's helix opens at 1 or later and closes after it opens, so its
+    2k brackets land where its pairs are. A bracket on a base that another
+    took, or past n, then leaves more dots than n less twice the pairs.
+    """
+    chars = bytearray(b"." * n)
+    stacks: list[list[int]] = []
+    for p, q, k in helices:
+        tier = 0
+        for stack in stacks:
+            while stack and stack[-1] < p:
+                stack.pop()
+            if not stack or stack[-1] > q:
+                break
+            tier += 1
+        else:
+            if tier == len(BRACKET_TIERS):
+                return None
+            stack = []
+            stacks.append(stack)
+        j = q - k + 1  # the innermost closing
+        stack.append(j)
+        chars[p - 1:p - 1 + k] = _OPENING[tier] * k
+        chars[j - 1:q] = _CLOSING[tier] * k
+    if chars.count(_DOT) != n - 2 * pairs:
+        return None
+    return chars.decode("ascii")
 
 
 def parse_dot_bracket(text: str) -> frozenset[Pair]:
@@ -282,12 +360,30 @@ _ENTRY_KEYS = ("rank_scr", "rank_dr", "multiplicity", "energy", "vertices", "pai
 def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
                    include_timing: bool = False) -> dict:
     """JSON-ready form of a report; timing only on request so that repeated
-    runs serialize byte-identically."""
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "sequence_id": report.sequence_id,
-        "profile": report.profile,
-        "predictions": [
+    runs serialize byte-identically.
+
+    A RankedPredictions is rendered from its entries and its graph's stems,
+    building no FoldPrediction: each prediction's ``"pairs"`` is a
+    HelixPairs of its stems, which equals the list of its sorted pairs and
+    is layered one helix at a time."""
+    predictions = report.predictions
+    if isinstance(predictions, RankedPredictions):
+        stems, ranks = predictions.graph.vertices, predictions.ranks
+        entries = []
+        for neg_energy, vertices in predictions.entries:
+            scr, dr, multiplicity = ranks[-neg_energy]
+            pairs = HelixPairs([stems[v] for v in vertices])
+            entries.append({
+                "rank_scr": scr,
+                "rank_dr": dr,
+                "multiplicity": multiplicity,
+                "energy": -neg_energy,
+                "vertices": [v + 1 for v in vertices],
+                "pairs": pairs,
+                "dot_bracket": write_dot_bracket(seq, pairs) if seq is not None else None,
+            })
+    else:
+        entries = [
             {
                 "rank_scr": p.scr,
                 "rank_dr": p.dr,
@@ -297,8 +393,13 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
                 "pairs": list(map(list, p.pairs)),
                 "dot_bracket": write_dot_bracket(seq, p.pairs) if seq is not None else None,
             }
-            for p in report.predictions
-        ],
+            for p in predictions
+        ]
+    doc = {
+        "schema": REPORT_SCHEMA,
+        "sequence_id": report.sequence_id,
+        "profile": report.profile,
+        "predictions": entries,
     }
     if include_timing:
         doc["timing_seconds"] = report.timing
@@ -400,7 +501,9 @@ def stream_report(out: TextIO, doc: dict) -> None:
 
     def write_report(report: dict, nl: str) -> None:
         entry_text = _entry_writer(nl + "    ")
-        write_dict(report, nl, "predictions", lambda entry, _: out.write(entry_text(entry)))
+        helix_texts: dict = {}  # this report's own, freed with it
+        write_dict(report, nl, "predictions",
+                   lambda entry, _: out.write(entry_text(entry, helix_texts)))
 
     if doc.get("schema") == REPORT_SET_SCHEMA:
         write_dict(doc, "\n", "reports", write_report)
@@ -414,6 +517,11 @@ def _entry_writer(nl: str):
     """A function giving a ``report_to_dict`` prediction entry as
     ``json.dumps(entry, indent=2)`` writes it at indent ``nl``.
 
+    It writes a HelixPairs one helix at a time, from the text of each helix
+    kept in ``helix_texts``: pass one dict for all the entries of a report,
+    and a new one for the next report, so that it holds only one report's
+    helices.
+
     The entry needs report_to_dict's key order, and ints where it puts ints:
     %d and str would write a bool as 1 or True and cut a float short.
     ``report_from_dict`` checks that of every report it reads.
@@ -424,13 +532,29 @@ def _entry_writer(nl: str):
     sep = "," + item
     pair = f"[{leaf}%d,{leaf}%d{item}]"
 
-    def text(entry: dict) -> str:
+    def helix_text(helix: tuple[int, int, int], helix_texts: dict) -> str:
+        p, q, k = helix
+        text = helix_texts[helix] = sep.join([pair] * k) % tuple(chain.from_iterable(
+            (p + t, q - t) for t in range(k)))
+        return text
+
+    def text(entry: dict, helix_texts: dict | None = None) -> str:
         scr, dr, multiplicity, energy, vertices, pairs, dot = entry.values()
+        if not pairs:
+            pairs_text = "[]"
+        elif type(pairs) is HelixPairs:
+            if helix_texts is None:
+                helix_texts = {}
+            get = helix_texts.get
+            parts = [get(helix) or helix_text(helix, helix_texts) for helix in pairs.helices]
+            pairs_text = f"[{item}{sep.join(parts)}{member}]"
+        else:
+            pairs_text = (f"[{item}{sep.join([pair] * len(pairs))}{member}]"
+                          % tuple(chain.from_iterable(pairs)))
         return template % (
             scr, dr, multiplicity, energy,
             f"[{item}{sep.join(map(str, vertices))}{member}]" if vertices else "[]",
-            f"[{item}{sep.join([pair] * len(pairs)) % tuple(chain.from_iterable(pairs))}"
-            f"{member}]" if pairs else "[]",
+            pairs_text,
             "null" if dot is None else encode_basestring_ascii(dot))
     return text
 

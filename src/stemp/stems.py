@@ -252,6 +252,18 @@ class Stem:
             mask |= 1 << p | 1 << q
         return mask
 
+    @cached_property
+    def helices(self) -> tuple[tuple[int, int, int], ...]:
+        """The runs of stacked pairs, outermost first, each as (p, q, k):
+        the k pairs (p, q), (p+1, q-1), ... A contiguous stem is one run."""
+        runs: list[list[int]] = []
+        for p, q in self.pairs:
+            if runs and p == runs[-1][0] + runs[-1][2] and q == runs[-1][1] - runs[-1][2]:
+                runs[-1][2] += 1
+            else:
+                runs.append([p, q, 1])
+        return tuple(map(tuple, runs))
+
 
 def contiguous_stem(i: int, j: int, length: int, helix: str | None = None) -> Stem:
     pairs = tuple((i + t, j - t) for t in range(length))

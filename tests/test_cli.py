@@ -752,6 +752,34 @@ def test_output_paths_are_checked_before_the_search(tmp_path, capsys, monkeypatc
     assert not any((tmp_path / "sub").iterdir())  # no temporary in the directory either
 
 
+@pytest.mark.parametrize("command", ["evaluate", "batch"])
+@pytest.mark.parametrize("output,message", [
+    ("missing/m.json", "-o missing/m.json: its directory does not exist"),
+    ("g.json/m.json", "-o g.json/m.json: its directory does not exist"),
+    ("sub", "-o sub is a directory"),
+])
+def test_scoring_output_is_checked_before_the_search(tmp_path, capsys, monkeypatch, no_search,
+                                                     batch_dir, command, output, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "g.json").write_text("earlier\n")
+    inputs = ([TWOQUX_FASTA, "--reference", TWOQUX_CT] if command == "evaluate"
+              else [str(batch_dir), "--min-length", "1"])
+    assert run(command, "--profile", "protein", *inputs, "-o", output) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")  # no table printed either
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch", "g.json", "sub"]
+    assert (tmp_path / "g.json").read_text() == "earlier\n"
+    assert not any((tmp_path / "sub").iterdir())
+
+
+def test_scoring_output_may_be_a_device(batch_dir, capsys):
+    assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--reference", TWOQUX_CT,
+               "-o", os.devnull) == 0
+    assert capsys.readouterr() == ("", "")
+    assert run("batch", "--profile", "protein", str(batch_dir), "-o", os.devnull) == 0
+    assert capsys.readouterr().out.startswith("id ")
+
+
 def test_a_record_dump_may_not_name_the_report(tmp_path, capsys, no_search):
     fasta = tmp_path / "multi.fasta"
     fasta.write_text(">a\nGGGGAAAACCCC\n>b\nGGCACAGAAGAUAUGGCUUCGUGCC\n")

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -10,20 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from stemp import (AsymmetricPair, FormatError, IndexOutOfRange, InvalidCharacter,
-                   PairingRule, StempError, TooManyLayers, build_stem_graph,
-                   enumerate_stems, maximal_cliques, parse_sequence, rank_predictions,
-                   resolve_profile)
+from stemp import (AsymmetricPair, BudgetExceeded, FormatError, IndexOutOfRange,
+                   InvalidCharacter, PairingRule, StempError, TooManyLayers,
+                   build_stem_graph, enumerate_stems, maximal_cliques, parse_sequence,
+                   rank_predictions, resolve_profile)
 from stemp.cli import run_pipeline
 from stemp import fileio
-from stemp.fileio import (graph_from_dict, graph_to_dict, parse_ct,
+from stemp.cliques import RankedPredictions
+from stemp.fileio import (HelixPairs, graph_from_dict, graph_to_dict, parse_ct,
                           parse_dot_bracket, parse_graph_text, read_ct, read_fasta,
                           read_reference, read_report, report_from_dict,
                           report_to_dict, stream_report, write_ct, write_dot_bracket,
                           write_report)
-from stemp.stems import MIN_PAIR_GAP, render_graph_text
+from stemp.stems import MIN_PAIR_GAP, Stem, contiguous_stem, render_graph_text
 
-from .conftest import FIXTURES, PAIRS_2QUX
+from .conftest import FIXTURES, PAIRS_2QUX, load_perfbench
 from .oracles import pairwise_dot_bracket
 
 CANON = PairingRule()
@@ -200,6 +202,54 @@ def test_dot_bracket_matches_pairwise_oracle_on_bad_pairs():
         if not isinstance(got, str):
             kinds.add(got[0])
     assert kinds >= {ValueError, IndexOutOfRange}
+
+
+def _random_stems(rng, n, count):
+    """At most ``count`` stems on 1..n that share no base: helices (p, q, k)
+    of k stacked pairs, some of them nested into the stem before them as
+    its next segment."""
+    used = set()
+    stems = []
+    for _ in range(count):
+        k, p, q = rng.randint(1, 4), rng.randint(1, n), rng.randint(1, n)
+        pairs = [(p + t, q - t) for t in range(k)]
+        bases = {x for pair in pairs for x in pair}
+        if p + k > q - k + 1 or q > n or bases & used:
+            continue
+        used |= bases
+        if stems and stems[-1][-1][0] < p and q < stems[-1][-1][1] and rng.random() < 0.5:
+            stems[-1] += pairs
+        else:
+            stems.append(pairs)
+    return [Stem(i=pairs[0][0], j=pairs[0][1], pairs=tuple(pairs)) for pairs in stems]
+
+
+def test_helix_layering_matches_the_pair_loop_and_the_oracle():
+    rng = random.Random(2718)
+    seen = set()
+    segments = set()  # helices to a stem
+    for _ in range(800):
+        n = rng.randint(2, 80)
+        stems = _random_stems(rng, n, rng.randint(0, 30))
+        if stems and rng.random() < 0.4:
+            i, j = rng.choice(stems).pairs[-1]
+            stems.append(rng.choice([
+                contiguous_stem(i, rng.randint(i + 1, n + 2), 1),  # reuses a base
+                contiguous_stem(rng.randint(1, n), n + rng.randint(1, 3), 1),  # past n
+            ]))
+        pairs = HelixPairs(stems)
+        assert pairs == sorted([p, q] for stem in stems for p, q in stem.pairs)
+        assert pairs.helices == sorted(h for stem in stems for h in stem.helices)
+        got = _render(write_dot_bracket, n, pairs)
+        assert got == _render(write_dot_bracket, n, list(pairs))
+        assert got == _render(pairwise_dot_bracket, n, pairs)
+        if isinstance(got, str):
+            seen.update(k for k, tier in enumerate("([{<", start=1) if tier in got)
+        else:
+            seen.add(got[0])
+        segments.update(len(stem.helices) for stem in stems)
+    assert seen == {1, 2, 3, 4, TooManyLayers, ValueError, IndexOutOfRange}
+    assert segments >= {1, 2, 3}
 
 
 def _random_76mer():
@@ -582,3 +632,119 @@ def test_entry_template_equals_the_encoder(seq_2qux):
         entry_text = fileio._entry_writer(nl)
         for entry in entries:
             assert entry_text(entry) == json.dumps(entry, indent=2).replace("\n", nl)
+
+
+# ------------------------------------------------------------- rendering by helix
+
+def _rendered(report, seq):
+    """``report_to_dict``'s document of ``report`` and its streamed text, or
+    the type and text of what it raised."""
+    try:
+        doc = report_to_dict(report, seq=seq)
+    except StempError as exc:
+        return type(exc), str(exc)
+    return doc, _streamed(doc)
+
+
+def _renders_as_its_pairs(report, seq, part=512):
+    """Checks that a ranking renders as the same report holding its
+    FoldPredictions, ``part`` predictions at a time: the same document,
+    the same streamed text, or the same error. That error, or None."""
+    ranked = report.predictions
+    for start in range(0, max(len(ranked), 1), part):
+        entries = ranked.entries[start:start + part]
+        by_helix = replace(report, predictions=RankedPredictions(ranked.graph, entries,
+                                                                 ranked.ranks))
+        got = _rendered(by_helix, seq)
+        assert got == _rendered(replace(by_helix, predictions=tuple(by_helix.predictions)), seq)
+        if not isinstance(got[0], dict):
+            return got
+        assert all(type(entry["pairs"]) is HelixPairs for entry in got[0]["predictions"])
+    return None
+
+
+def test_gapped_5s_reports_render_by_helix_as_by_pair(monkeypatch):
+    gen = load_perfbench("gen", monkeypatch)
+    monkeypatch.setattr(gen, "rrna5s_planner", functools.cache(gen.rrna5s_planner))
+    census = load_perfbench("workloads", monkeypatch).WORKLOADS["census"]
+    reports = gapped = failed = 0
+    for index in range(census.size):
+        case, profile = census.entry(index)
+        if not profile.startswith("rrna5s"):
+            continue
+        seq = parse_sequence(case.residues, id=case.id)
+        for use_gsl in (True, False):
+            cfg = replace(resolve_profile(profile), use_gsl=use_gsl)
+            try:
+                graph, report = run_pipeline(seq, cfg, max_cliques=5000)
+            except BudgetExceeded:
+                continue
+            reports += 1
+            gapped += sum(len(stem.helices) > 1 for stem in graph.vertices)
+            failed += _renders_as_its_pairs(report, seq) is not None
+    assert (reports, gapped, failed) == (107, 1171, 13)
+
+
+def test_protein_76mers_render_by_helix_as_by_pair():
+    errors = []
+    for seed in (3, 6, 7, 8):
+        rng = random.Random(seed)
+        seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id=f"p{seed}")
+        _, report = run_pipeline(seq, resolve_profile("protein"))
+        errors.append(_renders_as_its_pairs(report, seq))
+    assert errors == [None, None, (TooManyLayers, "pair (22,75) needs a fifth bracket tier"),
+                      None]
+
+
+def test_empty_rankings_and_report_sets_render_by_helix_as_by_pair(seq_2qux):
+    empty = rank_predictions(build_stem_graph([]), [], sequence_id="none")
+    assert _renders_as_its_pairs(empty, seq_2qux) is None
+    r76 = _random_76mer()
+    docs = {"helix": [], "pair": []}
+    for seq, profile in ((seq_2qux, "protein"), (r76, "trna")):
+        _, report = run_pipeline(seq, resolve_profile(profile))
+        docs["helix"].append(report_to_dict(report, seq=seq))
+        docs["pair"].append(report_to_dict(
+            replace(report, predictions=tuple(report.predictions)), seq=seq))
+    docs["helix"].append(report_to_dict(empty, seq=seq_2qux))
+    docs["pair"].append(report_to_dict(replace(empty, predictions=()), seq=seq_2qux))
+    texts = {way: _streamed({"schema": fileio.REPORT_SET_SCHEMA, "reports": reports})
+             for way, reports in docs.items()}
+    assert texts["helix"] == texts["pair"] == json.dumps(
+        {"schema": fileio.REPORT_SET_SCHEMA, "reports": docs["pair"]}, indent=2) + "\n"
+
+
+def test_helix_texts_are_kept_for_one_report_only(seq_2qux, monkeypatch):
+    memos = []
+    writer = fileio._entry_writer
+
+    def spied(nl):
+        text = writer(nl)
+
+        def spy(entry, helix_texts=None):
+            if not any(memo is helix_texts for memo in memos):
+                memos.append(helix_texts)
+            return text(entry, helix_texts)
+        return spy
+
+    monkeypatch.setattr(fileio, "_entry_writer", spied)
+    docs = []
+    for seq, profile in ((_random_76mer(), "trna"), (seq_2qux, "protein")):
+        _, report = run_pipeline(seq, resolve_profile(profile))
+        docs.append(report_to_dict(report, seq=seq))
+    helices = [{h for entry in doc["predictions"] for h in entry["pairs"].helices}
+               for doc in docs]
+    assert len(helices[0]) > len(helices[1]) > 0
+    _streamed(docs[0])
+    _streamed({"schema": fileio.REPORT_SET_SCHEMA, "reports": docs})
+    # one memo per report written, holding that report's helices and no more
+    assert [set(memo) for memo in memos] == [helices[0], helices[0], helices[1]]
+
+
+def test_pair_lists_are_never_shared(seq_2qux):
+    r76 = _random_76mer()
+    _, report = run_pipeline(r76, resolve_profile("trna"))
+    docs = [report_to_dict(report, seq=r76) for _ in range(2)]
+    lists = [pair for doc in docs for entry in doc["predictions"] for pair in entry["pairs"]]
+    assert len(lists) > 2 * 682
+    assert len({id(pair) for pair in lists}) == len(lists)

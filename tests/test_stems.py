@@ -168,6 +168,15 @@ def test_pattern_of_pairs_round_trip():
     assert pat is not None and pat.render() == "2[1/2]2"
 
 
+def test_helices_are_the_runs_of_stacked_pairs():
+    assert contiguous_stem(3, 20, 3).helices == ((3, 20, 3),)
+    gapped = GapPattern.parse("2[0/1]3[2/0]1[0/0]2")
+    stem = Stem(i=1, j=30, pairs=gapped.pairs(1, 30), pattern=gapped)
+    # a [0/0] gap stacks its segments into one run
+    assert stem.helices == ((1, 30, 2), (3, 27, 3), (8, 24, 3))
+    assert [(p + t, q - t) for p, q, k in stem.helices for t in range(k)] == list(stem.pairs)
+
+
 # ------------------------------------------------------------- partial stems
 
 def test_partial_closure_of_length_five():

@@ -10,21 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
-import tempfile
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
-from .cliques import (Deadline, PredictionReport, RankedPredictions, maximal_cliques,
-                      rank_predictions)
+from .cliques import Deadline, PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
-from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference,
-                     read_report, report_to_dict, stream_report, write_dot_bracket)
+# RENDER_SLICE: predictions per report_to_dict call while a report is
+# written, and the stride of the rendering deadline checks
+from .fileio import (RENDER_SLICE, REPORT_SET_SCHEMA, graph_to_dict, read_fasta,
+                     read_reference, read_report, replacing, report_to_dict, sliced_report,
+                     stream_report, write_dot_bracket)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
 from .profiles import ProfileConfig, build_profile_graph, resolve_profile
@@ -38,13 +38,6 @@ EXIT_BUDGET = 3
 METRIC_BUCKETS = (("0.95", Fraction("0.95")), ("0.90", Fraction("0.90")),
                   ("0.85", Fraction("0.85")), ("0.80", Fraction("0.80")))
 SCR_BUCKETS = (1, 5, 10, 15)
-# Predictions per report_to_dict call while a report is written, and the
-# stride of the rendering deadline checks. A slice's dicts and pair lists
-# (about 25 objects a prediction) are freed before the collector's youngest
-# generation fills (700 allocations by default), so they are never promoted:
-# on a 41k-prediction report, slices of 1024 spent ~0.45 s in cyclic GC,
-# slices of 16 ~0.06 s.
-RENDER_SLICE = 16
 
 
 def _at_least(minimum: int):
@@ -188,58 +181,6 @@ def _output_targets(named: list[tuple[str, str | Path | None]]) -> list[str | Pa
     return targets
 
 
-@contextmanager
-def _replacing(path: str | Path | None):
-    """A text file that becomes ``path``, an ``_output_targets`` target, or
-    is copied to stdout without one, only once the block completes; until
-    then ``path`` and stdout are untouched, and on an error the file is
-    deleted. A ``path`` that is not a regular file (``/dev/null``, a pipe)
-    is not replaced but, like stdout, written from the finished file."""
-    if not path or os.path.exists(path) and not os.path.isfile(path):
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
-            yield out
-            out.seek(0)
-            if not path:
-                shutil.copyfileobj(out, sys.stdout)
-            else:
-                with open(path, "w", encoding="utf-8") as sink:
-                    shutil.copyfileobj(out, sink)
-        return
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    out = temporary.open("x", encoding="utf-8")
-    try:
-        with out:
-            yield out
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
-
-
-def _report_document(report: PredictionReport, seq: Sequence, include_timing: bool,
-                     deadline: Deadline) -> dict:
-    """``report_to_dict``'s document whose predictions, a RankedPredictions,
-    are rendered RENDER_SLICE at a time, as the writer reads them. Each
-    part is a RankedPredictions over a slice of the entries, so that no
-    FoldPrediction is built."""
-    ranked = report.predictions
-
-    def part(start: int) -> PredictionReport:
-        entries = ranked.entries[start:start + RENDER_SLICE]
-        return replace(report, predictions=RankedPredictions(ranked.graph, entries, ranked.ranks))
-
-    def entries(batch: list):
-        for start in range(RENDER_SLICE, len(report.predictions), RENDER_SLICE):
-            yield from batch
-            deadline.check("rendering")
-            batch = report_to_dict(part(start), seq=seq)["predictions"]
-        yield from batch
-
-    doc = report_to_dict(part(0), seq=seq, include_timing=include_timing)
-    doc["predictions"] = entries(doc["predictions"])
-    return doc
-
-
 def _dump_paths(dump_graph: str | None, sequences: list[Sequence]) -> list[Path | None]:
     """Each record's graph dump path: ``dump_graph`` for one record, else
     ``<stem>-<id><suffix>`` beside it. A record id that cannot be part of a
@@ -278,18 +219,19 @@ def cmd_predict(args) -> int:
         tied = report.predictions[0].multiplicity if args.all_ties and report.predictions else 1
         for pred in report.predictions[:tied]:
             structures.append((seq, pred))
-        return _report_document(report, seq, args.timing, deadline)
+        return sliced_report(report, seq, args.timing, report_to_dict, RENDER_SLICE,
+                             partial(deadline.check, "rendering"))
 
     # the graph dumps and the dot-bracket file are complete before any of
     # them, or the report, replaces its target
-    with _replacing(output) as out, ExitStack() as files:
+    with replacing(output) as out, ExitStack() as files:
         if len(sequences) == 1:
             stream_report(out, document(sequences[0], dumps[0]))
         else:  # each record is searched only once the one before is written
             stream_report(out, {"schema": REPORT_SET_SCHEMA,
                                 "reports": map(document, sequences, dumps)})
         for dump, graph in graphs:  # text for a .txt path, else a JSON document
-            files.enter_context(_replacing(dump)).write(
+            files.enter_context(replacing(dump)).write(
                 render_graph_text(graph) if dump.suffix == ".txt"
                 else json.dumps(graph_to_dict(graph), indent=2) + "\n")
         if dot_bracket:
@@ -298,7 +240,7 @@ def cmd_predict(args) -> int:
                 lines.append(f">{seq.id} energy={pred.energy} scr={pred.scr} dr={pred.dr}")
                 lines.append(seq.residues)
                 lines.append(write_dot_bracket(seq, pred.pairs))
-            files.enter_context(_replacing(dot_bracket)).write("\n".join(lines) + "\n")
+            files.enter_context(replacing(dot_bracket)).write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

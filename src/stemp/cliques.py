@@ -5,6 +5,13 @@ scored by their total number of matched base pairs (the "energy") and ranked
 with Standard Competition Ranking (1224) and Dense Ranking (1223). Ties are
 ordered lexicographically on the sorted vertex tuples so output is fully
 deterministic.
+
+A clique of an n-vertex graph is one int key, ``energy << n | rev``, bit
+n-1-v of ``rev`` standing for vertex v. Every stem holds a pair, so of two
+cliques of equal energy neither holds the other, and their lexicographic
+order is decided by the smallest vertex of their symmetric difference: the
+highest differing bit of ``rev``. Keys in descending order are thus in
+report order, (-energy, vertex tuple).
 """
 
 from __future__ import annotations
@@ -14,8 +21,9 @@ import time
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter, neg
-from typing import Iterable
+from itertools import chain, repeat
+from operator import rshift
+from typing import Callable, Iterable
 
 from .errors import BudgetExceeded
 from .stems import Pair, StemGraph
@@ -35,36 +43,71 @@ class Deadline:
             raise BudgetExceeded(f"time budget of {self.seconds} s ran out during {stage}")
 
 
-class Cliques(list):
-    """Cliques of ``graph`` as sorted vertex tuples in lexicographic order,
-    with ``energies[k]`` the total stem length of clique k. It is a list,
-    and equals the plain list of the same tuples."""
+def key_reader(n: int, part: Callable[[tuple[int, ...]], object]) -> Callable[[int], list]:
+    """A function giving, for a key of an n-vertex graph, ``part(vertices)``
+    of each nonzero byte of its vertex bits in vertex order, ``vertices``
+    being that byte's, ascending. Each part is computed once per (byte
+    index, byte value), and again when read if it is falsy."""
+    mask, pad, size = (1 << n) - 1, -n % 8, (n + 7) // 8  # byte c: vertices 8c to 8c + 7
+    parts: list = [None] * (size << 8)  # at (byte index) << 8 | (byte value)
+    offsets = range(0, size << 8, 256)
 
-    __slots__ = ("graph", "energies")
+    def fill(at: int):
+        c, b = divmod(at, 256)
+        parts[at] = part(tuple(8 * c + t for t in range(8) if b << t & 128))
+        return parts[at]
 
-    def __init__(self, graph: StemGraph, cliques: Iterable[tuple[int, ...]] = (),
-                 energies: Iterable[int] = ()):
-        super().__init__(cliques)
-        self.graph = graph
-        self.energies = list(energies)
+    def read(key: int) -> list:
+        data = ((key & mask) << pad).to_bytes(size, "big")
+        return [parts[c | b] or fill(c | b) for c, b in zip(offsets, data) if b]
+    return read
 
 
-def _in_order(graph: StemGraph, cliques: list[tuple[int, ...]], energies: list[int],
-              floor: int | None = None) -> Cliques:
-    """The cliques of energy at least ``floor`` (all without one), sorted
-    together with their energies."""
-    keep = (range(len(cliques)) if floor is None
-            else [k for k, energy in enumerate(energies) if energy >= floor])
-    order = sorted(keep, key=cliques.__getitem__)
-    return Cliques(graph, map(cliques.__getitem__, order), map(energies.__getitem__, order))
+class Cliques(Sequence):
+    """Maximal cliques of ``graph``, one key each in ``keys``, in no set
+    order. As a read-only sequence it holds their sorted vertex tuples in
+    lexicographic order, and equals the plain list of them; that view and
+    ``energies`` (of each, in that order) are built when first read."""
+
+    __slots__ = ("graph", "keys", "_view")
+
+    def __init__(self, graph: StemGraph, keys: Sequence[int] = ()):
+        self.graph, self.keys, self._view = graph, keys, None
+
+    def _read(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        if self._view is None:  # no maximal clique holds another: rev orders them
+            n = len(self.graph.vertices)
+            keys = sorted(self.keys, key=((1 << n) - 1).__and__, reverse=True)
+            read = key_reader(n, tuple)
+            self._view = ([tuple(chain.from_iterable(read(key))) for key in keys],
+                          [key >> n for key in keys])
+        return self._view
+
+    @property
+    def energies(self) -> list[int]:
+        return self._read()[1]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        return self._read()[0][index]
+
+    def __eq__(self, other) -> bool:
+        return self._read()[0] == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
+def _weights(graph: StemGraph) -> list[int]:
+    """What adding vertex v adds to a key: its stem's length, and bit n-1-v."""
+    n = len(graph.vertices)
+    return [stem.length << n | 1 << (n - 1 - v) for v, stem in enumerate(graph.vertices)]
 
 
 def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
                     deadline: Deadline | None = None,
                     top_k: int | None = None) -> Cliques:
-    """All maximal cliques, each once, as a Cliques: sorted vertex-index
-    tuples in lexicographic order, with the energy (total stem length) that
-    the search carried down to each in ``energies``, so that
+    """All maximal cliques, each once, as a Cliques of keys that carry the
+    energy (total stem length) the search summed, so that
     ``rank_predictions`` need not price them again.
 
     Bron-Kerbosch with pivoting: the pivot is the vertex of P | X with the
@@ -73,17 +116,14 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
     clique-count budget or a ``deadline``, checked on entering each node;
     exceeding either raises BudgetExceeded and no partial result is returned.
 
-    With ``top_k`` set, the search is a weighted-clique branch-and-bound on
-    energy (total stem length): once k cliques are found, a branch is not
-    entered when its energy plus half the bases its candidates P's stems
-    cover falls below the k-th best energy so far. That cover is read from
-    one table per byte of vertex indices: ``covers[c][s]`` is the OR of the
-    base masks of the vertices 8c + b for the bits b set in s. The result
-    is then exactly the maximal cliques whose energy is at least the k-th
-    best energy overall, ties included, so ``rank_predictions(...,
-    top_k=k)`` on it ranks the same k predictions, with the same SCR, DR
-    and multiplicity, as on the full list. ``max_cliques`` counts the
-    cliques the pruned search reaches.
+    With ``top_k`` set, the search is a weighted-clique branch-and-bound:
+    once k cliques are found, a branch is not entered when its energy plus
+    half the bases its candidates P's stems cover (read from ``covers``)
+    falls below the k-th best energy so far. The result is exactly the
+    maximal cliques of energy at least the k-th best overall, ties
+    included, so ``rank_predictions(..., top_k=k)`` ranks the same k
+    predictions, SCR, DR and multiplicity included, as on the full list.
+    ``max_cliques`` counts the cliques the pruned search reaches.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -91,12 +131,12 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
     if n == 0:
         return Cliques(graph)
     masks = graph.neighbor_masks
-    lengths = [s.length for s in graph.vertices]
+    weights = _weights(graph)
     at = deadline.at if deadline is not None else None
-    out: list[tuple[int, ...]] = []
-    energies: list[int] = []  # energy of each clique in out
+    out: list[int] = []
     best: list[int] = []  # min-heap of the top_k best energies found so far
-    covers: list[list[int]] = []  # with top_k, one table per byte of vertex indices
+    # with top_k, covers[c][s] is the OR of the base masks of vertices 8c + b, b in s
+    covers: list[list[int]] = []
     if top_k is not None:
         bases = graph.base_masks
         for c in range(0, n, 8):
@@ -105,24 +145,19 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
                 table += [t | mask for t in table]  # the entries with this vertex's bit set
             covers.append(table)
 
-    def expand(r: list[int], p: int, x: int, energy: int):
-        """Extend clique r by candidates p, excluded x."""
+    def expand(key: int, p: int, x: int):
+        """Extend the clique of ``key`` by candidates p, excluded x."""
         if at is not None and time.monotonic() > at:
             deadline.check("search")
         if p == 0 and x == 0:
-            out.append(tuple(sorted(r)))
-            energies.append(energy)
+            out.append(key)
             if max_cliques is not None and len(out) > max_cliques:
                 raise BudgetExceeded(f"more than {max_cliques} maximal cliques")
             if top_k is not None:
-                if len(best) < top_k:
-                    heapq.heappush(best, energy)
-                elif energy > best[0]:
-                    heapq.heapreplace(best, energy)
+                (heapq.heappush if len(best) < top_k else heapq.heappushpop)(best, key >> n)
             return
-        pux = p | x
         pivot, best_cnt = -1, -1
-        m = pux
+        m = p | x
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
@@ -138,11 +173,11 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
             child_p, child_x = p & mv, x & mv
             p &= ~bit  # v moves from P to X before its branch is searched or pruned
             x |= bit
-            child_energy = energy + lengths[v]
+            child = key + weights[v]
             if top_k is not None and len(best) == top_k:
                 # enter when the k-th best may still be reached: its energy
                 # less this clique's is at most half the bases P's stems cover
-                need = best[0] - child_energy
+                need = best[0] - (child >> n)
                 if need > 0:
                     used, q = 0, child_p
                     for table in covers:
@@ -152,13 +187,12 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
                         q >>= 8
                     if used.bit_count() >> 1 < need:
                         continue
-            r.append(v)
-            expand(r, child_p, child_x, child_energy)
-            r.pop()
+            expand(child, child_p, child_x)
 
-    expand([], (1 << n) - 1, 0, 0)
-    # drop cliques found before the k-th best energy rose past them
-    return _in_order(graph, out, energies, best[0] if len(best) == top_k else None)
+    expand(0, (1 << n) - 1, 0)
+    if len(best) == top_k:  # drop cliques found before the k-th best energy rose past them
+        out = [key for key in out if key >= best[0] << n]
+    return Cliques(graph, out)
 
 
 @dataclass(frozen=True)
@@ -196,40 +230,49 @@ def clique_pairs(graph: StemGraph, clique: Iterable[int]) -> tuple[Pair, ...]:
 
 
 class RankedPredictions(Sequence):
-    """The predictions of a ranking, in report order, each built when read.
-
-    ``entries`` holds one ``(-energy, vertices)`` per prediction in report
-    order, ``ranks`` maps an energy to its (SCR, DR, multiplicity), and the
-    pairs come from ``graph``. An index gives a FoldPrediction and a slice a
-    tuple of them; a prediction read twice is built twice. The sequence
-    equals any sequence holding the same predictions.
+    """The predictions of a ranking, each built when read: ``keys`` holds
+    the cliques' keys in report order, ``ranks`` maps an energy to its
+    (SCR, DR, multiplicity), and ``entries``, one ``(-energy, vertices)``
+    each, is decoded when read. An index gives a FoldPrediction and a slice
+    a tuple of them. It equals any sequence of the same predictions.
+    ``reader`` (see ``key_reader``) reads a key into (vertices, 1-based
+    vertex numbers, stems) per byte; a ranking over a slice of the keys may
+    share it.
     """
 
-    __slots__ = ("graph", "entries", "ranks")
+    __slots__ = ("graph", "keys", "ranks", "reader")
 
-    def __init__(self, graph: StemGraph, entries: list[tuple[int, tuple[int, ...]]],
-                 ranks: dict[int, tuple[int, int, int]]):
-        self.graph = graph
-        self.entries = entries
-        self.ranks = ranks
+    def __init__(self, graph: StemGraph, keys: list[int],
+                 ranks: dict[int, tuple[int, int, int]], reader=None):
+        self.graph, self.keys, self.ranks = graph, keys, ranks
+        stems = graph.vertices
+        self.reader = reader or key_reader(len(stems), lambda vs: (
+            vs, [v + 1 for v in vs], [stems[v] for v in vs]))
 
-    def _build(self, entry: tuple[int, tuple[int, ...]]) -> FoldPrediction:
-        neg_energy, vs = entry
-        scr, dr, multiplicity = self.ranks[-neg_energy]
-        return FoldPrediction(vertices=vs, energy=-neg_energy,
-                              pairs=clique_pairs(self.graph, vs),
+    def _vertices(self, key: int) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(part[0] for part in self.reader(key)))
+
+    @property
+    def entries(self) -> list[tuple[int, tuple[int, ...]]]:
+        n = len(self.graph.vertices)
+        return [(-(key >> n), self._vertices(key)) for key in self.keys]
+
+    def _build(self, key: int) -> FoldPrediction:
+        energy, vs = key >> len(self.graph.vertices), self._vertices(key)
+        scr, dr, multiplicity = self.ranks[energy]
+        return FoldPrediction(vertices=vs, energy=energy, pairs=clique_pairs(self.graph, vs),
                               scr=scr, dr=dr, multiplicity=multiplicity)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(self._build, self.entries[index]))
-        return self._build(self.entries[index])
+            return tuple(map(self._build, self.keys[index]))
+        return self._build(self.keys[index])
 
     def __iter__(self):
-        return map(self._build, self.entries)
+        return map(self._build, self.keys)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -240,24 +283,21 @@ class RankedPredictions(Sequence):
         return hash(tuple(self))
 
 
-def _priced(graph: StemGraph, cliques: Iterable[Iterable[int]]) -> Cliques:
-    """``cliques`` as sorted vertex tuples, each priced from its stems and
-    checked: a clique whose stems share a base index raises ValueError."""
-    lengths = [s.length for s in graph.vertices]
-    bases = graph.base_masks
-    out: list[tuple[int, ...]] = []
-    energies: list[int] = []
+def _priced(graph: StemGraph, cliques: Iterable[Iterable[int]]) -> list[int]:
+    """The keys of ``cliques``, each priced from its stems and checked: a
+    clique whose stems share a base index raises ValueError."""
+    n, weights, bases = len(graph.vertices), _weights(graph), graph.base_masks
+    keys: list[int] = []
     for clique in cliques:
         vs = tuple(sorted(clique))
-        energy = used = 0
+        key = used = 0
         for v in vs:
-            energy += lengths[v]
+            key += weights[v]
             used |= bases[v]
-        if used.bit_count() != 2 * energy:
+        if used.bit_count() != 2 * (key >> n):
             raise ValueError(f"clique {vs} reuses base indices; not a valid structure")
-        out.append(vs)
-        energies.append(energy)
-    return _in_order(graph, out, energies)
+        keys.append(key)
+    return keys
 
 
 def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
@@ -266,39 +306,34 @@ def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
                      top_k: int | None = None) -> PredictionReport:
     """Score cliques by total matched pairs and assign SCR and DR ranks.
 
-    Only what the search did not price is priced here. A Cliques that
-    ``maximal_cliques`` returned for this same graph object is ranked by
-    the energies it carries, when no edge of the graph joins two stems that
-    share a base (``StemGraph.conflict_free``, true of every graph that
-    ``build_stem_graph`` or the graph readers make): none of its cliques
-    can then reuse a base. Any other cliques (a plain list, a generator,
-    another graph's Cliques) are priced and checked first, each of them: a
-    clique whose stems share a base index raises ValueError whether or not
-    it is emitted. Every clique counts towards the ranks.
+    A Cliques that ``maximal_cliques`` returned for this graph object is
+    ranked by its keys as they are when ``graph.conflict_free`` (true of
+    every graph that ``build_stem_graph`` or the graph readers make). Any
+    other cliques (a plain list, a generator, another graph's Cliques) are
+    priced and checked first, each of them: a clique whose stems share a
+    base index raises ValueError whether or not it is emitted. Every clique
+    counts towards the ranks. The predictions are a RankedPredictions.
 
-    The report's predictions are a RankedPredictions: no pair is built
-    until a prediction is read. With ``top_k`` set only the k best
-    predictions, ordered by (-energy, vertex tuple), are kept; they equal
-    the first k of the full report, SCR, DR and multiplicity included, as
-    long as the cliques passed in hold every clique of energy at least the
-    k-th best (``maximal_cliques(..., top_k=k)`` returns exactly those).
+    With ``top_k`` set only the k best predictions are kept; they equal the
+    first k of the full report, SCR, DR and multiplicity included, as long
+    as the cliques passed in hold every clique of energy at least the k-th
+    best (``maximal_cliques(..., top_k=k)`` returns exactly those).
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    if not (isinstance(cliques, Cliques) and cliques.graph is graph and graph.conflict_free):
-        cliques = _priced(graph, cliques)
-    entries = zip(map(neg, cliques.energies), cliques)
-    # the cliques come in lexicographic order, so a stable sort on energy
-    # alone breaks its ties by vertex tuple
-    entries = (sorted(entries, key=itemgetter(0)) if top_k is None
-               else heapq.nsmallest(top_k, entries))
-
-    counts = Counter(cliques.energies)
+    n = len(graph.vertices)
+    if isinstance(cliques, Cliques) and cliques.graph is graph and graph.conflict_free:
+        keys = cliques.keys
+    else:
+        keys = _priced(graph, cliques)
+    counts = Counter(map(rshift, keys, repeat(n)))
+    # descending keys are in report order (see the module docstring)
+    keys = sorted(keys, reverse=True) if top_k is None else heapq.nlargest(top_k, keys)
     ranks: dict[int, tuple[int, int, int]] = {}
     better = 0
     for dense, energy in enumerate(sorted(counts, reverse=True), start=1):
         ranks[energy] = (better + 1, dense, counts[energy])
         better += counts[energy]
     return PredictionReport(sequence_id=sequence_id, profile=profile,
-                            predictions=RankedPredictions(graph, entries, ranks),
+                            predictions=RankedPredictions(graph, keys, ranks),
                             timing=timing)

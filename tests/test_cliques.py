@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -402,3 +403,125 @@ def test_built_and_read_graphs_are_conflict_free(seq_2qux):
     assert graph_from_dict(graph_to_dict(built)).conflict_free
     assert graph_from_edges(0, []).conflict_free
     assert random_graph(random.Random(1), 12).conflict_free  # stems spaced apart
+
+
+# ------------------------------------------------------------- clique keys
+
+def _oracle_ranking(graph, cliques):
+    """Report entries ``sorted((-energy, sorted vertex tuple))`` of any
+    cliques, and each energy's (SCR, DR, multiplicity)."""
+    entries = sorted((-_energy(graph, c), tuple(sorted(c))) for c in cliques)
+    counts = Counter(-neg_energy for neg_energy, _ in entries)
+    ranks, better = {}, 0
+    for dense, energy in enumerate(sorted(counts, reverse=True), start=1):
+        ranks[energy] = (better + 1, dense, counts[energy])
+        better += counts[energy]
+    return entries, ranks
+
+
+def assert_ranks_as_the_oracle(graph, cliques, top_k=None):
+    entries, ranks = _oracle_ranking(graph, cliques)
+    ranked = rank_predictions(graph, cliques, top_k=top_k).predictions
+    assert ranked.entries == entries[:top_k]
+    assert ranked.ranks == ranks
+    assert [(-p.energy, p.vertices) for p in ranked] == entries[:top_k]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_key_order_is_report_order_on_tied_graphs(seed):
+    rng = random.Random(seed)
+    for n in range(26):
+        graph = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]),
+                             [rng.choice((2, 3)) for _ in range(n)])
+        cliques = list(maximal_cliques(graph))
+        for top_k in (None, 1, 2, 5):
+            # the pruned search keeps every clique down to the k-th best
+            assert_ranks_as_the_oracle(graph, maximal_cliques(graph, top_k=top_k), top_k)
+            assert_ranks_as_the_oracle(graph, cliques, top_k)
+
+
+@pytest.mark.parametrize("n,p", [(70, 0.2), (300, 0.03)])
+def test_key_order_past_one_machine_word(n, p):
+    rng = random.Random(n)
+    graph = random_graph(rng, n, p, [rng.choice((2, 3)) for _ in range(n)])
+    found = maximal_cliques(graph)
+    assert min(found.keys).bit_length() > 64  # every key past one machine word
+    for top_k in (None, 1, 7):
+        assert_ranks_as_the_oracle(graph, maximal_cliques(graph, top_k=top_k), top_k)
+    assert_ranks_as_the_oracle(graph, list(found))
+
+
+def test_key_order_of_plain_lists_with_subsets_and_repeats():
+    """Plain lists may hold a clique with its proper subset or prefix (of
+    lower energy, since every stem holds a pair), unsorted tuples, and one
+    clique more than once."""
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        graph = graph_from_edges(n, [], [rng.choice((1, 2, 3)) for _ in range(n)])
+        cliques = []
+        for _ in range(rng.randint(1, 8)):
+            clique = rng.sample(range(n), rng.randint(1, n))
+            cliques.append(tuple(clique))  # unsorted
+            cliques.append(tuple(sorted(clique))[:rng.randint(1, len(clique))])  # a prefix
+            cliques.append(tuple(rng.sample(clique, rng.randint(1, len(clique)))))  # a subset
+            if rng.random() < 0.5:
+                cliques.append(tuple(rng.sample(clique, len(clique))))  # a repeat
+        rng.shuffle(cliques)
+        for top_k in (None, 1, 3):
+            assert_ranks_as_the_oracle(graph, cliques, top_k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cliques_view_is_the_sorted_brute_force_list(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(30):
+        n = rng.randint(1, 14)
+        graph = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]),
+                             [rng.choice((2, 3)) for _ in range(n)])
+        found = maximal_cliques(graph)
+        expected = sorted(tuple(sorted(c))
+                          for c in brute_force_maximal_cliques(list(graph.neighbor_masks)))
+        assert found == expected and expected == found and list(found) == expected
+        assert len(found) == len(found.keys) == len(expected)
+        assert found.energies == [_energy(graph, c) for c in expected]
+        assert found[::-1] == expected[::-1] and found[-1] == expected[-1]
+
+
+class TrippingClock:
+    """Stands in for the ``time`` module in ``stemp.cliques``: reads past
+    ``trip_at`` are 10 s later than the ones before."""
+
+    def __init__(self):
+        self.reads = 0
+        self.trip_at = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return 10.0 if self.reads > self.trip_at else 0.0
+
+
+@pytest.mark.parametrize("top_k", [None, 1, 3])
+def test_budgets_trip_where_the_oracle_search_does(seq_2qux, monkeypatch, top_k):
+    """``max_cliques`` trips at the oracle search's clique count and the
+    deadline at its node count, with and without ``top_k``."""
+    clock = TrippingClock()
+    monkeypatch.setattr(cliques_module, "time", clock)
+    rng = random.Random(77)
+    graphs = [random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]),
+                           [rng.choice((2, 3)) for _ in range(n)])
+              for n in rng.choices(range(2, 16), k=40)]
+    graphs.append(build_stem_graph(enumerate_stems(seq_2qux, CANON, 3)))
+    for graph in graphs:
+        # with more than every clique as k, the oracle never prunes
+        _, reached, nodes = plane_bound_top_k(graph, top_k or 1 << 30)
+        assert len(maximal_cliques(graph, max_cliques=reached, top_k=top_k)) <= reached
+        with pytest.raises(BudgetExceeded, match=f"more than {reached - 1} maximal"):
+            maximal_cliques(graph, max_cliques=reached - 1, top_k=top_k)
+        # one read sets the deadline, then one per node entered
+        clock.reads, clock.trip_at = 0, 1 + nodes
+        maximal_cliques(graph, deadline=Deadline(1.0), top_k=top_k)
+        clock.reads, clock.trip_at = 0, nodes
+        with pytest.raises(BudgetExceeded, match="during search"):
+            maximal_cliques(graph, deadline=Deadline(1.0), top_k=top_k)
+        assert clock.reads == 1 + nodes + 1  # and the check that names the stage

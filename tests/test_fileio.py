@@ -575,6 +575,44 @@ def test_report_text_equals_json_dumps(tmp_path):
     assert path.read_text() == json.dumps(report_to_dict(report, seq=r76), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("as_tuple", [False, True])
+def test_write_report_renders_a_slice_at_a_time(tmp_path, monkeypatch, as_tuple):
+    """``write_report`` writes ``report_to_dict``'s JSON text, for a ranking
+    and for the tuple of its predictions, rendering no more than
+    RENDER_SLICE predictions in one ``report_to_dict`` call."""
+    r76 = _random_76mer()
+    _, report = run_pipeline(r76, resolve_profile("trna"))
+    if as_tuple:
+        report = replace(report, predictions=tuple(report.predictions))
+    expected = json.dumps(report_to_dict(report, seq=r76, include_timing=True), indent=2) + "\n"
+    slices = []
+    real = fileio.report_to_dict
+
+    def spy(report, *args, **kwargs):
+        slices.append(len(report.predictions))
+        return real(report, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "report_to_dict", spy)
+    path = tmp_path / "r.json"
+    write_report(report, path, seq=r76, include_timing=True)
+    assert path.read_text() == expected
+    assert sum(slices) == len(report.predictions) == 682
+    assert max(slices) <= fileio.RENDER_SLICE and len(slices) > 1
+
+
+def test_write_report_failing_mid_stream_leaves_the_file(tmp_path, monkeypatch):
+    rng = random.Random(7)  # under protein, prediction 6 needs a fifth bracket tier
+    seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="r76")
+    _, report = run_pipeline(seq, resolve_profile("protein"))
+    monkeypatch.setattr(fileio, "RENDER_SLICE", 1)  # the first slice renders
+    path = tmp_path / "r.json"
+    path.write_text("earlier report\n")
+    with pytest.raises(TooManyLayers):
+        write_report(report, path, seq=seq)
+    assert path.read_text() == "earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 # ------------------------------------------------------------- streamed reports
 
 def _streamed(doc) -> str:
@@ -652,8 +690,8 @@ def _renders_as_its_pairs(report, seq, part=512):
     the same streamed text, or the same error. That error, or None."""
     ranked = report.predictions
     for start in range(0, max(len(ranked), 1), part):
-        entries = ranked.entries[start:start + part]
-        by_helix = replace(report, predictions=RankedPredictions(ranked.graph, entries,
+        keys = ranked.keys[start:start + part]
+        by_helix = replace(report, predictions=RankedPredictions(ranked.graph, keys,
                                                                  ranked.ranks))
         got = _rendered(by_helix, seq)
         assert got == _rendered(replace(by_helix, predictions=tuple(by_helix.predictions)), seq)

@@ -280,6 +280,30 @@ def test_ranked_summary_matches_oracle_on_random_graphs(seed, pair_calls):
                 assert got == score_each(report, reference, metric)
 
 
+def test_ranked_best_inside_a_tied_energy_block():
+    """Two cliques of energy 2 with tp 0 and 2, the better one second in
+    its block and the block second in the report: the ranked path picks
+    the prediction, and its SCR, DR and multiplicity, that the pair path
+    picks."""
+    from stemp import metrics
+    from .test_cliques import graph_from_edges
+
+    graph = graph_from_edges(3, [], lengths=[3, 2, 2])  # no edges: (0,), (1,), (2,)
+    report = rank_predictions(graph, maximal_cliques(graph))
+    assert [p.vertices for p in report.predictions] == [(0,), (1,), (2,)]
+    reference = ref(graph.vertices[2].pairs, 400)  # tp: 0, 0, 2
+    for metric in ("mcc", "f1"):
+        key = lambda m: metrics._metric_key(m, metric)
+        top, best, index = metrics._ranked_choice(report.predictions, reference, key)
+        assert (top, best, index) == metrics._pair_choice(report.predictions, reference, key)
+        assert index == 2 and best.tp == 2 and top.tp == 0
+        chosen = report.predictions[index]
+        summary = summarize_report(report, reference, metric)
+        assert (summary.best_scr, summary.best_dr, summary.best_multiplicity) == \
+            (chosen.scr, chosen.dr, chosen.multiplicity) == (2, 2, 2)
+        assert summary == score_each(report, reference, metric)
+
+
 def test_ranked_summary_past_the_reference_names_the_same_index():
     rng = random.Random(11)
     for _ in range(20):

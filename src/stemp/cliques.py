@@ -243,7 +243,8 @@ class RankedPredictions(Sequence):
     __slots__ = ("graph", "keys", "ranks", "reader")
 
     def __init__(self, graph: StemGraph, keys: list[int],
-                 ranks: dict[int, tuple[int, int, int]], reader=None):
+                 ranks: dict[int, tuple[int, int, int]],
+                 reader: Callable[[int], list] | None = None):
         self.graph, self.keys, self.ranks = graph, keys, ranks
         stems = graph.vertices
         self.reader = reader or key_reader(len(stems), lambda vs: (

@@ -21,9 +21,9 @@ import time
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import rshift
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded
 from .stems import Pair, StemGraph
@@ -43,24 +43,17 @@ class Deadline:
             raise BudgetExceeded(f"time budget of {self.seconds} s ran out during {stage}")
 
 
-def key_reader(n: int, part: Callable[[tuple[int, ...]], object]) -> Callable[[int], list]:
-    """A function giving, for a key of an n-vertex graph, ``part(vertices)``
-    of each nonzero byte of its vertex bits in vertex order, ``vertices``
-    being that byte's, ascending. Each part is computed once per (byte
-    index, byte value), and again when read if it is falsy."""
-    mask, pad, size = (1 << n) - 1, -n % 8, (n + 7) // 8  # byte c: vertices 8c to 8c + 7
-    parts: list = [None] * (size << 8)  # at (byte index) << 8 | (byte value)
-    offsets = range(0, size << 8, 256)
-
-    def fill(at: int):
-        c, b = divmod(at, 256)
-        parts[at] = part(tuple(8 * c + t for t in range(8) if b << t & 128))
-        return parts[at]
-
-    def read(key: int) -> list:
-        data = ((key & mask) << pad).to_bytes(size, "big")
-        return [parts[c | b] or fill(c | b) for c, b in zip(offsets, data) if b]
-    return read
+def key_vertices(n: int, keys: Iterable[int], first: int = 0) -> Iterator[list[int]]:
+    """The vertices of each key of an n-vertex graph, ascending, numbered
+    from ``first``."""
+    mask, last = (1 << n) - 1, n + first
+    for key in keys:
+        rev, vertices = key & mask, []
+        while rev:
+            b = rev.bit_length()  # the highest bit left, vertex n - b
+            vertices.append(last - b)
+            rev ^= 1 << (b - 1)
+        yield vertices
 
 
 class Cliques(Sequence):
@@ -78,9 +71,7 @@ class Cliques(Sequence):
         if self._view is None:  # no maximal clique holds another: rev orders them
             n = len(self.graph.vertices)
             keys = sorted(self.keys, key=((1 << n) - 1).__and__, reverse=True)
-            read = key_reader(n, tuple)
-            self._view = ([tuple(chain.from_iterable(read(key))) for key in keys],
-                          [key >> n for key in keys])
+            self._view = (list(map(tuple, key_vertices(n, keys))), [key >> n for key in keys])
         return self._view
 
     @property
@@ -235,31 +226,23 @@ class RankedPredictions(Sequence):
     (SCR, DR, multiplicity), and ``entries``, one ``(-energy, vertices)``
     each, is decoded when read. An index gives a FoldPrediction and a slice
     a tuple of them. It equals any sequence of the same predictions.
-    ``reader`` (see ``key_reader``) reads a key into (vertices, 1-based
-    vertex numbers, stems) per byte; a ranking over a slice of the keys may
-    share it.
     """
 
-    __slots__ = ("graph", "keys", "ranks", "reader")
+    __slots__ = ("graph", "keys", "ranks")
 
     def __init__(self, graph: StemGraph, keys: list[int],
-                 ranks: dict[int, tuple[int, int, int]],
-                 reader: Callable[[int], list] | None = None):
+                 ranks: dict[int, tuple[int, int, int]]):
         self.graph, self.keys, self.ranks = graph, keys, ranks
-        stems = graph.vertices
-        self.reader = reader or key_reader(len(stems), lambda vs: (
-            vs, [v + 1 for v in vs], [stems[v] for v in vs]))
-
-    def _vertices(self, key: int) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(part[0] for part in self.reader(key)))
 
     @property
     def entries(self) -> list[tuple[int, tuple[int, ...]]]:
         n = len(self.graph.vertices)
-        return [(-(key >> n), self._vertices(key)) for key in self.keys]
+        return [(-(key >> n), tuple(vs)) for key, vs in zip(self.keys, key_vertices(n, self.keys))]
 
     def _build(self, key: int) -> FoldPrediction:
-        energy, vs = key >> len(self.graph.vertices), self._vertices(key)
+        n = len(self.graph.vertices)
+        [vertices] = key_vertices(n, [key])
+        vs, energy = tuple(vertices), key >> n
         scr, dr, multiplicity = self.ranks[energy]
         return FoldPrediction(vertices=vs, energy=energy, pairs=clique_pairs(self.graph, vs),
                               scr=scr, dr=dr, multiplicity=multiplicity)

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from .cliques import FoldPrediction, PredictionReport, RankedPredictions
+from .cliques import FoldPrediction, PredictionReport, RankedPredictions, key_vertices
 from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
                      InvalidCharacter, TooManyLayers)
 from .metrics import ReferenceStructure
@@ -375,24 +375,18 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
     runs serialize byte-identically.
 
     A RankedPredictions is rendered from its keys and its graph's stems,
-    building no FoldPrediction: each key is read a byte at a time by the
-    ranking's ``reader``, which keeps each byte's vertex numbers and stems
-    for as long as the ranking (and any slice that shares it) lives. Each
-    prediction's ``"pairs"`` is a HelixPairs of its stems, which equals the
-    list of its sorted pairs and is layered one helix at a time."""
+    building no FoldPrediction: each prediction's ``"pairs"`` is a
+    HelixPairs of its stems, which equals the list of its sorted pairs and
+    is layered one helix at a time."""
     predictions = report.predictions
     if isinstance(predictions, RankedPredictions):
-        read, ranks = predictions.reader, predictions.ranks
+        keys, ranks = predictions.keys, predictions.ranks
         n = len(predictions.graph.vertices)
+        by_number = (None, *predictions.graph.vertices)
         entries = []
-        for key in predictions.keys:
+        for key, numbers in zip(keys, key_vertices(n, keys, first=1)):
             scr, dr, multiplicity = ranks[key >> n]
-            numbers: list[int] = []
-            stems: list[Stem] = []
-            for _, some_numbers, some_stems in read(key):
-                numbers += some_numbers
-                stems += some_stems
-            pairs = HelixPairs(stems)
+            pairs = HelixPairs(map(by_number.__getitem__, numbers))
             entries.append({
                 "rank_scr": scr,
                 "rank_dr": dr,
@@ -586,16 +580,14 @@ def sliced_report(report: PredictionReport, seq: Sequence | None, include_timing
     (``report_to_dict`` or a stand-in for it) ``size`` predictions at a
     time, as ``stream_report`` reads them: each slice is one ``render``
     call, and ``between()`` runs before each slice but the first. A
-    RankedPredictions is sliced by its keys and shares its reader with
-    every slice, so that no FoldPrediction is built and no byte of a key is
-    decoded twice."""
+    RankedPredictions is sliced by its keys, so that no FoldPrediction is
+    built."""
     predictions = report.predictions
 
     def part(start: int) -> PredictionReport:
         if isinstance(predictions, RankedPredictions):
             return replace(report, predictions=RankedPredictions(
-                predictions.graph, predictions.keys[start:start + size], predictions.ranks,
-                predictions.reader))
+                predictions.graph, predictions.keys[start:start + size], predictions.ranks))
         return replace(report, predictions=predictions[start:start + size])
 
     def entries(batch: list):

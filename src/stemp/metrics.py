@@ -14,10 +14,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from operator import neg
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .cliques import FoldPrediction, PredictionReport, RankedPredictions, key_reader
+from .cliques import FoldPrediction, PredictionReport, RankedPredictions, key_vertices
 from .errors import IndexOutOfRange
 from .seq import PairingRule
 from .stems import Pair
@@ -198,16 +199,15 @@ def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
     min(E, |ref|), and among predictions of equal score the first in report
     order has the highest energy. The energies are taken from the top
     (SCR=1) down, and one whose bound does not beat the best score so far is
-    skipped: on the ``census`` benchmark inputs, that leaves 2% of the keys
-    to read, each a byte of vertex bits at a time (see ``key_reader``).
+    skipped: on the ``census`` benchmark inputs, that leaves about 2% of
+    the keys to read.
     """
     ref, stems, keys = reference.pairs, ranked.graph.vertices, ranked.keys
     n = len(stems)
     tps = [len(ref.intersection(stem.pairs)) for stem in stems]
-    read = key_reader(n, lambda vs: sum([tps[v] for v in vs]))
 
-    def tp_of(key: int) -> int:
-        return sum(read(key))
+    def tp_of(some_keys: Iterable[int]) -> Iterator[int]:
+        return (sum([tps[v] for v in vs]) for vs in key_vertices(n, some_keys))
 
     def score(energy: int, tp: int) -> Metrics:
         return score_counts(tp, energy - tp, len(ref) - tp)
@@ -218,14 +218,14 @@ def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
         energy = keys[start] >> n
         end = bisect_right(keys, -(energy << n), key=neg)  # past this energy's keys
         if top is None or key(score(energy, min(energy, len(ref)))) > key(best[0]):
-            tp = max(map(tp_of, keys[start:end]))
+            tp = max(tp_of(keys[start:end]))
             metrics = score(energy, tp)
             if top is None:
                 top = metrics
             if best is None or key(metrics) > key(best[0]):
                 best = (metrics, tp, start)
         start = end
-    metrics, tp, index = best
-    while tp_of(keys[index]) != tp:  # the first key of that energy with that tp
-        index += 1
+    metrics, tp, start = best
+    # the first key of that energy with that tp
+    index = next(k for k, got in enumerate(tp_of(islice(keys, start, None)), start) if got == tp)
     return top, metrics, index

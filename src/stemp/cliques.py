@@ -145,7 +145,10 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
             if max_cliques is not None and len(out) > max_cliques:
                 raise BudgetExceeded(f"more than {max_cliques} maximal cliques")
             if top_k is not None:
-                (heapq.heappush if len(best) < top_k else heapq.heappushpop)(best, key >> n)
+                if len(best) < top_k:
+                    heapq.heappush(best, key >> n)
+                elif key >> n > best[0]:
+                    heapq.heapreplace(best, key >> n)
             return
         pivot, best_cnt = -1, -1
         m = p | x
@@ -221,11 +224,14 @@ def clique_pairs(graph: StemGraph, clique: Iterable[int]) -> tuple[Pair, ...]:
 
 
 class RankedPredictions(Sequence):
-    """The predictions of a ranking, each built when read: ``keys`` holds
-    the cliques' keys in report order, ``ranks`` maps an energy to its
-    (SCR, DR, multiplicity), and ``entries``, one ``(-energy, vertices)``
-    each, is decoded when read. An index gives a FoldPrediction and a slice
-    a tuple of them. It equals any sequence of the same predictions.
+    """The predictions of a ranking, in report order, each built when read.
+
+    ``keys`` holds one clique key per prediction in report order, ``ranks``
+    maps an energy to its (SCR, DR, multiplicity), and the pairs come from
+    ``graph``; ``entries``, one ``(-energy, vertices)`` per prediction, is
+    decoded when read. An index gives a FoldPrediction and a slice a tuple
+    of them; a prediction read twice is built twice. The sequence equals
+    any sequence holding the same predictions.
     """
 
     __slots__ = ("graph", "keys", "ranks")
@@ -290,18 +296,22 @@ def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
                      top_k: int | None = None) -> PredictionReport:
     """Score cliques by total matched pairs and assign SCR and DR ranks.
 
-    A Cliques that ``maximal_cliques`` returned for this graph object is
-    ranked by its keys as they are when ``graph.conflict_free`` (true of
-    every graph that ``build_stem_graph`` or the graph readers make). Any
-    other cliques (a plain list, a generator, another graph's Cliques) are
-    priced and checked first, each of them: a clique whose stems share a
-    base index raises ValueError whether or not it is emitted. Every clique
-    counts towards the ranks. The predictions are a RankedPredictions.
+    Only what the search did not price is priced here. A Cliques that
+    ``maximal_cliques`` returned for this same graph object is ranked by
+    the keys it carries, when no edge of the graph joins two stems that
+    share a base (``StemGraph.conflict_free``, true of every graph that
+    ``build_stem_graph`` or the graph readers make): none of its cliques
+    can then reuse a base. Any other cliques (a plain list, a generator,
+    another graph's Cliques) are priced and checked first, each of them: a
+    clique whose stems share a base index raises ValueError whether or not
+    it is emitted. Every clique counts towards the ranks.
 
-    With ``top_k`` set only the k best predictions are kept; they equal the
-    first k of the full report, SCR, DR and multiplicity included, as long
-    as the cliques passed in hold every clique of energy at least the k-th
-    best (``maximal_cliques(..., top_k=k)`` returns exactly those).
+    The report's predictions are a RankedPredictions: no pair is built
+    until a prediction is read. With ``top_k`` set only the k best
+    predictions, ordered by (-energy, vertex tuple), are kept; they equal
+    the first k of the full report, SCR, DR and multiplicity included, as
+    long as the cliques passed in hold every clique of energy at least the
+    k-th best (``maximal_cliques(..., top_k=k)`` returns exactly those).
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")

@@ -206,7 +206,7 @@ def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
     n = len(stems)
     tps = [len(ref.intersection(stem.pairs)) for stem in stems]
 
-    def tp_of(some_keys: Iterable[int]) -> Iterator[int]:
+    def tps_of(some_keys: Iterable[int]) -> Iterator[int]:
         return (sum([tps[v] for v in vs]) for vs in key_vertices(n, some_keys))
 
     def score(energy: int, tp: int) -> Metrics:
@@ -218,7 +218,7 @@ def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
         energy = keys[start] >> n
         end = bisect_right(keys, -(energy << n), key=neg)  # past this energy's keys
         if top is None or key(score(energy, min(energy, len(ref)))) > key(best[0]):
-            tp = max(tp_of(keys[start:end]))
+            tp = max(tps_of(keys[start:end]))
             metrics = score(energy, tp)
             if top is None:
                 top = metrics
@@ -227,5 +227,5 @@ def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
         start = end
     metrics, tp, start = best
     # the first key of that energy with that tp
-    index = next(k for k, got in enumerate(tp_of(islice(keys, start, None)), start) if got == tp)
+    index = next(k for k, got in enumerate(tps_of(islice(keys, start, None)), start) if got == tp)
     return top, metrics, index

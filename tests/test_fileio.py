@@ -604,7 +604,7 @@ def test_write_report_failing_mid_stream_leaves_the_file(tmp_path, monkeypatch):
     rng = random.Random(7)  # under protein, prediction 6 needs a fifth bracket tier
     seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="r76")
     _, report = run_pipeline(seq, resolve_profile("protein"))
-    monkeypatch.setattr(fileio, "RENDER_SLICE", 1)  # the first slice renders
+    monkeypatch.setattr(fileio, "RENDER_SLICE", 1)  # so prediction 6 fails mid-stream
     path = tmp_path / "r.json"
     path.write_text("earlier report\n")
     with pytest.raises(TooManyLayers):

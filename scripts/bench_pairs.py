@@ -10,15 +10,17 @@ clone``) is benchmarked as it stands: for every seed, ``perfbench/run.py
 change, one after the other, and the side that goes first alternates from
 seed to seed, so that a drift of the machine's speed falls on both sides
 alike. The run length is the change's ``BENCHMARK.json`` ``run_seconds``.
-One ``--trace 1`` run per side, with the first seed, then adds the
-per-layer means.
+Then the first three seeds run again with ``--trace 1``, paired and
+alternated the same way, for the per-layer figures: one traced run per side
+would read the machine's drift as a change of layer.
 
 The file, written at the root of the change's checkout, holds every run's
-``correct`` flag and metrics; per end-to-end metric, the per-seed values,
-both medians, the parent's quartiles and the count of pairs in which the
-change did better (the direction is the one ``BENCHMARK.json`` declares);
-and the machine's core count and Python version. Runs go one at a time,
-never in parallel.
+``correct`` flag and metrics; per end-to-end metric (``metrics``, over the
+untraced runs) and per layer (``layers``, over the traced ones), the
+per-seed values, both medians, the parent's quartiles and the count of
+pairs in which the change did better (the direction is the one
+``BENCHMARK.json`` declares); and the machine's core count and Python
+version. Runs go one at a time, never in parallel.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from pathlib import Path
 SCHEMA = "stemp-bench-pairs/1"
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 600
+TRACED_SEEDS = 3  # the first seeds, run again traced
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -66,12 +69,12 @@ def commit_of(checkout: Path) -> str | None:
     return (done.stdout.strip() or None) if done.returncode == 0 else None
 
 
-def declared(checkout: Path) -> tuple[float, dict[str, dict]]:
-    """The run length and name -> {unit, better} of the end-to-end metrics
-    that the checkout's BENCHMARK.json declares."""
+def declared(checkout: Path) -> tuple[float, dict[str, dict], dict[str, dict]]:
+    """The run length and name -> {unit, better} of the end-to-end and of
+    the per-layer metrics that the checkout's BENCHMARK.json declares."""
     doc = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return doc["run_seconds"], {m["name"]: {"unit": m["unit"], "better": m["better"]}
-                                for m in doc["end_to_end"]}
+    return doc["run_seconds"], *({m["name"]: {"unit": m["unit"], "better": m["better"]}
+                                  for m in doc[kind]} for kind in ("end_to_end", "per_layer"))
 
 
 def summarize(runs: list[dict], seeds: list[int], specs: dict[str, dict]) -> dict:
@@ -103,8 +106,8 @@ def check_schema(doc: dict) -> list[str]:
     """The ways ``doc`` departs from the file's schema (none when it fits)."""
     problems = []
     for key, kind in (("schema", str), ("workload", str), ("seconds", float),
-                      ("seeds", list), ("commits", dict), ("machine", dict), ("runs", list),
-                      ("metrics", dict)):
+                      ("seeds", list), ("traced_seeds", list), ("commits", dict),
+                      ("machine", dict), ("runs", list), ("metrics", dict), ("layers", dict)):
         if not isinstance(doc.get(key), (int, float) if kind is float else kind):
             problems.append(f"{key}: missing or not a {kind.__name__}")
     if problems:
@@ -113,25 +116,27 @@ def check_schema(doc: dict) -> list[str]:
         problems.append(f"schema is {doc['schema']!r}, not {SCHEMA!r}")
     if not {"cores", "python"} <= set(doc["machine"]):
         problems.append("machine: needs cores and python")
-    seeds = doc["seeds"]
-    for k, seed in enumerate(seeds):
-        sides = [r for r in doc["runs"] if r.get("seed") == seed and r.get("trace") == 0]
-        if sorted(r.get("side") for r in sides) != sorted(SIDES):
-            problems.append(f"seed {seed}: needs one untraced run per side")
-        elif {r["side"]: r.get("order") for r in sides} != {SIDES[k % 2]: 0,
-                                                             SIDES[1 - k % 2]: 1}:
-            problems.append(f"seed {seed}: the side that goes first does not alternate")
+    for trace, kind, seeds, summary in ((0, "untraced", doc["seeds"], "metrics"),
+                                        (1, "traced", doc["traced_seeds"], "layers")):
+        for k, seed in enumerate(seeds):
+            sides = [r for r in doc["runs"] if r.get("seed") == seed and r.get("trace") == trace]
+            if sorted(r.get("side") for r in sides) != sorted(SIDES):
+                problems.append(f"seed {seed}: needs one {kind} run per side")
+            elif {r["side"]: r.get("order") for r in sides} != {SIDES[k % 2]: 0,
+                                                                 SIDES[1 - k % 2]: 1}:
+                problems.append(f"seed {seed}: the side that goes first in its {kind} runs "
+                                f"does not alternate")
+        for name, m in doc[summary].items():
+            for key in ("unit", "better", "parent", "change", "parent_median",
+                        "change_median", "parent_quartiles", "pairs", "improved"):
+                if key not in m:
+                    problems.append(f"metric {name}: no {key}")
+            if all(k in m for k in ("parent", "change")) and not (
+                    len(m["parent"]) == len(m["change"]) == len(seeds)):
+                problems.append(f"metric {name}: needs one value per {kind} seed and side")
     for r in doc["runs"]:
         if not (isinstance(r.get("correct"), bool) and isinstance(r.get("metrics"), dict)):
             problems.append(f"run {r.get('side')}/{r.get('seed')}: needs correct and metrics")
-    for name, m in doc["metrics"].items():
-        for key in ("unit", "better", "parent", "change", "parent_median", "change_median",
-                    "parent_quartiles", "pairs", "improved"):
-            if key not in m:
-                problems.append(f"metric {name}: no {key}")
-        if all(k in m for k in ("parent", "change")) and not (
-                len(m["parent"]) == len(m["change"]) == len(seeds)):
-            problems.append(f"metric {name}: needs one value per seed and side")
     return problems
 
 
@@ -143,29 +148,32 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
 
-    seconds, metrics = declared(args.change)
+    seconds, metrics, layers = declared(args.change)
     checkouts = {"parent": args.parent, "change": args.change}
+    traced = args.seeds[:TRACED_SEEDS]
     runs = []
-    for k, seed in enumerate(args.seeds):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        for position, side in enumerate(order):
-            result = run_one(checkouts[side], args.workload, seed, seconds, 0)
-            runs.append({"side": side, "seed": seed, "trace": 0, "order": position, **result})
-            print(f"{args.workload} seed {seed} {side}: correct={result['correct']} "
-                  f"seq_per_s={result['metrics'].get('seq_per_s')}", file=sys.stderr)
-    for side in SIDES:
-        result = run_one(checkouts[side], args.workload, args.seeds[0], seconds, 1)
-        runs.append({"side": side, "seed": args.seeds[0], "trace": 1, "order": 0, **result})
+    for trace, seeds in ((0, args.seeds), (1, traced)):
+        for k, seed in enumerate(seeds):
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                result = run_one(checkouts[side], args.workload, seed, seconds, trace)
+                runs.append({"side": side, "seed": seed, "trace": trace, "order": position,
+                             **result})
+                print(f"{args.workload} seed {seed} trace {trace} {side}: "
+                      f"correct={result['correct']} "
+                      f"seq_per_s={result['metrics'].get('seq_per_s')}", file=sys.stderr)
 
     doc = {
         "schema": SCHEMA,
         "workload": args.workload,
         "seconds": seconds,
         "seeds": args.seeds,
+        "traced_seeds": traced,
         "commits": {side: commit_of(path) for side, path in checkouts.items()},
         "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
         "runs": runs,
         "metrics": summarize([r for r in runs if r["trace"] == 0], args.seeds, metrics),
+        "layers": summarize([r for r in runs if r["trace"] == 1], traced, layers),
     }
     problems = check_schema(doc)
     if problems:

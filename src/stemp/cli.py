@@ -20,8 +20,6 @@ from pathlib import Path
 
 from .cliques import Deadline, PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
-# RENDER_SLICE: predictions per report_to_dict call while a report is
-# written, and the stride of the rendering deadline checks
 from .fileio import (RENDER_SLICE, REPORT_SET_SCHEMA, graph_to_dict, read_fasta,
                      read_reference, read_report, replacing, report_to_dict, sliced_report,
                      stream_report, write_dot_bracket)
@@ -295,11 +293,8 @@ def cmd_evaluate(args) -> int:
            **_scores(report, reference, args.metric)}
     if not report.predictions:
         doc["note"] = "no predictions; scored the empty structure"
-    text = json.dumps(doc, indent=2) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with replacing(output) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -386,7 +381,7 @@ def cmd_batch(args) -> int:
     if args.jobs > 1 and len(sequences) > 1:
         # imported only here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(sequences))) as pool:
             rows = list(pool.map(score, sequences, references))
     else:
         rows = list(map(score, sequences, references))
@@ -426,7 +421,8 @@ def cmd_batch(args) -> int:
             "failures": failures,
             "histograms": {"scr_of_best": scr_hist, "top": top_hist, "best": best_hist},
         }
-        Path(output).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        with replacing(output) as out:
+            out.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 

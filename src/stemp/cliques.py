@@ -7,22 +7,23 @@ ordered lexicographically on the sorted vertex tuples so output is fully
 deterministic.
 
 A clique of an n-vertex graph is one int key, ``energy << n | rev``, bit
-n-1-v of ``rev`` standing for vertex v. Every stem holds a pair, so of two
-cliques of equal energy neither holds the other, and their lexicographic
-order is decided by the smallest vertex of their symmetric difference: the
-highest differing bit of ``rev``. Keys in descending order are thus in
-report order, (-energy, vertex tuple).
+n-1-v of ``rev`` standing for vertex v; no other module reads that layout.
+Every stem holds a pair, so of two cliques of equal energy neither holds
+the other, and their lexicographic order is decided by the smallest vertex
+of their symmetric difference: the highest differing bit of ``rev``. Keys
+in descending order are thus in report order, (-energy, vertex tuple).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from operator import rshift
+from operator import neg, rshift
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded
@@ -43,7 +44,7 @@ class Deadline:
             raise BudgetExceeded(f"time budget of {self.seconds} s ran out during {stage}")
 
 
-def key_vertices(n: int, keys: Iterable[int], first: int = 0) -> Iterator[list[int]]:
+def _key_vertices(n: int, keys: Iterable[int], first: int = 0) -> Iterator[list[int]]:
     """The vertices of each key of an n-vertex graph, ascending, numbered
     from ``first``."""
     mask, last = (1 << n) - 1, n + first
@@ -71,7 +72,7 @@ class Cliques(Sequence):
         if self._view is None:  # no maximal clique holds another: rev orders them
             n = len(self.graph.vertices)
             keys = sorted(self.keys, key=((1 << n) - 1).__and__, reverse=True)
-            self._view = (list(map(tuple, key_vertices(n, keys))), [key >> n for key in keys])
+            self._view = (list(map(tuple, _key_vertices(n, keys))), [key >> n for key in keys])
         return self._view
 
     @property
@@ -228,10 +229,10 @@ class RankedPredictions(Sequence):
 
     ``keys`` holds one clique key per prediction in report order, ``ranks``
     maps an energy to its (SCR, DR, multiplicity), and the pairs come from
-    ``graph``; ``entries``, one ``(-energy, vertices)`` per prediction, is
-    decoded when read. An index gives a FoldPrediction and a slice a tuple
-    of them; a prediction read twice is built twice. The sequence equals
-    any sequence holding the same predictions.
+    ``graph``. ``blocks``, ``window`` and ``entries`` read them building no
+    FoldPrediction. An index gives a FoldPrediction and a slice a tuple of
+    them; a prediction read twice is built twice. The sequence equals any
+    sequence holding the same predictions.
     """
 
     __slots__ = ("graph", "keys", "ranks")
@@ -240,14 +241,31 @@ class RankedPredictions(Sequence):
                  ranks: dict[int, tuple[int, int, int]]):
         self.graph, self.keys, self.ranks = graph, keys, ranks
 
+    def blocks(self, first: int = 0) -> Iterator[tuple[int, int, Iterator[list[int]]]]:
+        """For each energy, highest first: the energy, the report index of
+        its first prediction, and the vertices of its predictions in report
+        order, each ascending and numbered from ``first``, decoded as they
+        are read: a block left unread costs one bisection of the keys."""
+        keys, n = self.keys, len(self.graph.vertices)
+        start = 0
+        while start < len(keys):
+            energy = keys[start] >> n
+            end = bisect_right(keys, -(energy << n), lo=start, key=neg)  # past this energy
+            yield energy, start, _key_vertices(n, keys[start:end], first)
+            start = end
+
+    def window(self, start: int, stop: int) -> RankedPredictions:
+        """The ranking of predictions ``start`` to ``stop`` (a slice's bounds)."""
+        return RankedPredictions(self.graph, self.keys[start:stop], self.ranks)
+
     @property
     def entries(self) -> list[tuple[int, tuple[int, ...]]]:
-        n = len(self.graph.vertices)
-        return [(-(key >> n), tuple(vs)) for key, vs in zip(self.keys, key_vertices(n, self.keys))]
+        """One ``(-energy, vertices)`` per prediction."""
+        return [(-energy, tuple(vs)) for energy, _, block in self.blocks() for vs in block]
 
     def _build(self, key: int) -> FoldPrediction:
         n = len(self.graph.vertices)
-        [vertices] = key_vertices(n, [key])
+        [vertices] = _key_vertices(n, [key])
         vs, energy = tuple(vertices), key >> n
         scr, dr, multiplicity = self.ranks[energy]
         return FoldPrediction(vertices=vs, energy=energy, pairs=clique_pairs(self.graph, vs),

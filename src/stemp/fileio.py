@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from .cliques import FoldPrediction, PredictionReport, RankedPredictions, key_vertices
+from .cliques import FoldPrediction, PredictionReport, RankedPredictions
 from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
                      InvalidCharacter, TooManyLayers)
 from .metrics import ReferenceStructure
@@ -374,28 +374,27 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
     """JSON-ready form of a report; timing only on request so that repeated
     runs serialize byte-identically.
 
-    A RankedPredictions is rendered from its keys and its graph's stems,
-    building no FoldPrediction: each prediction's ``"pairs"`` is a
-    HelixPairs of its stems, which equals the list of its sorted pairs and
-    is layered one helix at a time."""
+    A RankedPredictions is rendered one energy block at a time from its
+    graph's stems, building no FoldPrediction: each prediction's
+    ``"pairs"`` is a HelixPairs of its stems, which equals the list of its
+    sorted pairs and is layered one helix at a time."""
     predictions = report.predictions
     if isinstance(predictions, RankedPredictions):
-        keys, ranks = predictions.keys, predictions.ranks
-        n = len(predictions.graph.vertices)
         by_number = (None, *predictions.graph.vertices)
         entries = []
-        for key, numbers in zip(keys, key_vertices(n, keys, first=1)):
-            scr, dr, multiplicity = ranks[key >> n]
-            pairs = HelixPairs(map(by_number.__getitem__, numbers))
-            entries.append({
-                "rank_scr": scr,
-                "rank_dr": dr,
-                "multiplicity": multiplicity,
-                "energy": key >> n,
-                "vertices": numbers,
-                "pairs": pairs,
-                "dot_bracket": write_dot_bracket(seq, pairs) if seq is not None else None,
-            })
+        for energy, _, block in predictions.blocks(first=1):
+            scr, dr, multiplicity = predictions.ranks[energy]
+            for numbers in block:
+                pairs = HelixPairs(map(by_number.__getitem__, numbers))
+                entries.append({
+                    "rank_scr": scr,
+                    "rank_dr": dr,
+                    "multiplicity": multiplicity,
+                    "energy": energy,
+                    "vertices": numbers,
+                    "pairs": pairs,
+                    "dot_bracket": write_dot_bracket(seq, pairs) if seq is not None else None,
+                })
     else:
         entries = [
             {
@@ -580,14 +579,13 @@ def sliced_report(report: PredictionReport, seq: Sequence | None, include_timing
     (``report_to_dict`` or a stand-in for it) ``size`` predictions at a
     time, as ``stream_report`` reads them: each slice is one ``render``
     call, and ``between()`` runs before each slice but the first. A
-    RankedPredictions is sliced by its keys, so that no FoldPrediction is
-    built."""
+    RankedPredictions is sliced by its ``window``, so that no FoldPrediction
+    is built."""
     predictions = report.predictions
 
     def part(start: int) -> PredictionReport:
         if isinstance(predictions, RankedPredictions):
-            return replace(report, predictions=RankedPredictions(
-                predictions.graph, predictions.keys[start:start + size], predictions.ranks))
+            return replace(report, predictions=predictions.window(start, start + size))
         return replace(report, predictions=predictions[start:start + size])
 
     def entries(batch: list):

@@ -9,16 +9,13 @@ square is stored and the root is taken only for display.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import islice
-from operator import neg
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .cliques import FoldPrediction, PredictionReport, RankedPredictions, key_vertices
+from .cliques import FoldPrediction, PredictionReport, RankedPredictions
 from .errors import IndexOutOfRange
 from .seq import PairingRule
 from .stems import Pair
@@ -145,7 +142,7 @@ def summarize_report(report: PredictionReport, reference: ReferenceStructure,
     A report holds thousands of predictions but few distinct confusion
     counts, so each count is scored once, and only the best prediction is
     built. A ranking whose stems all lie within the reference is scored
-    from its stems and keys alone (see ``_ranked_choice``); any other
+    from its stems and energy blocks alone (see ``_ranked_choice``); any other
     report from each prediction's pairs.
     """
     predictions = report.predictions
@@ -197,35 +194,25 @@ def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
     and F1 = 2tp/(|ref|+E) strictly increase with tp, so only the largest
     tp of each energy can score best, no tp of E scores above tp =
     min(E, |ref|), and among predictions of equal score the first in report
-    order has the highest energy. The energies are taken from the top
+    order has the highest energy. The energy blocks are taken from the top
     (SCR=1) down, and one whose bound does not beat the best score so far is
-    skipped: on the ``census`` benchmark inputs, that leaves about 2% of
-    the keys to read.
+    skipped undecoded: on the ``census`` benchmark inputs, that leaves about
+    2% of the predictions to read, each read once.
     """
-    ref, stems, keys = reference.pairs, ranked.graph.vertices, ranked.keys
-    n = len(stems)
-    tps = [len(ref.intersection(stem.pairs)) for stem in stems]
-
-    def tps_of(some_keys: Iterable[int]) -> Iterator[int]:
-        return (sum([tps[v] for v in vs]) for vs in key_vertices(n, some_keys))
+    ref = reference.pairs
+    tps = [len(ref.intersection(stem.pairs)) for stem in ranked.graph.vertices]
 
     def score(energy: int, tp: int) -> Metrics:
         return score_counts(tp, energy - tp, len(ref) - tp)
 
     top = best = None
-    start = 0
-    while start < len(keys):
-        energy = keys[start] >> n
-        end = bisect_right(keys, -(energy << n), key=neg)  # past this energy's keys
+    for energy, start, block in ranked.blocks():
         if top is None or key(score(energy, min(energy, len(ref)))) > key(best[0]):
-            tp = max(tps_of(keys[start:end]))
+            block_tps = [sum([tps[v] for v in vs]) for vs in block]
+            tp = max(block_tps)
             metrics = score(energy, tp)
             if top is None:
                 top = metrics
             if best is None or key(metrics) > key(best[0]):
-                best = (metrics, tp, start)
-        start = end
-    metrics, tp, start = best
-    # the first key of that energy with that tp
-    index = next(k for k, got in enumerate(tps_of(islice(keys, start, None)), start) if got == tp)
-    return top, metrics, index
+                best = (metrics, start + block_tps.index(tp))  # the first of that tp
+    return top, *best

@@ -38,10 +38,11 @@ def test_fake_run_fits_the_schema(bench_pairs, monkeypatch, tmp_path):
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change"), "--workload", "census",
                              "--seeds", "1", "2", "3", "4"]) == 0
-    # the side that goes first alternates; one traced run per side comes last
+    # the side that goes first alternates; the first three seeds run again traced
     assert calls == [("parent", 1, 0), ("change", 1, 0), ("change", 2, 0), ("parent", 2, 0),
                      ("parent", 3, 0), ("change", 3, 0), ("change", 4, 0), ("parent", 4, 0),
-                     ("parent", 1, 1), ("change", 1, 1)]
+                     ("parent", 1, 1), ("change", 1, 1), ("change", 2, 1), ("parent", 2, 1),
+                     ("parent", 3, 1), ("change", 3, 1)]
     doc = json.loads((tmp_path / "change" / "BENCH_census.json").read_text())
     assert bench_pairs.check_schema(doc) == []
     assert doc["seconds"] == json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
@@ -55,9 +56,12 @@ def test_fake_run_fits_the_schema(bench_pairs, monkeypatch, tmp_path):
     assert doc["metrics"]["peak_rss_mb"]["improved"] == 0  # ties do not count
     assert doc["metrics"]["setup_s"]["parent"] == [None] * 4  # a metric no run gave
     assert "cliques.rank_s" not in doc["metrics"]  # per-layer values stay in the runs
-    assert [r["metrics"]["cliques.rank_s"] for r in doc["runs"] if r["trace"]] == [0.001] * 2
+    assert [r["metrics"]["cliques.rank_s"] for r in doc["runs"] if r["trace"]] == [0.001] * 6
+    rank = doc["layers"]["cliques.rank_s"]
+    assert (rank["parent"], rank["change_median"]) == ([0.001] * 3, 0.001)
     broken = dict(doc, runs=[r for r in doc["runs"] if r["seed"] != 2])
-    assert bench_pairs.check_schema(broken) == ["seed 2: needs one untraced run per side"]
+    assert bench_pairs.check_schema(broken) == ["seed 2: needs one untraced run per side",
+                                                "seed 2: needs one traced run per side"]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -508,6 +508,35 @@ def test_batch_parallel_matches_serial(batch_dir, tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("jobs,min_length,workers", [("500", "50", 2), ("2", "1", 2),
+                                                     ("500", "1", 3)])
+def test_batch_starts_no_more_workers_than_rows(batch_dir, monkeypatch, jobs, min_length,
+                                                workers):
+    """``--jobs`` caps the pool at the row count (two rows, or three with
+    ``short``); the pool is a stand-in that maps in this process."""
+    import concurrent.futures
+
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert run("batch", "--profile", "trna", str(batch_dir), "--jobs", jobs,
+               "--min-length", min_length) == 0
+    assert made == [workers]
+
+
 def test_batch_continues_after_bad_file(batch_dir, tmp_path, capsys):
     (batch_dir / "broken.fasta").write_text(">broken\nACGU\n")
     (batch_dir / "broken.ct").write_text("9 wrong\n1 A 0 0 0 1\n")
@@ -778,6 +807,28 @@ def test_scoring_output_may_be_a_device(batch_dir, capsys):
     assert capsys.readouterr() == ("", "")
     assert run("batch", "--profile", "protein", str(batch_dir), "-o", os.devnull) == 0
     assert capsys.readouterr().out.startswith("id ")
+
+
+def test_scoring_outputs_replace_their_target(batch_dir, tmp_path, capsys):
+    """``evaluate -o`` and ``batch -o`` over an existing file write the bytes
+    that ``evaluate`` prints and that ``batch -o`` writes to a new file, and
+    leave no temporary behind."""
+    evaluate = ["evaluate", "--profile", "protein", TWOQUX_FASTA, "--reference", TWOQUX_CT]
+    batch = ["batch", "--profile", "protein", str(batch_dir), "--min-length", "1"]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(*evaluate) == 0
+    printed = capsys.readouterr().out
+    assert run(*batch, "-o", str(out / "new.json")) == 0
+    for name in ("m.json", "b.json"):
+        (out / name).write_text("earlier\n")
+    assert run(*evaluate, "-o", str(out / "m.json")) == 0
+    assert run(*batch, "-o", str(out / "b.json")) == 0
+    assert (out / "m.json").read_text() == printed
+    assert (out / "b.json").read_bytes() == (out / "new.json").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["b.json", "m.json", "new.json"]
+    for command in (evaluate, batch):
+        assert run(*command, "-o", os.devnull) == 0
 
 
 def test_a_record_dump_may_not_name_the_report(tmp_path, capsys, no_search):

@@ -525,3 +525,61 @@ def test_budgets_trip_where_the_oracle_search_does(seq_2qux, monkeypatch, top_k)
         with pytest.raises(BudgetExceeded, match="during search"):
             maximal_cliques(graph, deadline=Deadline(1.0), top_k=top_k)
         assert clock.reads == 1 + nodes + 1  # and the check that names the stage
+
+
+# ------------------------------------------------------------- energy blocks
+
+def _grouped(entries, first=0):
+    """``entries`` grouped by energy as ``blocks(first)`` yields them, with
+    each block's vertices read into a list."""
+    grouped = []
+    for index, (neg_energy, vertices) in enumerate(entries):
+        numbered = [v + first for v in vertices]
+        if grouped and grouped[-1][0] == -neg_energy:
+            grouped[-1][2].append(numbered)
+        else:
+            grouped.append((-neg_energy, index, [numbered]))
+    return grouped
+
+
+def _read_blocks(ranked, first=0):
+    return [(energy, start, list(block)) for energy, start, block in ranked.blocks(first)]
+
+
+def assert_blocks_group_the_entries(ranked):
+    entries = ranked.entries
+    for first in (0, 1):
+        assert _read_blocks(ranked, first) == _grouped(entries, first)
+    for size in (1, 7, 16):
+        for start in range(len(ranked)):
+            window = ranked.window(start, start + size)
+            assert (window.graph, window.ranks) == (ranked.graph, ranked.ranks)
+            assert window.entries == entries[start:start + size]
+            assert _read_blocks(window, 1) == _grouped(entries[start:start + size], 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_blocks_and_windows_group_the_entries_by_energy(seed, monkeypatch):
+    rng = random.Random(seed)
+    decoded = []
+    key_vertices = cliques_module._key_vertices
+
+    def spy(n, keys, first=0):
+        for key in keys:
+            decoded.append(key)
+            yield from key_vertices(n, [key], first)
+
+    for n in range(26):
+        graph = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]),
+                             [rng.choice((2, 3)) for _ in range(n)])
+        for top_k in (None, 1, 2, 5):
+            ranked = rank_predictions(graph, maximal_cliques(graph, top_k=top_k),
+                                      top_k=top_k).predictions
+            assert_blocks_group_the_entries(ranked)
+            with monkeypatch.context() as patch:
+                patch.setattr(cliques_module, "_key_vertices", spy)
+                del decoded[:]
+                blocks = [(energy, start) for energy, start, _ in ranked.blocks()]
+                assert decoded == []  # a block left unread is not decoded
+            assert blocks == [(energy, start) for energy, start, _ in _grouped(ranked.entries)]
+            assert (len(ranked) == 0) == (n == 0) == (blocks == [])  # the empty ranking

@@ -280,6 +280,39 @@ def test_ranked_summary_matches_oracle_on_random_graphs(seed, pair_calls):
                 assert got == score_each(report, reference, metric)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_ranked_choice_decodes_each_key_it_reads_once(seed, monkeypatch):
+    """On the random graphs above, ``_ranked_choice`` decodes whole energy
+    blocks, in report order, each key of them once."""
+    from stemp import cliques, metrics
+
+    decoded = []
+    key_vertices = cliques._key_vertices
+
+    def spy(n, keys, first=0):
+        for key in keys:
+            decoded.append(key)
+            yield from key_vertices(n, [key], first)
+
+    monkeypatch.setattr(cliques, "_key_vertices", spy)
+    rng = random.Random(seed)
+    for _ in range(12):
+        n = rng.randint(3, 10)
+        graph = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]),
+                             [rng.choice((2, 3)) for _ in range(n)])
+        ranked = rank_predictions(graph, maximal_cliques(graph)).predictions
+        kept = {pq for stem in graph.vertices for pq in stem.pairs if rng.random() < 0.4}
+        kept |= {(100 * k + 40, 100 * k + 60) for k in range(n) if rng.random() < 0.3}
+        for reference in (ref(kept, 100 * n), ref([], 100 * n)):
+            for metric in ("mcc", "f1"):
+                del decoded[:]
+                _, _, index = metrics._ranked_choice(
+                    ranked, reference, lambda m: metrics._metric_key(m, metric))
+                energies = {key >> n for key in decoded}
+                assert decoded == [key for key in ranked.keys if key >> n in energies]
+                assert ranked.keys[index] in decoded
+
+
 def test_ranked_best_inside_a_tied_energy_block():
     """Two cliques of energy 2 with tp 0 and 2, the better one second in
     its block and the block second in the report: the ranked path picks

@@ -20,9 +20,8 @@ from pathlib import Path
 
 from .cliques import Deadline, PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
-from .fileio import (RENDER_SLICE, REPORT_SET_SCHEMA, graph_to_dict, read_fasta,
-                     read_reference, read_report, replacing, report_to_dict, sliced_report,
-                     stream_report, write_dot_bracket)
+from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference, read_report,
+                     replacing, report_to_dict, sliced_report, stream_report, write_dot_bracket)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
 from .profiles import ProfileConfig, build_profile_graph, resolve_profile
@@ -217,7 +216,7 @@ def cmd_predict(args) -> int:
         tied = report.predictions[0].multiplicity if args.all_ties and report.predictions else 1
         for pred in report.predictions[:tied]:
             structures.append((seq, pred))
-        return sliced_report(report, seq, args.timing, report_to_dict, RENDER_SLICE,
+        return sliced_report(report, seq, args.timing, report_to_dict,
                              partial(deadline.check, "rendering"))
 
     # the graph dumps and the dot-bracket file are complete before any of

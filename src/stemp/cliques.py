@@ -310,7 +310,6 @@ def _priced(graph: StemGraph, cliques: Iterable[Iterable[int]]) -> list[int]:
 
 def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
                      sequence_id: str = "", profile: str = "",
-                     timing: float | None = None,
                      top_k: int | None = None) -> PredictionReport:
     """Score cliques by total matched pairs and assign SCR and DR ranks.
 
@@ -347,5 +346,4 @@ def rank_predictions(graph: StemGraph, cliques: Iterable[tuple[int, ...]],
         ranks[energy] = (better + 1, dense, counts[energy])
         better += counts[energy]
     return PredictionReport(sequence_id=sequence_id, profile=profile,
-                            predictions=RankedPredictions(graph, keys, ranks),
-                            timing=timing)
+                            predictions=RankedPredictions(graph, keys, ranks))

@@ -25,9 +25,13 @@ from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
                      InvalidCharacter, TooManyLayers)
 from .metrics import ReferenceStructure
 from .seq import Sequence, parse_sequence
-from .stems import MIN_PAIR_GAP, GapPattern, Pair, Stem, StemGraph
+from .stems import MIN_PAIR_GAP, GapPattern, Pair, Stem, StemGraph, helix_runs
 
 BRACKET_TIERS = ("()", "[]", "{}", "<>")
+# Unpaired bases. Every other character of a structure line is a bracket of
+# BRACKET_TIERS, which is how read_dot_bracket tells it from the sequence
+# line; a letter tier (bpRNA's Aa, Bb, ...) would make that ambiguous.
+_UNPAIRED = "._-,:"
 _OPEN = {pair[0]: tier for tier, pair in enumerate(BRACKET_TIERS)}
 _CLOSE = {pair[1]: tier for tier, pair in enumerate(BRACKET_TIERS)}
 
@@ -205,72 +209,64 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
     raises TooManyLayers. Greedy is not minimal: it can open a tier that a
     different assignment would not need (Smit et al., RNA 2008).
 
+    The pairs are laid out a run of stacked pairs at a time (``_layered``):
+    a HelixPairs by its helices, any other pairs by the ``helix_runs`` of
+    their sorted list. Where that fails, the first pair in sorted order
+    without 1 <= p < q <= n, or on a base an earlier pair took, is the
+    error, unless a pair before it needs a fifth tier.
+    """
+    n = seq if isinstance(seq, int) else seq.length
+    if type(pairs) is HelixPairs:
+        runs = pairs.helices
+    else:
+        pairs = sorted(pairs)
+        runs = helix_runs(pairs)
+    try:
+        text = _layered(n, runs)
+        if text.count(".") == n - 2 * len(pairs):
+            return text
+    except (TooManyLayers, IndexError):
+        pass
+    used = bytearray(n + 1)
+    for m, (p, q) in enumerate(pairs):
+        if 1 <= p < q <= n and not (used[p] or used[q]):
+            used[p] = used[q] = 1
+            continue
+        _layered(n, helix_runs(pairs[:m]))  # a fifth tier before (p, q) is the error
+        if not 1 <= p < q <= n:
+            raise IndexOutOfRange(q if q > n else p, n)
+        raise ValueError(f"index reused by pair ({p},{q})")
+    return _layered(n, runs)  # no pair is bad, so this raises TooManyLayers
+
+
+_OPENING = tuple(tier[0].encode() for tier in BRACKET_TIERS)
+_CLOSING = tuple(tier[1].encode() for tier in BRACKET_TIERS)
+
+
+def _layered(n: int, runs: Iterable[tuple[int, int, int]]) -> str:
+    """The greedy text of sorted runs (p, q, k) of stacked pairs; a fifth
+    tier is TooManyLayers, a run not inside 1..n (or one whose strands
+    meet) an IndexError. A base in two runs is not checked: it leaves
+    more dots than n less twice the pairs.
+
     Each tier keeps a stack of the closing indices of its still-open pairs,
     innermost last. A tier's open pairs all enclose the current opening
     index p, so they nest; pair (p, q) crosses one of them iff some open
     closing index lies in (p, q), i.e. iff the top of the stack, once the
     closings below p are popped, is below q. Linear after the sort.
 
-    A HelixPairs is layered one helix at a time (``_layered_helices``),
-    with the same text; where that finds a pair past n, a base used twice
-    or a fifth tier, the pair loop below raises the error.
-    """
-    n = seq if isinstance(seq, int) else seq.length
-    if type(pairs) is HelixPairs:
-        text = _layered_helices(n, pairs.helices, len(pairs))
-        if text is not None:
-            return text
-    chars = ["."] * n
-    stacks: list[list[int]] = []
-    used = bytearray(n + 1)
-    for p, q in sorted(pairs):
-        if not (1 <= p < q <= n):
-            raise IndexOutOfRange(q if q > n else p, n)
-        if used[p] or used[q]:
-            raise ValueError(f"index reused by pair ({p},{q})")
-        used[p] = used[q] = 1
-        for tier, stack in enumerate(stacks):
-            while stack and stack[-1] < p:
-                stack.pop()
-            if not stack or stack[-1] > q:
-                break
-        else:
-            if len(stacks) >= len(BRACKET_TIERS):
-                raise TooManyLayers(f"pair ({p},{q}) needs a fifth bracket tier")
-            tier = len(stacks)
-            stack = []
-            stacks.append(stack)
-        stack.append(q)
-        chars[p - 1], chars[q - 1] = BRACKET_TIERS[tier]
-    return "".join(chars)
-
-
-_DOT = ord(".")
-_OPENING = tuple(tier[0].encode() for tier in BRACKET_TIERS)
-_CLOSING = tuple(tier[1].encode() for tier in BRACKET_TIERS)
-
-
-def _layered_helices(n: int, helices: list[tuple[int, int, int]], pairs: int) -> str | None:
-    """``write_dot_bracket``'s text of the sorted helices of stems, holding
-    ``pairs`` pairs in all, or None if a base serves two pairs, a pair is
-    past n, or a pair needs a fifth tier.
-
-    Where it gives a text, it is the pair loop's. No base serves two pairs,
-    so no other pair opens inside a helix's 5' run, and the helices' pairs
-    in helix order are the sorted pairs. The pair loop puts each pair of a
-    helix on its first pair's tier: a lower tier that refuses (p, q) holds
-    an open closing c with p < c < q that is no base of the helix, so it
-    refuses (p+1, q-1) too. And a tier's stack needs only the helix's
-    innermost closing: no later pair opens inside the helix's 3' run, so
+    Where no base serves two pairs, this is the text of laying the pairs
+    out one at a time, sorted. No other pair opens inside a run's 5'
+    strand, so the runs' pairs in run order are the sorted pairs. Each pair
+    of a run goes on its first pair's tier: a lower tier that refuses (p, q)
+    holds an open closing c with p < c < q that is no base of the run, so
+    it refuses (p+1, q-1) too. And a tier's stack needs only the run's
+    innermost closing: no later pair opens inside the run's 3' strand, so
     its closings are popped together, and the innermost is the top.
-
-    A stem's helix opens at 1 or later and closes after it opens, so its
-    2k brackets land where its pairs are. A bracket on a base that another
-    took, or past n, then leaves more dots than n less twice the pairs.
     """
     chars = bytearray(b"." * n)
     stacks: list[list[int]] = []
-    for p, q, k in helices:
+    for p, q, k in runs:
         tier = 0
         for stack in stacks:
             while stack and stack[-1] < p:
@@ -280,35 +276,35 @@ def _layered_helices(n: int, helices: list[tuple[int, int, int]], pairs: int) ->
             tier += 1
         else:
             if tier == len(BRACKET_TIERS):
-                return None
+                raise TooManyLayers(f"pair ({p},{q}) needs a fifth bracket tier")
             stack = []
             stacks.append(stack)
         j = q - k + 1  # the innermost closing
+        if not 0 < p <= j - k < q <= n:  # 0 < p < p + k <= j <= q <= n
+            raise IndexError(f"run ({p},{q},{k}) is not inside 1..{n}")
         stack.append(j)
         chars[p - 1:p - 1 + k] = _OPENING[tier] * k
         chars[j - 1:q] = _CLOSING[tier] * k
-    if chars.count(_DOT) != n - 2 * pairs:
-        return None
     return chars.decode("ascii")
 
 
 def parse_dot_bracket(text: str) -> frozenset[Pair]:
     """Pairs (1-based) encoded by a dot-bracket string with up to 4 tiers."""
-    stacks: list[list[int]] = [[] for _ in BRACKET_TIERS]
+    opened: list[list[int]] = [[] for _ in BRACKET_TIERS]  # per tier, its open brackets
     pairs = set()
     for pos, ch in enumerate(text.strip(), start=1):
-        if ch in "._-,:":
+        if ch in _UNPAIRED:
             continue
         if ch in _OPEN:
-            stacks[_OPEN[ch]].append(pos)
+            opened[_OPEN[ch]].append(pos)
         elif ch in _CLOSE:
-            stack = stacks[_CLOSE[ch]]
+            stack = opened[_CLOSE[ch]]
             if not stack:
                 raise FormatError(f"unmatched {ch!r} at position {pos}")
             pairs.add((stack.pop(), pos))
         else:
             raise FormatError(f"unexpected character {ch!r} at position {pos}")
-    for tier, stack in zip(BRACKET_TIERS, stacks):
+    for tier, stack in zip(BRACKET_TIERS, opened):
         if stack:
             raise FormatError(f"unmatched {tier[0]!r} at position {stack[-1]}")
     return frozenset(pairs)
@@ -328,7 +324,7 @@ def read_dot_bracket(path: str | Path) -> ReferenceStructure:
         if line.startswith(">"):
             header = line[1:].strip()
             name = header.split()[0] if header else name
-        elif set(line) <= set("._-,:()[]{}<>"):
+        elif set(line) <= set(_UNPAIRED + "".join(BRACKET_TIERS)):
             structure = line
         else:
             bases = line.upper().replace("T", "U")
@@ -530,10 +526,11 @@ def _entry_writer(nl: str):
     """A function giving a ``report_to_dict`` prediction entry as
     ``json.dumps(entry, indent=2)`` writes it at indent ``nl``.
 
-    It writes a HelixPairs one helix at a time, from the text of each helix
-    kept in ``helix_texts``: pass one dict for all the entries of a report,
-    and a new one for the next report, so that it holds only one report's
-    helices.
+    It writes the pairs one run of stacked pairs at a time (a HelixPairs'
+    helices, else the ``helix_runs`` of the list), from the text of each
+    run kept in ``helix_texts``: pass one dict for all the entries of a
+    report, and a new one for the next report, so that it holds only one
+    report's runs.
 
     The entry needs report_to_dict's key order, and ints where it puts ints:
     %d and str would write a bool as 1 or True and cut a float short.
@@ -553,35 +550,30 @@ def _entry_writer(nl: str):
 
     def text(entry: dict, helix_texts: dict | None = None) -> str:
         scr, dr, multiplicity, energy, vertices, pairs, dot = entry.values()
-        if not pairs:
-            pairs_text = "[]"
-        elif type(pairs) is HelixPairs:
-            if helix_texts is None:
-                helix_texts = {}
-            get = helix_texts.get
-            parts = [get(helix) or helix_text(helix, helix_texts) for helix in pairs.helices]
-            pairs_text = f"[{item}{sep.join(parts)}{member}]"
-        else:
-            pairs_text = (f"[{item}{sep.join([pair] * len(pairs))}{member}]"
-                          % tuple(chain.from_iterable(pairs)))
+        if helix_texts is None:
+            helix_texts = {}
+        get = helix_texts.get
+        runs = pairs.helices if type(pairs) is HelixPairs else helix_runs(pairs)
+        parts = [get(helix) or helix_text(helix, helix_texts) for helix in runs]
         return template % (
             scr, dr, multiplicity, energy,
             f"[{item}{sep.join(map(str, vertices))}{member}]" if vertices else "[]",
-            pairs_text,
+            f"[{item}{sep.join(parts)}{member}]" if parts else "[]",
             "null" if dot is None else encode_basestring_ascii(dot))
     return text
 
 
 def sliced_report(report: PredictionReport, seq: Sequence | None, include_timing: bool,
-                  render: Callable[..., dict], size: int,
+                  render: Callable[..., dict],
                   between: Callable[[], object] = lambda: None) -> dict:
     """``report_to_dict``'s document of ``report``, rendered by ``render``
-    (``report_to_dict`` or a stand-in for it) ``size`` predictions at a
+    (``report_to_dict`` or a stand-in for it) RENDER_SLICE predictions at a
     time, as ``stream_report`` reads them: each slice is one ``render``
     call, and ``between()`` runs before each slice but the first. A
     RankedPredictions is sliced by its ``window``, so that no FoldPrediction
     is built."""
     predictions = report.predictions
+    size = RENDER_SLICE
 
     def part(start: int) -> PredictionReport:
         if isinstance(predictions, RankedPredictions):
@@ -633,7 +625,7 @@ def write_report(report: PredictionReport, path: str | Path,
                  seq: Sequence | None = None, include_timing: bool = False) -> None:
     """Write ``report``'s document to ``path``, RENDER_SLICE predictions
     rendered at a time; ``path`` is replaced only once the text is whole."""
-    doc = sliced_report(report, seq, include_timing, report_to_dict, RENDER_SLICE)
+    doc = sliced_report(report, seq, include_timing, report_to_dict)
     with replacing(Path(path)) as out:
         stream_report(out, doc)
 

@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence as SequenceABC
+from typing import Iterable
 
 from .errors import FormatError, ProfileError
 from .seq import BASES, PairingRule, Sequence
@@ -254,15 +254,9 @@ class Stem:
 
     @cached_property
     def helices(self) -> tuple[tuple[int, int, int], ...]:
-        """The runs of stacked pairs, outermost first, each as (p, q, k):
-        the k pairs (p, q), (p+1, q-1), ... A contiguous stem is one run."""
-        runs: list[list[int]] = []
-        for p, q in self.pairs:
-            if runs and p == runs[-1][0] + runs[-1][2] and q == runs[-1][1] - runs[-1][2]:
-                runs[-1][2] += 1
-            else:
-                runs.append([p, q, 1])
-        return tuple(map(tuple, runs))
+        """The runs of stacked pairs (``helix_runs``), outermost first. A
+        contiguous stem is one run."""
+        return tuple(helix_runs(self.pairs))
 
 
 def contiguous_stem(i: int, j: int, length: int, helix: str | None = None) -> Stem:
@@ -270,19 +264,30 @@ def contiguous_stem(i: int, j: int, length: int, helix: str | None = None) -> St
     return Stem(i=i, j=j, pairs=pairs, helix=helix)
 
 
-def pattern_of_pairs(pairs: SequenceABC[Pair]) -> GapPattern | None:
+def helix_runs(pairs: Iterable[Pair]) -> list[tuple[int, int, int]]:
+    """The pairs, in their given order, as runs (p, q, k) of stacked
+    pairs: the k pairs (p, q), (p+1, q-1), ... that follow one another.
+    Nothing is checked or lost: the runs' pairs, in order, are the pairs."""
+    runs = []
+    p0 = q0 = k = 0
+    for p, q in pairs:
+        if k and p == p0 + k and q == q0 - k:
+            k += 1
+            continue
+        if k:
+            runs.append((p0, q0, k))
+        p0, q0, k = p, q, 1
+    return runs + [(p0, q0, k)] if k else runs
+
+
+def pattern_of_pairs(pairs: Iterable[Pair]) -> GapPattern | None:
     """Recover the gap notation of a nested pair chain; None if contiguous."""
-    segments = [1]
-    gaps: list[tuple[int, int]] = []
-    for (p0, q0), (p1, q1) in zip(pairs, pairs[1:]):
-        if (p1, q1) == (p0 + 1, q0 - 1):
-            segments[-1] += 1
-        else:
-            gaps.append((p1 - p0 - 1, q0 - q1 - 1))
-            segments.append(1)
-    if not gaps:
+    runs = helix_runs(pairs)
+    if len(runs) < 2:
         return None
-    return GapPattern(tuple(segments), tuple(gaps))
+    return GapPattern(tuple(k for _, _, k in runs),
+                      tuple((p1 - p0 - k, q0 - k - q1)
+                            for (p0, q0, k), (p1, q1, _) in zip(runs, runs[1:])))
 
 
 def _sort_key(stem: Stem):

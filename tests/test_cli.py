@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stemp import cli, parse_sequence
+from stemp import cli, fileio, parse_sequence
 from stemp.cli import main, run_pipeline
 from stemp.fileio import read_fasta, report_to_dict, write_ct, write_dot_bracket
 from stemp.profiles import builtin_profile, profile_to_dict, resolve_profile
@@ -641,10 +641,10 @@ def _timings(text):
     return [r["timing_seconds"] for r in doc.get("reports", [doc])]
 
 
-@pytest.mark.parametrize("render_slice", [1, 7, cli.RENDER_SLICE])
+@pytest.mark.parametrize("render_slice", [1, 7, fileio.RENDER_SLICE])
 @pytest.mark.parametrize("case", ["2qux", "r76", "two", "two-timing", "empty"])
 def test_predict_streams_the_oracle_bytes(tmp_path, capsys, monkeypatch, case, render_slice):
-    monkeypatch.setattr(cli, "RENDER_SLICE", render_slice)
+    monkeypatch.setattr(fileio, "RENDER_SLICE", render_slice)
     slices = []
     real = cli.report_to_dict
 
@@ -684,10 +684,10 @@ def _assert_nothing_written(capsys, out, before):
     assert [p.name for p in out.parent.iterdir()] == [out.name]  # no temporary left
 
 
-@pytest.mark.parametrize("render_slice", [1, cli.RENDER_SLICE])
+@pytest.mark.parametrize("render_slice", [1, fileio.RENDER_SLICE])
 def test_predict_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch,
                                                   render_slice):
-    monkeypatch.setattr(cli, "RENDER_SLICE", render_slice)  # 1: fails mid-stream
+    monkeypatch.setattr(fileio, "RENDER_SLICE", render_slice)  # 1: fails mid-stream
     fasta = _fifth_tier_76mer(tmp_path)
     out = tmp_path / "out" / "report.json"
     out.parent.mkdir()
@@ -877,7 +877,7 @@ def test_max_seconds_bounds_every_stage(tmp_path, capsys, monkeypatch, stage, la
     returned); the next check, in ``stage``, trips."""
     clock = [0.0]
     monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
-    monkeypatch.setattr(cli, "RENDER_SLICE", 1)
+    monkeypatch.setattr(fileio, "RENDER_SLICE", 1)
     real = getattr(cli, late)
 
     def jump(*args, **kwargs):

@@ -201,6 +201,28 @@ def test_dot_bracket_matches_pairwise_oracle_on_bad_pairs():
         assert got == _render(pairwise_dot_bracket, n, pairs)
         if not isinstance(got, str):
             kinds.add(got[0])
+    # stems' pairs, one bad pair inserted inside a run of stacked pairs: on
+    # a base of the run, past n, one step inward, or on two free bases,
+    # reversed or from an index below 1
+    for _ in range(300):
+        n = rng.randint(4, 80)
+        pairs = [pair for stem in _random_stems(rng, n, rng.randint(1, 30))
+                 for pair in stem.pairs]
+        free = sorted(set(range(1, n + 1)).difference(*pairs))
+        if len(pairs) < 2 or len(free) < 2:
+            continue
+        t = rng.randrange(len(pairs) - 1)
+        (p, q), (p1, q1) = pairs[t:t + 2]
+        if (p1, q1) != (p + 1, q - 1):
+            continue
+        a, b = sorted(rng.sample(free, 2))
+        bad = rng.choice([(p1, rng.randint(1, n)), (p1, n + rng.randint(1, 3)),
+                          (p1 + 1, q1 - 1), (b, a), (rng.randint(-2, 0), b)])
+        pairs.insert(t + 1, bad)
+        got = _render(write_dot_bracket, n, pairs)
+        assert got == _render(pairwise_dot_bracket, n, pairs)
+        if not isinstance(got, str):
+            kinds.add(got[0])
     assert kinds >= {ValueError, IndexOutOfRange}
 
 
@@ -329,9 +351,8 @@ def test_report_round_trip(seq_2qux, tmp_path):
 
 
 def test_report_timing_isolated(seq_2qux, tmp_path):
-    graph, report = make_report(seq_2qux)
-    timed = rank_predictions(graph, maximal_cliques(graph), sequence_id=seq_2qux.id,
-                             profile="protein", timing=1.25)
+    _, report = make_report(seq_2qux)
+    timed = replace(report, timing=1.25)
     bare = report_to_dict(timed, seq=seq_2qux)
     assert "timing_seconds" not in bare
     with_timing = report_to_dict(timed, seq=seq_2qux, include_timing=True)

@@ -12,7 +12,7 @@ from stemp import (GapPattern, Interval, PairingRule, ProfileError, Stem, build_
                    enumerate_stems, parse_sequence)
 from stemp.profiles import (BUILTIN_PROFILES, builtin_profile, profile_vertices,
                             rrna5s_helix_candidates)
-from stemp.stems import canonical_order, contiguous_stem, pattern_of_pairs
+from stemp.stems import canonical_order, contiguous_stem, helix_runs, pattern_of_pairs
 
 from .oracles import brute_force_stems, stems_disjoint, walk_gapped_stems, walk_stems
 
@@ -166,6 +166,13 @@ def test_pattern_of_pairs_round_trip():
     assert pattern_of_pairs(((3, 20), (4, 19), (5, 18))) is None
     pat = pattern_of_pairs(((1, 24), (2, 23), (4, 20), (5, 19)))
     assert pat is not None and pat.render() == "2[1/2]2"
+    for pattern in RRNA5S_PATTERNS:
+        for anchor in ((0, 0), (1, 60), (7, 119)):
+            pairs = pattern.pairs(*anchor)
+            rebuilt = pattern_of_pairs(pairs)
+            assert (rebuilt or GapPattern((len(pairs),), ())).pairs(*anchor) == pairs
+            if (0, 0) not in pattern.gaps:  # a [0/0] gap stacks two segments into one
+                assert rebuilt == (pattern if pattern.gaps else None)
 
 
 def test_helices_are_the_runs_of_stacked_pairs():
@@ -175,6 +182,43 @@ def test_helices_are_the_runs_of_stacked_pairs():
     # a [0/0] gap stacks its segments into one run
     assert stem.helices == ((1, 30, 2), (3, 27, 3), (8, 24, 3))
     assert [(p + t, q - t) for p, q, k in stem.helices for t in range(k)] == list(stem.pairs)
+
+
+def _random_pair_list(rng):
+    """Up to 40 pairs on 0..30 in no particular order: stacked runs, and
+    single pairs that may cross, repeat an earlier pair or be reversed."""
+    pairs, count = [], rng.randint(0, 40)
+    while len(pairs) < count:
+        p, q = rng.randint(0, 30), rng.randint(0, 30)
+        kind = rng.choice(["run", "pair", "repeat", "reversed"])
+        if kind == "run":
+            pairs += [(p + t, q - t) for t in range(rng.randint(1, 6))]
+        elif kind == "repeat" and pairs:
+            pairs.append(rng.choice(pairs))
+        else:
+            pairs.append((max(p, q), min(p, q)) if kind == "reversed" else (p, q))
+    return pairs
+
+
+def test_helix_runs_lose_nothing_and_are_maximal():
+    rng = random.Random(1202)
+    longest = 0
+    for _ in range(400):
+        pairs = _random_pair_list(rng)
+        runs = helix_runs(pairs)
+        assert [(p + t, q - t) for p, q, k in runs for t in range(k)] == pairs
+        assert all(k >= 1 for _, _, k in runs)
+        for (p0, q0, k0), (p1, q1, _) in zip(runs, runs[1:]):
+            assert (p1, q1) != (p0 + k0, q0 - k0)  # else the runs were one
+        longest = max([longest] + [k for _, _, k in runs])
+    assert longest >= 6
+    gapped = 0
+    for _ in range(5):
+        stems = enumerate_partial_stems(enumerate_stems(random_seq(rng, 40), CANON, 2), 2)
+        for stem in stems:
+            assert stem.helices == tuple(helix_runs(stem.pairs))
+            gapped += len(stem.helices) > 1
+    assert gapped
 
 
 # ------------------------------------------------------------- partial stems

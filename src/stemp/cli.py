@@ -21,12 +21,13 @@ from pathlib import Path
 from .cliques import Deadline, PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
 from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference, read_report,
-                     replacing, report_to_dict, sliced_report, stream_report, write_dot_bracket)
+                     render_graph_text, replacing, report_to_dict, sliced_report, stream_report,
+                     write_dot_bracket)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
 from .profiles import ProfileConfig, build_profile_graph, resolve_profile
 from .seq import Sequence
-from .stems import Interval, StemGraph, as_fraction, render_graph_text
+from .stems import Interval, StemGraph, as_fraction
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -446,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot-bracket", default=None,
                    help="also write the top structure(s) as dot-bracket text")
     p.add_argument("--all-ties", action="store_true",
-                   help="emit every rank-1 structure, not just the first")
+                   help="write every rank-1 structure to --dot-bracket, not just the "
+                        "first; with --top-k K, only those among the first K")
     p.add_argument("--dump-graph", default=None,
                    help="write the stem graph (JSON, or text if path ends in .txt)")
     p.add_argument("--top-k", type=_at_least(1), default=None,

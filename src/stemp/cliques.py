@@ -57,36 +57,21 @@ def _key_vertices(n: int, keys: Iterable[int], first: int = 0) -> Iterator[list[
         yield vertices
 
 
-class Cliques(Sequence):
-    """Maximal cliques of ``graph``, one key each in ``keys``, in no set
-    order. As a read-only sequence it holds their sorted vertex tuples in
-    lexicographic order, and equals the plain list of them; that view and
-    ``energies`` (of each, in that order) are built when first read."""
+class Cliques:
+    """Maximal cliques of ``graph``, one key each in ``keys``, in search
+    order. Iterating gives each clique's sorted vertex tuple, in that
+    order; ``len`` is the key count."""
 
-    __slots__ = ("graph", "keys", "_view")
+    __slots__ = ("graph", "keys")
 
     def __init__(self, graph: StemGraph, keys: Sequence[int] = ()):
-        self.graph, self.keys, self._view = graph, keys, None
-
-    def _read(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        if self._view is None:  # no maximal clique holds another: rev orders them
-            n = len(self.graph.vertices)
-            keys = sorted(self.keys, key=((1 << n) - 1).__and__, reverse=True)
-            self._view = (list(map(tuple, _key_vertices(n, keys))), [key >> n for key in keys])
-        return self._view
-
-    @property
-    def energies(self) -> list[int]:
-        return self._read()[1]
+        self.graph, self.keys = graph, keys
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, index):
-        return self._read()[0][index]
-
-    def __eq__(self, other) -> bool:
-        return self._read()[0] == list(other) if isinstance(other, Sequence) else NotImplemented
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return map(tuple, _key_vertices(len(self.graph.vertices), self.keys))
 
 
 def _weights(graph: StemGraph) -> list[int]:
@@ -100,7 +85,9 @@ def maximal_cliques(graph: StemGraph, max_cliques: int | None = None,
                     top_k: int | None = None) -> Cliques:
     """All maximal cliques, each once, as a Cliques of keys that carry the
     energy (total stem length) the search summed, so that
-    ``rank_predictions`` need not price them again.
+    ``rank_predictions`` need not price them again. A Cliques is no
+    sequence and equals no list: iterate it for the sorted vertex tuples,
+    in search order, or rank it.
 
     Bron-Kerbosch with pivoting: the pivot is the vertex of P | X with the
     most neighbours in P, ties broken by lowest index. Isolated vertices come

@@ -312,15 +312,19 @@ def parse_dot_bracket(text: str) -> frozenset[Pair]:
 
 def read_dot_bracket(path: str | Path) -> ReferenceStructure:
     """Reference from a .dbn-style file: optional '>' header, optional
-    sequence line, then the structure line."""
+    sequence line, then the structure line, which ends the one record: a
+    non-blank line after it is a FormatError naming its line number."""
     path = Path(path)
     name = path.stem
     bases = None
     structure = None
-    for line in read_text(path).splitlines():
+    for number, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
+        if structure is not None:
+            raise FormatError(f"{path}: line {number} follows the structure line; "
+                              "a reference holds one record")
         if line.startswith(">"):
             header = line[1:].strip()
             name = header.split()[0] if header else name
@@ -726,8 +730,19 @@ def graph_from_dict(doc: dict) -> StemGraph:
     return _graph_of(vertices, edges)
 
 
+def render_graph_text(graph: StemGraph) -> str:
+    """Line dump: one vertex per line, then one edge per line."""
+    lines = []
+    for k, s in enumerate(graph.vertices, start=1):
+        pat = f" {s.pattern.render()}" if s.pattern else ""
+        lines.append(f"v{k} {s.i} {s.j} {s.length} {s.span} {s.sl}{pat}")
+    for u, v in graph.edges:
+        lines.append(f"e {u + 1} {v + 1}")
+    return "\n".join(lines) + "\n"
+
+
 def parse_graph_text(text: str) -> StemGraph:
-    """Inverse of stems.render_graph_text; FormatError names a bad line."""
+    """Inverse of render_graph_text; FormatError names a bad line."""
     vertices: list[Stem] = []
     edges: list[tuple[str, int, int]] = []
     for number, line in enumerate(text.splitlines(), start=1):

@@ -254,21 +254,17 @@ def rrna5s_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
     """
     runs = PairRuns(seq, cfg.pairing)
     candidates = {h.name: _helix_candidates(runs, h) for h in cfg.helices}
+    domains = cfg.domains if cfg.use_gsl else ()
+    claimed = {name for d in domains for name in (d.outer, d.inner)}
     out: dict[tuple, Stem] = {}
-    if cfg.use_gsl and cfg.domains:
-        claimed = {name for d in cfg.domains for name in (d.outer, d.inner)}
-        for h in cfg.helices:
-            if h.name not in claimed:
-                for s in candidates[h.name]:
-                    out.setdefault(s.pairs, s)
-        for dom in cfg.domains:
-            for cand in assemble_domains(candidates[dom.outer], candidates[dom.inner], dom):
-                s = cand.as_stem()
-                out.setdefault(s.pairs, s)
-    else:
-        for h in cfg.helices:
+    for h in cfg.helices:
+        if h.name not in claimed:
             for s in candidates[h.name]:
                 out.setdefault(s.pairs, s)
+    for dom in domains:
+        for cand in assemble_domains(candidates[dom.outer], candidates[dom.inner], dom):
+            s = cand.as_stem()
+            out.setdefault(s.pairs, s)
     return canonical_order(out.values())
 
 

@@ -609,13 +609,3 @@ def build_stem_graph(vertices: Iterable[Stem]) -> StemGraph:
     graph.__dict__["conflict_free"] = True  # known by construction, so never computed
     return graph
 
-
-def render_graph_text(graph: StemGraph) -> str:
-    """Line dump: one vertex per line, then one edge per line."""
-    lines = []
-    for k, s in enumerate(graph.vertices, start=1):
-        pat = f" {s.pattern.render()}" if s.pattern else ""
-        lines.append(f"v{k} {s.i} {s.j} {s.length} {s.span} {s.sl}{pat}")
-    for u, v in graph.edges:
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,9 @@ import pytest
 
 from stemp import cli, fileio, parse_sequence
 from stemp.cli import main, run_pipeline
-from stemp.fileio import read_fasta, report_to_dict, write_ct, write_dot_bracket
+from stemp.errors import FormatError
+from stemp.fileio import (read_fasta, read_reference, report_to_dict, write_ct,
+                          write_dot_bracket)
 from stemp.profiles import builtin_profile, profile_to_dict, resolve_profile
 
 from .conftest import FIXTURES, PAIRS_2QUX
@@ -393,6 +395,33 @@ def test_all_ties_builds_the_rank_1_predictions_once_more(tmp_path, pair_calls):
     assert len(db.read_text().splitlines()) == 3 * 3  # three tie at rank 1
     # each prediction once for the report; the first and the three ties again
     assert len(pair_calls) <= 682 + 1 + 3
+
+
+def test_dbn_reference_holds_one_record(tmp_path, capsys):
+    """A line after the structure line is a FormatError that names it, so a
+    multi-record ``--dot-bracket`` file is refused as a reference rather
+    than read as its last record; one record reads with or without its
+    header and sequence lines."""
+    bases, structure = "GGCACAGAAGAUAUGGCUUCGUGCC", write_dot_bracket(25, PAIRS_2QUX)
+    for header in ([], [">2QUX x"]):
+        for sequence in ([], [bases]):
+            one = tmp_path / "one.dbn"
+            one.write_text("\n".join(["", *header, *sequence, structure, "", ""]))
+            reference = read_reference(one)
+            assert reference.pairs == PAIRS_2QUX and reference.length == 25
+            assert reference.id == ("2QUX" if header else "one")
+            assert reference.bases == (bases if sequence else None)
+            assert run("evaluate", "--profile", "protein", TWOQUX_FASTA,
+                       "--reference", str(one)) == 0
+    capsys.readouterr()
+    two = tmp_path / "two.dbn"
+    two.write_text(f">2QUX a\n{bases}\n{structure}\n\n>2QUX b\n{bases}\n{'.' * 25}\n")
+    message = f"{two}: line 5 follows the structure line; a reference holds one record"
+    with pytest.raises(FormatError) as raised:
+        read_reference(two)
+    assert str(raised.value) == message
+    assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--reference", str(two)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_ignore_noncanonical_needs_reference_bases(tmp_path, capsys, batch_dir):

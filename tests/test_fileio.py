@@ -20,10 +20,10 @@ from stemp import fileio
 from stemp.cliques import RankedPredictions
 from stemp.fileio import (HelixPairs, graph_from_dict, graph_to_dict, parse_ct,
                           parse_dot_bracket, parse_graph_text, read_ct, read_fasta,
-                          read_reference, read_report, report_from_dict,
+                          read_reference, read_report, render_graph_text, report_from_dict,
                           report_to_dict, stream_report, write_ct, write_dot_bracket,
                           write_report)
-from stemp.stems import MIN_PAIR_GAP, Stem, contiguous_stem, render_graph_text
+from stemp.stems import MIN_PAIR_GAP, Stem, contiguous_stem
 
 from .conftest import FIXTURES, PAIRS_2QUX, load_perfbench
 from .oracles import pairwise_dot_bracket

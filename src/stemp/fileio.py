@@ -184,10 +184,12 @@ class HelixPairs(list):
     ``helices`` holds the stems' helices (``Stem.helices``), sorted, for
     ``write_dot_bracket`` and ``stream_report`` to work one helix at a
     time. They read ``helices``, not the items, so a HelixPairs is for
-    reading: edit a copy of it.
+    reading: edit a copy of it. One that ``TierTable.helix_pairs`` built
+    also holds that table (``table``) and its helices' indices in it
+    (``ids``); one built from stems holds None in both.
     """
 
-    __slots__ = ("helices",)
+    __slots__ = ("helices", "table", "ids")
 
     def __init__(self, stems: Iterable[Stem]):
         pairs: list[Pair] = []
@@ -199,6 +201,7 @@ class HelixPairs(list):
         helices.sort()
         self += map(list, pairs)
         self.helices = helices
+        self.table = self.ids = None
 
 
 def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
@@ -209,83 +212,190 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
     raises TooManyLayers. Greedy is not minimal: it can open a tier that a
     different assignment would not need (Smit et al., RNA 2008).
 
-    The pairs are laid out a run of stacked pairs at a time (``_layered``):
-    a HelixPairs by its helices, any other pairs by the ``helix_runs`` of
-    their sorted list. Where that fails, the first pair in sorted order
-    without 1 <= p < q <= n, or on a base an earlier pair took, is the
-    error, unless a pair before it needs a fifth tier.
+    The pairs are laid out a run of stacked pairs at a time by a
+    ``TierTable``, each run on the lowest tier that no earlier run crossing
+    it holds: a HelixPairs of a report by its graph's table, when that
+    table is for n bases, any other HelixPairs by a table of its helices,
+    and any other pairs by a table of the ``helix_runs`` of their sorted
+    list. Where that fails, the first pair in sorted order without
+    1 <= p < q <= n, or on a base an earlier pair took, is the error,
+    unless a pair before it needs a fifth tier.
     """
     n = seq if isinstance(seq, int) else seq.length
-    if type(pairs) is HelixPairs:
-        runs = pairs.helices
+    if type(pairs) is HelixPairs and pairs.table is not None and pairs.table.n == n:
+        table, ids = pairs.table, pairs.ids
     else:
-        pairs = sorted(pairs)
-        runs = helix_runs(pairs)
+        if type(pairs) is HelixPairs:
+            runs = pairs.helices
+        else:
+            pairs = sorted(pairs)
+            runs = helix_runs(pairs)
+        table, ids = TierTable(n, runs), range(len(runs))
     try:
-        text = _layered(n, runs)
-        if text.count(".") == n - 2 * len(pairs):
+        text = table.text(ids, len(pairs))
+        if text is not None:
             return text
-    except (TooManyLayers, IndexError):
+    except TooManyLayers:
         pass
     used = bytearray(n + 1)
     for m, (p, q) in enumerate(pairs):
         if 1 <= p < q <= n and not (used[p] or used[q]):
             used[p] = used[q] = 1
             continue
-        _layered(n, helix_runs(pairs[:m]))  # a fifth tier before (p, q) is the error
+        _layout(n, pairs[:m])  # a fifth tier before (p, q) is the error
         if not 1 <= p < q <= n:
             raise IndexOutOfRange(q if q > n else p, n)
         raise ValueError(f"index reused by pair ({p},{q})")
-    return _layered(n, runs)  # no pair is bad, so this raises TooManyLayers
+    return _layout(n, pairs)  # no pair is bad, so this raises TooManyLayers
 
 
-_OPENING = tuple(tier[0].encode() for tier in BRACKET_TIERS)
-_CLOSING = tuple(tier[1].encode() for tier in BRACKET_TIERS)
+def _layout(n: int, pairs: list) -> str | None:
+    """``TierTable.text`` of sorted pairs, by the runs of their list."""
+    runs = helix_runs(pairs)
+    return TierTable(n, runs).text(range(len(runs)), len(pairs))
 
 
-def _layered(n: int, runs: Iterable[tuple[int, int, int]]) -> str:
-    """The greedy text of sorted runs (p, q, k) of stacked pairs; a fifth
-    tier is TooManyLayers, a run not inside 1..n (or one whose strands
-    meet) an IndexError. A base in two runs is not checked: it leaves
-    more dots than n less twice the pairs.
+# What a bracket of each tier adds to a "." byte: (opening, closing).
+_STAMP_DELTAS = tuple((ord(o) - ord("."), ord(c) - ord(".")) for o, c in BRACKET_TIERS)
 
-    Each tier keeps a stack of the closing indices of its still-open pairs,
-    innermost last. A tier's open pairs all enclose the current opening
-    index p, so they nest; pair (p, q) crosses one of them iff some open
-    closing index lies in (p, q), i.e. iff the top of the stack, once the
-    closings below p are popped, is below q. Linear after the sort.
 
-    Where no base serves two pairs, this is the text of laying the pairs
-    out one at a time, sorted. No other pair opens inside a run's 5'
-    strand, so the runs' pairs in run order are the sorted pairs. Each pair
-    of a run goes on its first pair's tier: a lower tier that refuses (p, q)
-    holds an open closing c with p < c < q that is no base of the run, so
-    it refuses (p+1, q-1) too. And a tier's stack needs only the run's
-    innermost closing: no later pair opens inside the run's 3' strand, so
-    its closings are popped together, and the innermost is the top.
+class TierTable:
+    """The greedy bracket tiers of runs of stacked pairs on n bases.
+
+    ``runs`` lists runs (p, q, k), each the k pairs (p, q), (p+1, q-1), ...,
+    in the order ``add`` met them; a run is named by its index in it.
+    ``text`` lays out some of them, sorted, each on the lowest tier that no
+    run before it that crosses it holds: the mex of those runs' tiers. Per
+    run the table holds:
+
+    - ``crossing[i]``: the mask of the other runs that cross run i, i.e.
+      whose outer pair crosses its own;
+    - ``masks[i]``: the mask of its bases, or bit 0 alone for a run that is
+      not inside 1..n or whose strands meet;
+    - ``stamps[i][t]``: what putting it on tier t adds to the integer whose
+      n little-endian bytes are the text of dots, or 0 until first needed.
+
+    This is greedy layering of the runs' pairs, sorted, wherever no base is
+    in two pairs. Greedy puts a pair on the lowest tier that holds no pair
+    it crosses: the mex of the tiers of the pairs before it that cross it.
+    No other pair has a base inside a run's two strands, so each pair of a
+    run crosses the same pairs as its first, and those before it cross
+    none of them; so the run takes one tier. For the same reason two runs
+    cross iff their outer pairs do, and a run sorted before (p, q, k) has
+    all its pairs before (p, q).
+
+    ``of_graph`` starts the table of a graph's helices, which
+    ``helix_pairs`` adds to as it meets each stem.
     """
-    chars = bytearray(b"." * n)
-    stacks: list[list[int]] = []
-    for p, q, k in runs:
-        tier = 0
-        for stack in stacks:
-            while stack and stack[-1] < p:
-                stack.pop()
-            if not stack or stack[-1] > q:
-                break
-            tier += 1
-        else:
+
+    __slots__ = ("n", "dots", "runs", "crossing", "masks", "stamps", "_stems", "_ids")
+
+    def __init__(self, n: int, runs: Iterable[tuple[int, int, int]] = ()):
+        self.n = n
+        self.dots = int.from_bytes(b"." * n, "little")
+        self.runs: list[tuple[int, int, int]] = []
+        self.crossing: list[int] = []
+        self.masks: list[int] = []
+        self.stamps: list[list[int]] = []
+        self._stems: list | None = None  # of_graph's
+        self._ids: dict[tuple[int, int, int], int] | None = None
+        for run in runs:
+            self.add(run)
+
+    def add(self, run: tuple[int, int, int]) -> int:
+        """The index of a new entry for ``run``."""
+        i = len(self.runs)
+        p, q, k = run
+        crossed = 0
+        for other, (a, b, _) in enumerate(self.runs):
+            if a < p < b < q or p < a < q < b:
+                crossed |= 1 << other
+                self.crossing[other] |= 1 << i
+        strand = (1 << k) - 1
+        inside = 0 < p <= q - 2 * k + 1 and q <= self.n  # p+k-1 < q-k+1: strands apart
+        self.runs.append(run)
+        self.crossing.append(crossed)
+        self.masks.append(strand << p | strand << q - k + 1 if inside else 1)
+        self.stamps.append([0] * len(BRACKET_TIERS))
+        return i
+
+    def _stamp(self, i: int, tier: int) -> int:
+        if self.masks[i] == 1:  # not inside 1..n: the text is not returned
+            return 0
+        p, q, k = self.runs[i]
+        ones = int.from_bytes(b"\1" * k, "little")
+        up, down = _STAMP_DELTAS[tier]
+        stamp = self.stamps[i][tier] = (up * ones << 8 * (p - 1)) + (down * ones << 8 * (q - k))
+        return stamp
+
+    def text(self, ids: Iterable[int], count: int) -> str | None:
+        """The text of the runs ``ids``, in sorted order of the runs, which
+        hold ``count`` pairs: None if one is not inside 1..n or a base is in
+        two pairs. A run that needs a fifth tier, met before the bases are
+        checked, is TooManyLayers naming its first pair."""
+        crossing, masks, stamps = self.crossing, self.masks, self.stamps
+        held = [0] * (len(BRACKET_TIERS) + 1)  # per tier, its runs; the last holds none
+        used = 0
+        total = self.dots
+        for i in ids:
+            crossed = crossing[i]
+            tier = 0
+            while crossed & held[tier]:
+                tier += 1
             if tier == len(BRACKET_TIERS):
+                p, q, _ = self.runs[i]
                 raise TooManyLayers(f"pair ({p},{q}) needs a fifth bracket tier")
-            stack = []
-            stacks.append(stack)
-        j = q - k + 1  # the innermost closing
-        if not 0 < p <= j - k < q <= n:  # 0 < p < p + k <= j <= q <= n
-            raise IndexError(f"run ({p},{q},{k}) is not inside 1..{n}")
-        stack.append(j)
-        chars[p - 1:p - 1 + k] = _OPENING[tier] * k
-        chars[j - 1:q] = _CLOSING[tier] * k
-    return chars.decode("ascii")
+            held[tier] |= 1 << i
+            total += stamps[i][tier] or self._stamp(i, tier)
+            used |= masks[i]
+        if used & 1 or used.bit_count() != 2 * count:
+            return None
+        return total.to_bytes(self.n, "little").decode("ascii")
+
+    @classmethod
+    def of_graph(cls, graph: StemGraph, n: int) -> TierTable:
+        """An empty table for the helices of ``graph``'s stems on n bases."""
+        table = cls(n)
+        table._stems = [None, *graph.vertices]
+        table._ids = {}
+        return table
+
+    def helix_pairs(self, numbers: Iterable[int]) -> HelixPairs:
+        """The HelixPairs of the graph's stems numbered ``numbers`` (from 1),
+        to be laid out by this table. A stem's helices are added to the
+        table when it is first met."""
+        stems = self._stems  # a stem, or once met, its pairs and its helices' indices
+        pairs: list[Pair] = []
+        ids: list[int] = []
+        for v in numbers:
+            stem = stems[v]
+            if type(stem) is Stem:
+                stem = stems[v] = stem.pairs, list(map(self._index, stem.helices))
+            pairs += stem[0]
+            ids += stem[1]
+        pairs.sort()
+        ids.sort(key=self.runs.__getitem__)
+        out = HelixPairs.__new__(HelixPairs)
+        out += map(list, pairs)
+        out.helices = list(map(self.runs.__getitem__, ids))
+        out.table, out.ids = self, ids
+        return out
+
+    def _index(self, helix: tuple[int, int, int]) -> int:
+        i = self._ids.get(helix)
+        if i is None:
+            i = self._ids[helix] = self.add(helix)
+        return i
+
+
+def _graph_tiers(graph: StemGraph, n: int) -> TierTable:
+    """``TierTable.of_graph(graph, n)``, built once for all the slices of a
+    report: the last one built is kept in the graph's ``__dict__``, beside
+    its cached properties, so that it lives no longer than the graph."""
+    table = graph.__dict__.get("_tier_table")
+    if table is None or table.n != n:
+        table = graph.__dict__["_tier_table"] = TierTable.of_graph(graph, n)
+    return table
 
 
 def parse_dot_bracket(text: str) -> frozenset[Pair]:
@@ -312,10 +422,13 @@ def parse_dot_bracket(text: str) -> frozenset[Pair]:
 
 def read_dot_bracket(path: str | Path) -> ReferenceStructure:
     """Reference from a .dbn-style file: optional '>' header, optional
-    sequence line, then the structure line, which ends the one record: a
-    non-blank line after it is a FormatError naming its line number."""
+    sequence line, then the structure line, which ends the one record. A
+    non-blank line after it, a second header line or a header after the
+    sequence line, and a second sequence line are FormatErrors naming
+    their line number."""
     path = Path(path)
     name = path.stem
+    headed = False
     bases = None
     structure = None
     for number, line in enumerate(read_text(path).splitlines(), start=1):
@@ -326,10 +439,18 @@ def read_dot_bracket(path: str | Path) -> ReferenceStructure:
             raise FormatError(f"{path}: line {number} follows the structure line; "
                               "a reference holds one record")
         if line.startswith(">"):
+            if headed or bases is not None:
+                raise FormatError(f"{path}: line {number} is a header after the "
+                                  f"{'header' if bases is None else 'sequence'} line; "
+                                  "a reference holds one record")
+            headed = True
             header = line[1:].strip()
             name = header.split()[0] if header else name
         elif set(line) <= set(_UNPAIRED + "".join(BRACKET_TIERS)):
             structure = line
+        elif bases is not None:
+            raise FormatError(f"{path}: line {number} is a second sequence line; "
+                              "a reference holds one record")
         else:
             bases = line.upper().replace("T", "U")
     if structure is None:
@@ -377,15 +498,21 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
     A RankedPredictions is rendered one energy block at a time from its
     graph's stems, building no FoldPrediction: each prediction's
     ``"pairs"`` is a HelixPairs of its stems, which equals the list of its
-    sorted pairs and is layered one helix at a time."""
+    sorted pairs. With ``seq``, it comes from the graph's TierTable for
+    ``seq``'s length, built once for every slice of the report, which lays
+    it out one helix at a time."""
     predictions = report.predictions
     if isinstance(predictions, RankedPredictions):
-        by_number = (None, *predictions.graph.vertices)
+        if seq is not None:
+            helix_pairs = _graph_tiers(predictions.graph, seq.length).helix_pairs
+        else:
+            by_number = (None, *predictions.graph.vertices)
+            helix_pairs = lambda numbers: HelixPairs(map(by_number.__getitem__, numbers))
         entries = []
         for energy, _, block in predictions.blocks(first=1):
             scr, dr, multiplicity = predictions.ranks[energy]
             for numbers in block:
-                pairs = HelixPairs(map(by_number.__getitem__, numbers))
+                pairs = helix_pairs(numbers)
                 entries.append({
                     "rank_scr": scr,
                     "rank_dr": dr,

@@ -15,7 +15,7 @@ from stemp import (AsymmetricPair, BudgetExceeded, FormatError, IndexOutOfRange,
                    InvalidCharacter, PairingRule, StempError, TooManyLayers,
                    build_stem_graph, enumerate_stems, maximal_cliques, parse_sequence,
                    rank_predictions, resolve_profile)
-from stemp.cli import run_pipeline
+from stemp.cli import main, run_pipeline
 from stemp import fileio
 from stemp.cliques import RankedPredictions
 from stemp.fileio import (HelixPairs, graph_from_dict, graph_to_dict, parse_ct,
@@ -274,6 +274,157 @@ def test_helix_layering_matches_the_pair_loop_and_the_oracle():
     assert segments >= {1, 2, 3}
 
 
+def _chained_stems(rng, n, count):
+    """Stems on 1..n that share no base, from at most ``count`` random
+    helices (p, q, k), five of them crossing each other in about a third
+    of the draws: in order of p, each helix opens a stem or, at random,
+    goes on inside the innermost pair of one, so that the helices of one
+    stem can lie between those of another, crossing them or not."""
+    drawn = [(rng.randint(1, n), rng.randint(1, n), rng.randint(1, 3)) for _ in range(count)]
+    if n >= 12 and rng.random() < 0.3:
+        a = rng.randint(1, n - 9)
+        d = rng.randint(5, n - a - 4)
+        drawn += [(a + t, a + d + t, 1) for t in range(5)]
+    used = set()
+    chains: list[list[tuple[int, int, int]]] = []
+    for p, q, k in sorted(drawn):
+        bases = set(range(p, p + k)) | set(range(q - k + 1, q + 1))
+        if p + 2 * k > q + 1 or q > n or bases & used:
+            continue
+        used |= bases
+        around = [chain for chain in chains
+                  if chain[-1][0] + chain[-1][2] <= p and q <= chain[-1][1] - chain[-1][2]]
+        if around and rng.random() < 0.8:
+            rng.choice(around).append((p, q, k))
+        else:
+            chains.append([(p, q, k)])
+    return [Stem(i=chain[0][0], j=chain[0][1],
+                 pairs=tuple((p + t, q - t) for p, q, k in chain for t in range(k)))
+            for chain in chains]
+
+
+def _interleaved(stems) -> bool:
+    """Whether, in sorted order, some stem's helices lie on both sides of
+    another stem's helix."""
+    owners = [owner for _, owner in sorted((h, s) for s, stem in enumerate(stems)
+                                           for h in stem.helices)]
+    return any(a == c != b for a, b, c in zip(owners, owners[1:], owners[2:]))
+
+
+def test_tier_tables_match_the_oracle():
+    """Every clique of a graph of chained stems (plus a few that share a
+    base with them), laid out through the graph's one tier table, as a
+    hand-built HelixPairs and as a plain list: the oracle's text, or its
+    error with the same text."""
+    rng = random.Random(4242)
+    seen = set()
+    interleaved = 0
+    for _ in range(250):
+        n = rng.randint(4, 100)
+        stems = _chained_stems(rng, n, rng.randint(1, 40))
+        if not stems:
+            continue
+        interleaved += _interleaved(stems)
+        for _ in range(rng.randint(0, 3)):  # sharing a base, or past n
+            i, j = rng.choice(stems).pairs[-1]
+            stems.append(rng.choice([contiguous_stem(i, rng.randint(i + 1, n + 2), 1),
+                                     contiguous_stem(rng.randint(1, n - 1), n + 1, 1)]))
+        graph = build_stem_graph(stems)
+        table = fileio._graph_tiers(graph, n)
+        report = rank_predictions(graph, maximal_cliques(graph, max_cliques=64))
+        for _, _, block in report.predictions.blocks(first=1):
+            for numbers in block:
+                pairs = table.helix_pairs(numbers)
+                assert pairs.table is table
+                want = _render(pairwise_dot_bracket, n, pairs)
+                assert _render(write_dot_bracket, n, pairs) == want
+                assert _render(write_dot_bracket, n, HelixPairs(
+                    graph.vertices[v - 1] for v in numbers)) == want
+                assert _render(write_dot_bracket, n, [tuple(pair) for pair in pairs]) == want
+                seen.add(want[0] if isinstance(want, tuple) else
+                         max(k for k, tier in enumerate(".([{<") if tier in want))
+    assert seen == {1, 2, 3, 4, TooManyLayers, IndexOutOfRange}
+    assert interleaved > 20
+
+
+def test_hand_built_helix_pairs_raise_what_the_sorted_list_raises():
+    """Overlapping stems, a stem past n, and a fifth tier before a bad pair
+    (or after one): a HelixPairs of the stems, built by hand or through a
+    graph's tier table, raises what their sorted pair list raises."""
+    crossing5 = [contiguous_stem(k, k + 10, 1) for k in range(1, 6)]  # five cross each other
+    cases = [
+        ([contiguous_stem(1, 20, 3), contiguous_stem(3, 15, 2)], 20,
+         (ValueError, "index reused by pair (3,18)")),
+        ([contiguous_stem(1, 12, 2), contiguous_stem(5, 30, 2)], 20,
+         (IndexOutOfRange, str(IndexOutOfRange(30, 20)))),
+        ([*crossing5, contiguous_stem(7, 30, 1)], 20,
+         (TooManyLayers, "pair (5,15) needs a fifth bracket tier")),
+        ([*crossing5, contiguous_stem(11, 19, 1)], 20,
+         (TooManyLayers, "pair (5,15) needs a fifth bracket tier")),
+        ([contiguous_stem(2, 19, 1), *crossing5], 20,
+         (ValueError, "index reused by pair (2,19)")),
+    ]
+    for stems, n, error in cases:
+        pairs = sorted(pair for stem in stems for pair in stem.pairs)
+        assert _render(write_dot_bracket, n, pairs) == error
+        assert _render(pairwise_dot_bracket, n, pairs) == error
+        assert _render(write_dot_bracket, n, HelixPairs(stems)) == error
+        # a graph table takes stems that share a base, though no clique does
+        by_table = fileio._graph_tiers(build_stem_graph(stems), n).helix_pairs(
+            range(1, len(stems) + 1))
+        assert _render(write_dot_bracket, n, by_table) == error
+
+
+def test_a_tier_table_serves_one_sequence_length(monkeypatch):
+    built = []
+    of_graph = fileio.TierTable.of_graph
+
+    def spy(graph, n):
+        built.append(n)
+        return of_graph(graph, n)
+
+    monkeypatch.setattr(fileio.TierTable, "of_graph", spy)
+    r76 = _random_76mer()
+    _, report = run_pipeline(r76, resolve_profile("trna"))
+    doc = report_to_dict(report, seq=r76)
+    assert built == [76]
+    assert report_to_dict(report, seq=r76) == doc and built == [76]
+    reach = max(q for entry in doc["predictions"] for _, q in entry["pairs"])
+    for n in (reach - 1, reach, 90):
+        for entry in doc["predictions"][::50]:
+            pairs = entry["pairs"]
+            assert pairs.table.n == 76
+            want = _render(write_dot_bracket, n, [tuple(pair) for pair in pairs])
+            assert _render(write_dot_bracket, n, pairs) == want
+            assert want == _render(pairwise_dot_bracket, n, pairs)
+    assert built == [76]
+    shorter = parse_sequence(r76.residues[:reach - 1], id="short")
+    with pytest.raises(IndexOutOfRange):
+        report_to_dict(report, seq=shorter)
+    assert built == [76, reach - 1]
+
+
+def test_a_report_builds_one_tier_table_per_graph(tmp_path, monkeypatch):
+    built = []
+    of_graph = fileio.TierTable.of_graph
+
+    def spy(graph, n):
+        built.append(graph)
+        return of_graph(graph, n)
+
+    monkeypatch.setattr(fileio.TierTable, "of_graph", spy)
+    r76 = _random_76mer()
+    graph, report = run_pipeline(r76, resolve_profile("trna"))
+    assert len(report.predictions) > 8 * fileio.RENDER_SLICE
+    write_report(report, tmp_path / "r.json", seq=r76)
+    assert built == [graph]
+    fasta = tmp_path / "two.fasta"
+    fasta.write_text(f">a\n{r76.residues}\n>b\n{r76.residues[::-1]}\n")
+    built.clear()
+    assert main(["predict", "--profile", "trna", str(fasta), "-o", str(tmp_path / "set.json")]) == 0
+    assert len(built) == 2 and built[0] is not built[1]
+
+
 def _random_76mer():
     rng = random.Random(6)  # 682 cliques under trna
     return parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="r76")
@@ -328,6 +479,21 @@ def test_dbn_length_mismatch(tmp_path):
     db.write_text("GGGG\n((....))\n")
     with pytest.raises(FormatError):
         read_reference(db)
+
+
+@pytest.mark.parametrize("lines, number, what", [
+    ([">a", "GGGGAAAACCCC", ">b", "AAAAAAAAAAAA"], 3, "is a header after the sequence line"),
+    ([">a", ">b", "GGGGAAAACCCC"], 2, "is a header after the header line"),
+    (["GGGGAAAACCCC", ">b"], 2, "is a header after the sequence line"),
+    ([">a", "GGGGAAAACCCC", "AAAAAAAAAAAA"], 3, "is a second sequence line"),
+    (["GGGGAAAACCCC", "", "AAAAAAAAAAAA"], 3, "is a second sequence line"),
+])
+def test_dbn_refuses_a_second_header_or_sequence_line(tmp_path, lines, number, what):
+    db = tmp_path / "two.dbn"
+    db.write_text("\n".join([*lines, "((((....))))", ""]))
+    with pytest.raises(FormatError) as raised:
+        read_reference(db)
+    assert str(raised.value) == f"{db}: line {number} {what}; a reference holds one record"
 
 
 # ------------------------------------------------------------- documents

@@ -184,12 +184,13 @@ class HelixPairs(list):
     ``helices`` holds the stems' helices (``Stem.helices``), sorted, for
     ``write_dot_bracket`` and ``stream_report`` to work one helix at a
     time. They read ``helices``, not the items, so a HelixPairs is for
-    reading: edit a copy of it. One that ``TierTable.helix_pairs`` built
-    also holds that table (``table``) and its helices' indices in it
-    (``ids``); one built from stems holds None in both.
+    reading: edit a copy of it. ``table`` is the TierTable that
+    ``write_dot_bracket`` lays the helices out by, if it is for as many
+    bases as the sequence; ``report_to_dict`` sets its graph's, else it is
+    None.
     """
 
-    __slots__ = ("helices", "table", "ids")
+    __slots__ = ("helices", "table")
 
     def __init__(self, stems: Iterable[Stem]):
         pairs: list[Pair] = []
@@ -201,7 +202,7 @@ class HelixPairs(list):
         helices.sort()
         self += map(list, pairs)
         self.helices = helices
-        self.table = self.ids = None
+        self.table = None
 
 
 def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
@@ -214,25 +215,22 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
 
     The pairs are laid out a run of stacked pairs at a time by a
     ``TierTable``, each run on the lowest tier that no earlier run crossing
-    it holds: a HelixPairs of a report by its graph's table, when that
-    table is for n bases, any other HelixPairs by a table of its helices,
-    and any other pairs by a table of the ``helix_runs`` of their sorted
-    list. Where that fails, the first pair in sorted order without
-    1 <= p < q <= n, or on a base an earlier pair took, is the error,
-    unless a pair before it needs a fifth tier.
+    it holds: a HelixPairs by its helices, through its ``table`` when that
+    is for n bases, any other pairs by the ``helix_runs`` of their sorted
+    list, each through a new table. Where that fails, the first pair in
+    sorted order without 1 <= p < q <= n, or on a base an earlier pair
+    took, is the error, unless a pair before it needs a fifth tier.
     """
     n = seq if isinstance(seq, int) else seq.length
-    if type(pairs) is HelixPairs and pairs.table is not None and pairs.table.n == n:
-        table, ids = pairs.table, pairs.ids
+    if type(pairs) is HelixPairs:
+        runs = pairs.helices
+        table = pairs.table if pairs.table is not None and pairs.table.n == n else TierTable(n)
     else:
-        if type(pairs) is HelixPairs:
-            runs = pairs.helices
-        else:
-            pairs = sorted(pairs)
-            runs = helix_runs(pairs)
-        table, ids = TierTable(n, runs), range(len(runs))
+        pairs = sorted(pairs)
+        runs = helix_runs(pairs)
+        table = TierTable(n)
     try:
-        text = table.text(ids, len(pairs))
+        text = table.text(runs, len(pairs))
         if text is not None:
             return text
     except TooManyLayers:
@@ -251,8 +249,7 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
 
 def _layout(n: int, pairs: list) -> str | None:
     """``TierTable.text`` of sorted pairs, by the runs of their list."""
-    runs = helix_runs(pairs)
-    return TierTable(n, runs).text(range(len(runs)), len(pairs))
+    return TierTable(n).text(helix_runs(pairs), len(pairs))
 
 
 # What a bracket of each tier adds to a "." byte: (opening, closing).
@@ -262,139 +259,94 @@ _STAMP_DELTAS = tuple((ord(o) - ord("."), ord(c) - ord(".")) for o, c in BRACKET
 class TierTable:
     """The greedy bracket tiers of runs of stacked pairs on n bases.
 
-    ``runs`` lists runs (p, q, k), each the k pairs (p, q), (p+1, q-1), ...,
-    in the order ``add`` met them; a run is named by its index in it.
-    ``text`` lays out some of them, sorted, each on the lowest tier that no
-    run before it that crosses it holds: the mex of those runs' tiers. Per
-    run the table holds:
+    ``text`` lays out sorted runs (p, q, k), each the k pairs (p, q),
+    (p+1, q-1), ..., one at a time: each on the lowest tier that no run
+    before it that crosses it holds. The runs of a tier nest, and each run
+    before (p, q, k) opens before p, so one of them crosses it iff it
+    closes inside (p, q): a tier is refused iff the mask of its runs'
+    closings meets the mask of the bases inside (p, q).
 
-    - ``crossing[i]``: the mask of the other runs that cross run i, i.e.
-      whose outer pair crosses its own;
-    - ``masks[i]``: the mask of its bases, or bit 0 alone for a run that is
-      not inside 1..n or whose strands meet;
-    - ``stamps[i][t]``: what putting it on tier t adds to the integer whose
-      n little-endian bytes are the text of dots, or 0 until first needed.
+    ``entries`` maps each run that ``text`` has met to what laying it out
+    needs, built once:
+
+    - the mask of the bases strictly inside its outer pair, and the bit of
+      its outer closing;
+    - the mask of its bases, or bit 0 alone for a run that is not inside
+      1..n or whose strands meet;
+    - per tier, what putting it there adds to the integer whose n
+      little-endian bytes are the text of dots, or 0 until first needed.
 
     This is greedy layering of the runs' pairs, sorted, wherever no base is
     in two pairs. Greedy puts a pair on the lowest tier that holds no pair
-    it crosses: the mex of the tiers of the pairs before it that cross it.
-    No other pair has a base inside a run's two strands, so each pair of a
-    run crosses the same pairs as its first, and those before it cross
-    none of them; so the run takes one tier. For the same reason two runs
-    cross iff their outer pairs do, and a run sorted before (p, q, k) has
-    all its pairs before (p, q).
-
-    ``of_graph`` starts the table of a graph's helices, which
-    ``helix_pairs`` adds to as it meets each stem.
+    it crosses. No other pair has a base inside a run's two strands, so
+    each pair of a run crosses the same pairs as its first, and those
+    before it cross none of them; so the run takes one tier, and two runs
+    cross iff their outer pairs do.
     """
 
-    __slots__ = ("n", "dots", "runs", "crossing", "masks", "stamps", "_stems", "_ids")
+    __slots__ = ("n", "dots", "entries")
 
-    def __init__(self, n: int, runs: Iterable[tuple[int, int, int]] = ()):
+    def __init__(self, n: int):
         self.n = n
         self.dots = int.from_bytes(b"." * n, "little")
-        self.runs: list[tuple[int, int, int]] = []
-        self.crossing: list[int] = []
-        self.masks: list[int] = []
-        self.stamps: list[list[int]] = []
-        self._stems: list | None = None  # of_graph's
-        self._ids: dict[tuple[int, int, int], int] | None = None
-        for run in runs:
-            self.add(run)
+        self.entries: dict[tuple[int, int, int], list[int]] = {}
 
-    def add(self, run: tuple[int, int, int]) -> int:
-        """The index of a new entry for ``run``."""
-        i = len(self.runs)
+    def _entry(self, run: tuple[int, int, int]) -> list[int]:
         p, q, k = run
-        crossed = 0
-        for other, (a, b, _) in enumerate(self.runs):
-            if a < p < b < q or p < a < q < b:
-                crossed |= 1 << other
-                self.crossing[other] |= 1 << i
-        strand = (1 << k) - 1
-        inside = 0 < p <= q - 2 * k + 1 and q <= self.n  # p+k-1 < q-k+1: strands apart
-        self.runs.append(run)
-        self.crossing.append(crossed)
-        self.masks.append(strand << p | strand << q - k + 1 if inside else 1)
-        self.stamps.append([0] * len(BRACKET_TIERS))
-        return i
+        if 0 < p <= q - 2 * k + 1 and q <= self.n:  # p+k-1 < q-k+1: strands apart
+            strand = (1 << k) - 1
+            entry = [(1 << q) - (2 << p), 1 << q, strand << p | strand << q - k + 1]
+        else:  # laid out as nothing, and the text is not returned
+            entry = [0, 0, 1]
+        entry += [0] * len(BRACKET_TIERS)
+        self.entries[run] = entry
+        return entry
 
-    def _stamp(self, i: int, tier: int) -> int:
-        if self.masks[i] == 1:  # not inside 1..n: the text is not returned
-            return 0
-        p, q, k = self.runs[i]
-        ones = int.from_bytes(b"\1" * k, "little")
-        up, down = _STAMP_DELTAS[tier]
-        stamp = self.stamps[i][tier] = (up * ones << 8 * (p - 1)) + (down * ones << 8 * (q - k))
-        return stamp
-
-    def text(self, ids: Iterable[int], count: int) -> str | None:
-        """The text of the runs ``ids``, in sorted order of the runs, which
-        hold ``count`` pairs: None if one is not inside 1..n or a base is in
-        two pairs. A run that needs a fifth tier, met before the bases are
-        checked, is TooManyLayers naming its first pair."""
-        crossing, masks, stamps = self.crossing, self.masks, self.stamps
-        held = [0] * (len(BRACKET_TIERS) + 1)  # per tier, its runs; the last holds none
+    def text(self, runs: Iterable[tuple[int, int, int]], count: int) -> str | None:
+        """The text of sorted ``runs``, which hold ``count`` pairs: None if
+        one is not inside 1..n or a base is in two pairs. A run that needs a
+        fifth tier, met before the bases are checked, is TooManyLayers
+        naming its first pair."""
+        entries = self.entries
+        closings = [0] * (len(BRACKET_TIERS) + 1)  # per tier; the last holds none
         used = 0
         total = self.dots
-        for i in ids:
-            crossed = crossing[i]
+        for run in runs:
+            entry = entries.get(run) or self._entry(run)
+            inside = entry[0]
             tier = 0
-            while crossed & held[tier]:
+            while inside & closings[tier]:
                 tier += 1
             if tier == len(BRACKET_TIERS):
-                p, q, _ = self.runs[i]
-                raise TooManyLayers(f"pair ({p},{q}) needs a fifth bracket tier")
-            held[tier] |= 1 << i
-            total += stamps[i][tier] or self._stamp(i, tier)
-            used |= masks[i]
+                raise TooManyLayers(f"pair ({run[0]},{run[1]}) needs a fifth bracket tier")
+            closings[tier] |= entry[1]
+            total += entry[3 + tier] or _stamp(entry, run, tier)
+            used |= entry[2]
         if used & 1 or used.bit_count() != 2 * count:
             return None
         return total.to_bytes(self.n, "little").decode("ascii")
 
-    @classmethod
-    def of_graph(cls, graph: StemGraph, n: int) -> TierTable:
-        """An empty table for the helices of ``graph``'s stems on n bases."""
-        table = cls(n)
-        table._stems = [None, *graph.vertices]
-        table._ids = {}
-        return table
 
-    def helix_pairs(self, numbers: Iterable[int]) -> HelixPairs:
-        """The HelixPairs of the graph's stems numbered ``numbers`` (from 1),
-        to be laid out by this table. A stem's helices are added to the
-        table when it is first met."""
-        stems = self._stems  # a stem, or once met, its pairs and its helices' indices
-        pairs: list[Pair] = []
-        ids: list[int] = []
-        for v in numbers:
-            stem = stems[v]
-            if type(stem) is Stem:
-                stem = stems[v] = stem.pairs, list(map(self._index, stem.helices))
-            pairs += stem[0]
-            ids += stem[1]
-        pairs.sort()
-        ids.sort(key=self.runs.__getitem__)
-        out = HelixPairs.__new__(HelixPairs)
-        out += map(list, pairs)
-        out.helices = list(map(self.runs.__getitem__, ids))
-        out.table, out.ids = self, ids
-        return out
-
-    def _index(self, helix: tuple[int, int, int]) -> int:
-        i = self._ids.get(helix)
-        if i is None:
-            i = self._ids[helix] = self.add(helix)
-        return i
+def _stamp(entry: list[int], run: tuple[int, int, int], tier: int) -> int:
+    """What putting ``run`` on ``tier`` adds to the text's integer, kept in
+    its ``entry``; 0 for a run that is not laid out."""
+    if entry[2] == 1:
+        return 0
+    p, q, k = run
+    ones = int.from_bytes(b"\1" * k, "little")
+    up, down = _STAMP_DELTAS[tier]
+    entry[3 + tier] = (up * ones << 8 * (p - 1)) + (down * ones << 8 * (q - k))
+    return entry[3 + tier]
 
 
 def _graph_tiers(graph: StemGraph, n: int) -> TierTable:
-    """``TierTable.of_graph(graph, n)``, built once for all the slices of a
-    report: the last one built is kept in the graph's ``__dict__``, beside
-    its cached properties, so that it lives no longer than the graph."""
+    """A TierTable for ``graph``'s helices on n bases, built once for all
+    the slices of a report: the last one built is kept in the graph's
+    ``__dict__``, beside its cached properties, so that it lives no longer
+    than the graph."""
     table = graph.__dict__.get("_tier_table")
     if table is None or table.n != n:
-        table = graph.__dict__["_tier_table"] = TierTable.of_graph(graph, n)
+        table = graph.__dict__["_tier_table"] = TierTable(n)
     return table
 
 
@@ -498,21 +450,19 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
     A RankedPredictions is rendered one energy block at a time from its
     graph's stems, building no FoldPrediction: each prediction's
     ``"pairs"`` is a HelixPairs of its stems, which equals the list of its
-    sorted pairs. With ``seq``, it comes from the graph's TierTable for
-    ``seq``'s length, built once for every slice of the report, which lays
-    it out one helix at a time."""
+    sorted pairs, laid out one helix at a time through the graph's
+    TierTable for ``seq``'s length, built once for every slice of the
+    report."""
     predictions = report.predictions
     if isinstance(predictions, RankedPredictions):
-        if seq is not None:
-            helix_pairs = _graph_tiers(predictions.graph, seq.length).helix_pairs
-        else:
-            by_number = (None, *predictions.graph.vertices)
-            helix_pairs = lambda numbers: HelixPairs(map(by_number.__getitem__, numbers))
+        by_number = (None, *predictions.graph.vertices)
+        table = _graph_tiers(predictions.graph, seq.length) if seq is not None else None
         entries = []
         for energy, _, block in predictions.blocks(first=1):
             scr, dr, multiplicity = predictions.ranks[energy]
             for numbers in block:
-                pairs = helix_pairs(numbers)
+                pairs = HelixPairs(map(by_number.__getitem__, numbers))
+                pairs.table = table
                 entries.append({
                     "rank_scr": scr,
                     "rank_dr": dr,

@@ -330,19 +330,24 @@ def test_tier_tables_match_the_oracle():
             stems.append(rng.choice([contiguous_stem(i, rng.randint(i + 1, n + 2), 1),
                                      contiguous_stem(rng.randint(1, n - 1), n + 1, 1)]))
         graph = build_stem_graph(stems)
-        table = fileio._graph_tiers(graph, n)
         report = rank_predictions(graph, maximal_cliques(graph, max_cliques=64))
-        for _, _, block in report.predictions.blocks(first=1):
-            for numbers in block:
-                pairs = table.helix_pairs(numbers)
-                assert pairs.table is table
+        table = fileio._graph_tiers(graph, n)
+        texts = []
+        for _, _, block in report.predictions.blocks():
+            for vertices in block:
+                pairs = HelixPairs(graph.vertices[v] for v in vertices)
                 want = _render(pairwise_dot_bracket, n, pairs)
                 assert _render(write_dot_bracket, n, pairs) == want
-                assert _render(write_dot_bracket, n, HelixPairs(
-                    graph.vertices[v - 1] for v in numbers)) == want
                 assert _render(write_dot_bracket, n, [tuple(pair) for pair in pairs]) == want
+                pairs.table = table  # as report_to_dict hands it on
+                assert _render(write_dot_bracket, n, pairs) == want
+                texts.append(want)
                 seen.add(want[0] if isinstance(want, tuple) else
                          max(k for k, tier in enumerate(".([{<") if tier in want))
+        if all(isinstance(text, str) for text in texts):
+            doc = report_to_dict(report, seq=parse_sequence("A" * n))
+            assert [entry["dot_bracket"] for entry in doc["predictions"]] == texts
+            assert all(entry["pairs"].table is table for entry in doc["predictions"])
     assert seen == {1, 2, 3, 4, TooManyLayers, IndexOutOfRange}
     assert interleaved > 20
 
@@ -369,60 +374,64 @@ def test_hand_built_helix_pairs_raise_what_the_sorted_list_raises():
         assert _render(write_dot_bracket, n, pairs) == error
         assert _render(pairwise_dot_bracket, n, pairs) == error
         assert _render(write_dot_bracket, n, HelixPairs(stems)) == error
-        # a graph table takes stems that share a base, though no clique does
-        by_table = fileio._graph_tiers(build_stem_graph(stems), n).helix_pairs(
-            range(1, len(stems) + 1))
+        # a graph's table takes stems that share a base, though no clique does
+        by_table = HelixPairs(stems)
+        by_table.table = fileio._graph_tiers(build_stem_graph(stems), n)
         assert _render(write_dot_bracket, n, by_table) == error
+        assert _render(write_dot_bracket, n, by_table) == error  # its entries now built
+
+
+class _CountedTierTable(fileio.TierTable):
+    """A TierTable that records the n of each one built."""
+
+    __slots__ = ()
+    built: list[int] = []
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.built.append(n)
 
 
 def test_a_tier_table_serves_one_sequence_length(monkeypatch):
-    built = []
-    of_graph = fileio.TierTable.of_graph
-
-    def spy(graph, n):
-        built.append(n)
-        return of_graph(graph, n)
-
-    monkeypatch.setattr(fileio.TierTable, "of_graph", spy)
+    monkeypatch.setattr(_CountedTierTable, "built", [])
+    monkeypatch.setattr(fileio, "TierTable", _CountedTierTable)
+    built = _CountedTierTable.built
     r76 = _random_76mer()
     _, report = run_pipeline(r76, resolve_profile("trna"))
     doc = report_to_dict(report, seq=r76)
     assert built == [76]
     assert report_to_dict(report, seq=r76) == doc and built == [76]
     reach = max(q for entry in doc["predictions"] for _, q in entry["pairs"])
-    for n in (reach - 1, reach, 90):
+    for n in (reach - 1, 76, 90):
         for entry in doc["predictions"][::50]:
             pairs = entry["pairs"]
             assert pairs.table.n == 76
             want = _render(write_dot_bracket, n, [tuple(pair) for pair in pairs])
+            before = len(built)
             assert _render(write_dot_bracket, n, pairs) == want
+            assert built[before:before + 1] == ([] if n == 76 else [n])  # a table of its own
             assert want == _render(pairwise_dot_bracket, n, pairs)
-    assert built == [76]
+    built.clear()
     shorter = parse_sequence(r76.residues[:reach - 1], id="short")
     with pytest.raises(IndexOutOfRange):
         report_to_dict(report, seq=shorter)
-    assert built == [76, reach - 1]
+    assert built[:1] == [reach - 1]  # then the scan for the error builds its own
 
 
 def test_a_report_builds_one_tier_table_per_graph(tmp_path, monkeypatch):
-    built = []
-    of_graph = fileio.TierTable.of_graph
-
-    def spy(graph, n):
-        built.append(graph)
-        return of_graph(graph, n)
-
-    monkeypatch.setattr(fileio.TierTable, "of_graph", spy)
+    monkeypatch.setattr(_CountedTierTable, "built", [])
+    monkeypatch.setattr(fileio, "TierTable", _CountedTierTable)
+    built = _CountedTierTable.built
     r76 = _random_76mer()
-    graph, report = run_pipeline(r76, resolve_profile("trna"))
+    _, report = run_pipeline(r76, resolve_profile("trna"))
     assert len(report.predictions) > 8 * fileio.RENDER_SLICE
     write_report(report, tmp_path / "r.json", seq=r76)
-    assert built == [graph]
+    assert built == [76]
     fasta = tmp_path / "two.fasta"
-    fasta.write_text(f">a\n{r76.residues}\n>b\n{r76.residues[::-1]}\n")
+    fasta.write_text(f">a\n{r76.residues}\n>b\n{r76.residues[:70]}\n")
     built.clear()
     assert main(["predict", "--profile", "trna", str(fasta), "-o", str(tmp_path / "set.json")]) == 0
-    assert len(built) == 2 and built[0] is not built[1]
+    assert built == [76, 70]
 
 
 def _random_76mer():

@@ -324,7 +324,7 @@ class TierTable:
             used |= entry[2]
         if used & 1 or used.bit_count() != 2 * count:
             return None
-        return total.to_bytes(self.n, "little").decode("ascii")
+        return total.to_bytes(max(self.n, 0), "little").decode("ascii")
 
 
 def _stamp(entry: list[int], run: tuple[int, int, int], tier: int) -> int:

@@ -379,6 +379,10 @@ def test_hand_built_helix_pairs_raise_what_the_sorted_list_raises():
         by_table.table = fileio._graph_tiers(build_stem_graph(stems), n)
         assert _render(write_dot_bracket, n, by_table) == error
         assert _render(write_dot_bracket, n, by_table) == error  # its entries now built
+    # no bases: nothing is laid out, and any pair is out of range
+    assert write_dot_bracket(-1, []) == write_dot_bracket(0, HelixPairs([])) == ""
+    assert _render(write_dot_bracket, -1, HelixPairs([contiguous_stem(1, 2, 1)])) == (
+        IndexOutOfRange, str(IndexOutOfRange(2, -1)))
 
 
 class _CountedTierTable(fileio.TierTable):

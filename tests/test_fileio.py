@@ -432,10 +432,10 @@ def test_a_report_builds_one_tier_table_per_graph(tmp_path, monkeypatch):
     write_report(report, tmp_path / "r.json", seq=r76)
     assert built == [76]
     fasta = tmp_path / "two.fasta"
-    fasta.write_text(f">a\n{r76.residues}\n>b\n{r76.residues[:70]}\n")
+    fasta.write_text(f">a\n{r76.residues}\n>b\n{r76.residues[::-1]}\n")
     built.clear()
     assert main(["predict", "--profile", "trna", str(fasta), "-o", str(tmp_path / "set.json")]) == 0
-    assert built == [76, 70]
+    assert built == [76, 76]  # one per record's graph
 
 
 def _random_76mer():

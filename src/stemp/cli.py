@@ -21,8 +21,7 @@ from pathlib import Path
 from .cliques import Deadline, PredictionReport, maximal_cliques, rank_predictions
 from .errors import BudgetExceeded, StempError
 from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference, read_report,
-                     render_graph_text, replacing, report_to_dict, sliced_report, stream_report,
-                     write_dot_bracket)
+                     render_graph_text, replacing, report_to_dict, sliced_report, stream_report)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
                       score_prediction, summarize_report)
 from .profiles import ProfileConfig, build_profile_graph, resolve_profile
@@ -206,19 +205,26 @@ def cmd_predict(args) -> int:
         [("-o", args.output), ("--dot-bracket", args.dot_bracket),
          *(("--dump-graph", dump) for dump in _dump_paths(args.dump_graph, sequences))])
     graphs = []  # (dump path, graph) of each record searched with a dump path
-    structures = []
+    structures = []  # the --dot-bracket file's records
+
+    def noted(seq: Sequence, entries):
+        # the rank-1 entries come first: note the first one, or all of them
+        for k, entry in enumerate(entries):
+            if (entry["rank_scr"] == 1) if args.all_ties else k == 0:
+                structures.append(f">{seq.id} energy={entry['energy']} scr={entry['rank_scr']} "
+                                  f"dr={entry['rank_dr']}\n{seq.residues}\n{entry['dot_bracket']}")
+            yield entry
 
     def document(seq: Sequence, dump: Path | None) -> dict:
         graph, report = run_pipeline(seq, cfg, args.max_cliques, top_k=args.top_k,
                                      deadline=deadline)
         if dump:
             graphs.append((dump, graph))
-        # the rank-1 predictions come first: build only them
-        tied = report.predictions[0].multiplicity if args.all_ties and report.predictions else 1
-        for pred in report.predictions[:tied]:
-            structures.append((seq, pred))
-        return sliced_report(report, seq, args.timing, report_to_dict,
-                             partial(deadline.check, "rendering"))
+        doc = sliced_report(report, seq, args.timing, report_to_dict,
+                            partial(deadline.check, "rendering"))
+        if dot_bracket:
+            doc["predictions"] = noted(seq, doc["predictions"])
+        return doc
 
     # the graph dumps and the dot-bracket file are complete before any of
     # them, or the report, replaces its target
@@ -233,12 +239,7 @@ def cmd_predict(args) -> int:
                 render_graph_text(graph) if dump.suffix == ".txt"
                 else json.dumps(graph_to_dict(graph), indent=2) + "\n")
         if dot_bracket:
-            lines = []
-            for seq, pred in structures:
-                lines.append(f">{seq.id} energy={pred.energy} scr={pred.scr} dr={pred.dr}")
-                lines.append(seq.residues)
-                lines.append(write_dot_bracket(seq, pred.pairs))
-            files.enter_context(replacing(dot_bracket)).write("\n".join(lines) + "\n")
+            files.enter_context(replacing(dot_bracket)).write("\n".join(structures) + "\n")
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -37,9 +36,9 @@ _CLOSE = {pair[1]: tier for tier, pair in enumerate(BRACKET_TIERS)}
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; other bytes are a FormatError."""
+    """The text of a UTF-8 file less one leading U+FEFF; other bytes are a FormatError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
@@ -158,13 +157,15 @@ def read_ct(path: str | Path) -> ReferenceStructure:
 
 
 def write_ct(seq: Sequence, pairs: Iterable[Pair], title: str | None = None) -> str:
-    """Render a connectivity table for a sequence and its pair set."""
+    """Render a connectivity table for a sequence and its pairs, each on two unused bases."""
     n = seq.length
     partner = [0] * (n + 1)
     for p, q in pairs:
         for x in (p, q):
             if not 1 <= x <= n:
                 raise IndexOutOfRange(x, n)
+        if p == q:
+            raise ValueError(f"pair ({p},{q}) pairs a base with itself")
         if partner[p] or partner[q]:
             raise ValueError(f"index reused by pair ({p},{q})")
         partner[p] = q
@@ -185,9 +186,9 @@ class HelixPairs(list):
     ``write_dot_bracket`` and ``stream_report`` to work one helix at a
     time. They read ``helices``, not the items, so a HelixPairs is for
     reading: edit a copy of it. ``table`` is the TierTable that
-    ``write_dot_bracket`` lays the helices out by, if it is for as many
-    bases as the sequence; ``report_to_dict`` sets its graph's, else it is
-    None.
+    ``write_dot_bracket`` lays the helices out by, at any sequence length:
+    ``report_to_dict`` sets its graph's, else it is None and a new one
+    serves the one call.
     """
 
     __slots__ = ("helices", "table")
@@ -213,43 +214,39 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
     raises TooManyLayers. Greedy is not minimal: it can open a tier that a
     different assignment would not need (Smit et al., RNA 2008).
 
-    The pairs are laid out a run of stacked pairs at a time by a
+    The pairs are laid out once, a run of stacked pairs at a time, by a
     ``TierTable``, each run on the lowest tier that no earlier run crossing
-    it holds: a HelixPairs by its helices, through its ``table`` when that
-    is for n bases, any other pairs by the ``helix_runs`` of their sorted
-    list, each through a new table. Where that fails, the first pair in
-    sorted order without 1 <= p < q <= n, or on a base an earlier pair
-    took, is the error, unless a pair before it needs a fifth tier.
+    it holds: a HelixPairs by its helices, through its ``table`` if it has
+    one, any other pairs by the ``helix_runs`` of their sorted list, through
+    a new table. Where that fails, the first pair in sorted order without
+    1 <= p < q <= n, or on a base an earlier pair took, is the error unless
+    the pairs before it need a fifth tier, and else the table's TooManyLayers.
     """
     n = seq if isinstance(seq, int) else seq.length
     if type(pairs) is HelixPairs:
         runs = pairs.helices
-        table = pairs.table if pairs.table is not None and pairs.table.n == n else TierTable(n)
+        table = pairs.table or TierTable()
     else:
         pairs = sorted(pairs)
         runs = helix_runs(pairs)
-        table = TierTable(n)
+        table = TierTable()
+    fifth = None
     try:
-        text = table.text(runs, len(pairs))
+        text = table.text(runs, len(pairs), n)
         if text is not None:
             return text
-    except TooManyLayers:
-        pass
+    except TooManyLayers as exc:
+        fifth = exc
     used = bytearray(n + 1)
     for m, (p, q) in enumerate(pairs):
         if 1 <= p < q <= n and not (used[p] or used[q]):
             used[p] = used[q] = 1
             continue
-        _layout(n, pairs[:m])  # a fifth tier before (p, q) is the error
+        table.text(helix_runs(pairs[:m]), m, n)  # a fifth tier before (p, q) is the error
         if not 1 <= p < q <= n:
             raise IndexOutOfRange(q if q > n else p, n)
         raise ValueError(f"index reused by pair ({p},{q})")
-    return _layout(n, pairs)  # no pair is bad, so this raises TooManyLayers
-
-
-def _layout(n: int, pairs: list) -> str | None:
-    """``TierTable.text`` of sorted pairs, by the runs of their list."""
-    return TierTable(n).text(helix_runs(pairs), len(pairs))
+    raise fifth  # no pair is bad, so the table met a fifth tier
 
 
 # What a bracket of each tier adds to a "." byte: (opening, closing).
@@ -257,7 +254,7 @@ _STAMP_DELTAS = tuple((ord(o) - ord("."), ord(c) - ord(".")) for o, c in BRACKET
 
 
 class TierTable:
-    """The greedy bracket tiers of runs of stacked pairs on n bases.
+    """The greedy bracket tiers of runs of stacked pairs, at any length.
 
     ``text`` lays out sorted runs (p, q, k), each the k pairs (p, q),
     (p+1, q-1), ..., one at a time: each on the lowest tier that no run
@@ -266,15 +263,18 @@ class TierTable:
     closes inside (p, q): a tier is refused iff the mask of its runs'
     closings meets the mask of the bases inside (p, q).
 
-    ``entries`` maps each run that ``text`` has met to what laying it out
-    needs, built once:
+    ``entries`` maps each run that ``text`` has laid out to what that
+    needs, built once and kept for every length:
 
     - the mask of the bases strictly inside its outer pair, and the bit of
       its outer closing;
-    - the mask of its bases, or bit 0 alone for a run that is not inside
-      1..n or whose strands meet;
-    - per tier, what putting it there adds to the integer whose n
+    - the mask of its bases;
+    - per tier, what putting it there adds to the integer whose
       little-endian bytes are the text of dots, or 0 until first needed.
+
+    A run not inside 1..n where it is first met, or whose strands meet, is
+    laid out as nothing and gets no entry; one kept from a greater length is
+    refused by its bases past n. ``dots`` holds each length's text of dots.
 
     This is greedy layering of the runs' pairs, sorted, wherever no base is
     in two pairs. Greedy puts a pair on the lowest tier that holds no pair
@@ -284,35 +284,36 @@ class TierTable:
     cross iff their outer pairs do.
     """
 
-    __slots__ = ("n", "dots", "entries")
+    __slots__ = ("dots", "entries")
 
-    def __init__(self, n: int):
-        self.n = n
-        self.dots = int.from_bytes(b"." * n, "little")
+    def __init__(self):
+        self.dots: dict[int, int] = {}
         self.entries: dict[tuple[int, int, int], list[int]] = {}
 
-    def _entry(self, run: tuple[int, int, int]) -> list[int]:
+    def _entry(self, run: tuple[int, int, int], n: int) -> list[int]:
         p, q, k = run
-        if 0 < p <= q - 2 * k + 1 and q <= self.n:  # p+k-1 < q-k+1: strands apart
-            strand = (1 << k) - 1
-            entry = [(1 << q) - (2 << p), 1 << q, strand << p | strand << q - k + 1]
-        else:  # laid out as nothing, and the text is not returned
-            entry = [0, 0, 1]
-        entry += [0] * len(BRACKET_TIERS)
-        self.entries[run] = entry
+        if not (0 < p <= q - 2 * k + 1 and q <= n):  # p+k-1 < q-k+1: strands apart
+            return [0, 0, 1, *[0] * len(BRACKET_TIERS)]  # laid out as nothing, kept for no n
+        strand = (1 << k) - 1
+        entry = self.entries[run] = [(1 << q) - (2 << p), 1 << q,
+                                     strand << p | strand << q - k + 1,
+                                     *[0] * len(BRACKET_TIERS)]
         return entry
 
-    def text(self, runs: Iterable[tuple[int, int, int]], count: int) -> str | None:
-        """The text of sorted ``runs``, which hold ``count`` pairs: None if
-        one is not inside 1..n or a base is in two pairs. A run that needs a
-        fifth tier, met before the bases are checked, is TooManyLayers
-        naming its first pair."""
+    def text(self, runs: Iterable[tuple[int, int, int]], count: int, n: int) -> str | None:
+        """The text on n bases of sorted ``runs``, which hold ``count``
+        pairs: None if one is not inside 1..n or a base is in two pairs. A
+        run that needs a fifth tier, met before the bases are checked, is
+        TooManyLayers naming its first pair."""
+        n = max(n, 0)
         entries = self.entries
         closings = [0] * (len(BRACKET_TIERS) + 1)  # per tier; the last holds none
         used = 0
-        total = self.dots
+        total = self.dots.get(n)
+        if total is None:
+            total = self.dots[n] = int.from_bytes(b"." * n, "little")
         for run in runs:
-            entry = entries.get(run) or self._entry(run)
+            entry = entries.get(run) or self._entry(run, n)
             inside = entry[0]
             tier = 0
             while inside & closings[tier]:
@@ -322,14 +323,14 @@ class TierTable:
             closings[tier] |= entry[1]
             total += entry[3 + tier] or _stamp(entry, run, tier)
             used |= entry[2]
-        if used & 1 or used.bit_count() != 2 * count:
+        if used & 1 or used >> n + 1 or used.bit_count() != 2 * count:
             return None
-        return total.to_bytes(max(self.n, 0), "little").decode("ascii")
+        return total.to_bytes(n, "little").decode("ascii")
 
 
 def _stamp(entry: list[int], run: tuple[int, int, int], tier: int) -> int:
     """What putting ``run`` on ``tier`` adds to the text's integer, kept in
-    its ``entry``; 0 for a run that is not laid out."""
+    its ``entry``; 0 for a run that is laid out as nothing."""
     if entry[2] == 1:
         return 0
     p, q, k = run
@@ -339,14 +340,13 @@ def _stamp(entry: list[int], run: tuple[int, int, int], tier: int) -> int:
     return entry[3 + tier]
 
 
-def _graph_tiers(graph: StemGraph, n: int) -> TierTable:
-    """A TierTable for ``graph``'s helices on n bases, built once for all
-    the slices of a report: the last one built is kept in the graph's
-    ``__dict__``, beside its cached properties, so that it lives no longer
-    than the graph."""
+def _graph_tiers(graph: StemGraph) -> TierTable:
+    """The TierTable of ``graph``'s helices, built once for all the slices
+    of its reports, at any length: kept in the graph's ``__dict__``, beside
+    its cached properties, so that it lives no longer than the graph."""
     table = graph.__dict__.get("_tier_table")
-    if table is None or table.n != n:
-        table = graph.__dict__["_tier_table"] = TierTable(n)
+    if table is None:
+        table = graph.__dict__["_tier_table"] = TierTable()
     return table
 
 
@@ -451,12 +451,11 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
     graph's stems, building no FoldPrediction: each prediction's
     ``"pairs"`` is a HelixPairs of its stems, which equals the list of its
     sorted pairs, laid out one helix at a time through the graph's
-    TierTable for ``seq``'s length, built once for every slice of the
-    report."""
+    TierTable, built once for every slice of its reports."""
     predictions = report.predictions
     if isinstance(predictions, RankedPredictions):
         by_number = (None, *predictions.graph.vertices)
-        table = _graph_tiers(predictions.graph, seq.length) if seq is not None else None
+        table = _graph_tiers(predictions.graph)
         entries = []
         for energy, _, block in predictions.blocks(first=1):
             scr, dr, multiplicity = predictions.ranks[energy]
@@ -590,10 +589,8 @@ def stream_report(out: TextIO, doc: dict) -> None:
         out.write(nl + "}")
 
     def write_report(report: dict, nl: str) -> None:
-        entry_text = _entry_writer(nl + "    ")
-        helix_texts: dict = {}  # this report's own, freed with it
-        write_dict(report, nl, "predictions",
-                   lambda entry, _: out.write(entry_text(entry, helix_texts)))
+        entry_text = _entry_writer(nl + "    ")  # this report's own, freed with it
+        write_dict(report, nl, "predictions", lambda entry, _: out.write(entry_text(entry)))
 
     if doc.get("schema") == REPORT_SET_SCHEMA:
         write_dict(doc, "\n", "reports", write_report)
@@ -602,16 +599,14 @@ def stream_report(out: TextIO, doc: dict) -> None:
     out.write("\n")
 
 
-@cache
 def _entry_writer(nl: str):
     """A function giving a ``report_to_dict`` prediction entry as
     ``json.dumps(entry, indent=2)`` writes it at indent ``nl``.
 
     It writes the pairs one run of stacked pairs at a time (a HelixPairs'
     helices, else the ``helix_runs`` of the list), from the text of each
-    run kept in ``helix_texts``: pass one dict for all the entries of a
-    report, and a new one for the next report, so that it holds only one
-    report's runs.
+    run, kept for every later entry it writes: build one writer per report,
+    so that it holds only that report's runs.
 
     The entry needs report_to_dict's key order, and ints where it puts ints:
     %d and str would write a bool as 1 or True and cut a float short.
@@ -623,19 +618,19 @@ def _entry_writer(nl: str):
     sep = "," + item
     pair = f"[{leaf}%d,{leaf}%d{item}]"
 
-    def helix_text(helix: tuple[int, int, int], helix_texts: dict) -> str:
+    helix_texts: dict[tuple[int, int, int], str] = {}
+    get = helix_texts.get
+
+    def helix_text(helix: tuple[int, int, int]) -> str:
         p, q, k = helix
         text = helix_texts[helix] = sep.join([pair] * k) % tuple(chain.from_iterable(
             (p + t, q - t) for t in range(k)))
         return text
 
-    def text(entry: dict, helix_texts: dict | None = None) -> str:
+    def text(entry: dict) -> str:
         scr, dr, multiplicity, energy, vertices, pairs, dot = entry.values()
-        if helix_texts is None:
-            helix_texts = {}
-        get = helix_texts.get
         runs = pairs.helices if type(pairs) is HelixPairs else helix_runs(pairs)
-        parts = [get(helix) or helix_text(helix, helix_texts) for helix in runs]
+        parts = [get(helix) or helix_text(helix) for helix in runs]
         return template % (
             scr, dr, multiplicity, energy,
             f"[{item}{sep.join(map(str, vertices))}{member}]" if vertices else "[]",

@@ -484,9 +484,10 @@ def enumerate_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern
     From every start pair the prescribed segments are consumed inward with
     the pattern's skips between them. Candidates whose skips cross the
     strands are silently discarded, as are candidates where one more pair
-    would extend the innermost segment (so a zero-gap pattern reduces to
-    contiguous stems of exactly the pattern's total length). With ``sl``
-    only the spans whose score it admits are scanned.
+    would extend the innermost segment. Each stem keeps ``pattern``, zero
+    gaps too: ``2[0/0]1`` at (1, 10) has the pairs of, but does not equal,
+    ``contiguous_stem(1, 10, 3)``. With ``sl`` only the spans whose score it
+    admits are scanned.
     """
     runs = PairRuns(seq, rule)
     return canonical_order(

@@ -397,6 +397,29 @@ def test_all_ties_builds_the_rank_1_predictions_once_more(tmp_path, pair_calls):
     assert len(pair_calls) <= 682 + 1 + 3
 
 
+def test_dot_bracket_records_are_the_streamed_rank_1_entries(tmp_path, pair_calls):
+    """--dot-bracket holds the first entry, or with --all-ties every rank-1
+    entry, as the report wrote it: no prediction is built or laid out again."""
+    fasta = _random_76mer(tmp_path)
+    residues = read_fasta(fasta)[0].residues
+    laid_out = []
+    real = fileio.write_dot_bracket
+    for ties in ([], ["--all-ties"]):
+        db, out = tmp_path / "top.dbn", tmp_path / "r.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "write_dot_bracket", lambda *a: laid_out.append(a) or real(*a))
+            assert run("predict", "--profile", "trna", fasta, *ties, "-o", str(out),
+                       "--dot-bracket", str(db)) == 0
+        entries = json.loads(out.read_text())["predictions"]
+        top = [entry for entry in entries if entry["rank_scr"] == 1][:3 if ties else 1]
+        assert db.read_text() == "".join(
+            f">r76 energy={entry['energy']} scr=1 dr={entry['rank_dr']}\n{residues}\n"
+            f"{entry['dot_bracket']}\n" for entry in top)
+        assert len(laid_out) == len(entries) == 682
+        del laid_out[:]
+    assert pair_calls == []
+
+
 def test_dbn_reference_holds_one_record(tmp_path, capsys):
     """A line after the structure line is a FormatError that names it, so a
     multi-record ``--dot-bracket`` file is refused as a reference rather
@@ -574,6 +597,70 @@ def test_batch_continues_after_bad_file(batch_dir, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert len(doc["failures"]) == 1
     assert [r["id"] for r in doc["rows"]] == ["pin", "synth"]
+
+
+def test_batch_reports_inputs_it_cannot_score_and_exits_0(tmp_path, capsys):
+    """A FASTA with no reference is named on stderr, a reference of another
+    length is a failure row, and one with no pairs is skipped unless
+    --allow-empty-reference scores it."""
+    d = tmp_path / "in"
+    d.mkdir()
+    fasta = Path(TWOQUX_FASTA).read_text()
+    (d / "lone.fasta").write_text(fasta)
+    (d / "long.fasta").write_text(fasta)
+    (d / "long.ct").write_text(write_ct(parse_sequence("GGGGAAAACCCC", id="x"), []))
+    (d / "open.fasta").write_text(fasta)
+    (d / "open.ct").write_text(write_ct(read_fasta(TWOQUX_FASTA)[0], []))
+    out = tmp_path / "batch.json"
+    assert run("batch", "--profile", "protein", str(d), "--min-length", "1",
+               "-o", str(out)) == 0
+    err = capsys.readouterr().err
+    assert "skipping lone.fasta: no reference file\n" in err
+    assert "error: long.fasta: reference length 12 != sequence length 25\n" in err
+    doc = json.loads(out.read_text())
+    assert doc["failures"] == [
+        {"file": "long.fasta", "error": "long.fasta: reference length 12 != sequence length 25"}]
+    assert doc["skipped"] == [{"id": "2QUX", "reason": "reference has no pairs"}]
+    assert doc["rows"] == []
+    assert run("batch", "--profile", "protein", str(d), "--min-length", "1",
+               "--allow-empty-reference", "-o", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["skipped"] == [] and [row["id"] for row in doc["rows"]] == ["2QUX"]
+    assert len(doc["failures"]) == 1
+
+
+def test_evaluate_refuses_a_two_record_fasta(tmp_path, capsys):
+    fasta = tmp_path / "two.fasta"
+    fasta.write_text(">a\nGGGGAAAACCCC\n>b\nGGGGAAAACCCC\n")
+    assert run("evaluate", "--profile", "protein", str(fasta), "--reference", TWOQUX_CT) == 2
+    assert capsys.readouterr().err == "error: evaluate expects one sequence, found 2\n"
+
+
+def test_evaluate_refuses_a_ct_line_of_four_columns(tmp_path, capsys):
+    ct = tmp_path / "four.ct"
+    ct.write_text("1 x\n1 G 0 0\n")
+    assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--reference", str(ct)) == 2
+    assert capsys.readouterr().err == "error: CT line 1 has 4 columns, need at least 5\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["helices"][0].update(patterns=[]), "helix I: needs at least one pattern"),
+    (lambda doc: doc["domains"][0].update(inner="II"),
+     "domain beta: outer and inner helix must differ"),
+    (lambda doc: doc["helices"][1].update(name="I"), "duplicate helix names"),
+    (lambda doc: doc.pop("family"), "bad profile document: no 'family' key"),
+    (lambda doc: doc["domains"][0].pop("gsl"),
+     "bad profile document: 'domains' has no 'gsl' key"),
+], ids=["no-patterns", "outer-is-inner", "one-name-twice", "no-family", "no-gsl"])
+def test_predict_refuses_a_bad_profile_file(tmp_path, capsys, change, message):
+    doc = profile_to_dict(builtin_profile("rrna5s-bacterial"))
+    assert doc["domains"][0]["outer"] == "II"
+    change(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("predict", "--profile", str(path), TWOQUX_FASTA) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_batch_min_length_flag(batch_dir, tmp_path):

@@ -127,6 +127,111 @@ def test_ct_t_normalized():
     assert back.bases == "UA"
 
 
+@pytest.mark.parametrize("pairs, error", [
+    ([(4, 4)], ValueError("pair (4,4) pairs a base with itself")),
+    ([(1, 12), (0, 5)], IndexOutOfRange(0, 12)),
+    ([(3, 13)], IndexOutOfRange(13, 12)),
+    ([(1, 12), (2, 12)], ValueError("index reused by pair (2,12)")),
+    ([(1, 12), (12, 1)], ValueError("index reused by pair (12,1)")),
+])
+def test_write_ct_refuses_bad_pairs(pairs, error):
+    with pytest.raises(type(error)) as raised:
+        write_ct(parse_sequence("GGGGAAAACCCC", id="x"), pairs)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+
+
+def test_write_ct_round_trips_random_pair_sets():
+    """Any pairs on distinct bases, either way round, crossing or not, read
+    back from their table as themselves."""
+    rng = random.Random(2026)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(n)), id=f"r{n}")
+        bases = rng.sample(range(1, n + 1), 2 * rng.randint(0, n // 2))
+        pairs = list(zip(bases[::2], bases[1::2]))
+        back = parse_ct(write_ct(seq, pairs))
+        assert back.pairs == {(min(pair), max(pair)) for pair in pairs}
+        assert (back.id, back.length, back.bases) == (seq.id, n, seq.residues)
+
+
+# ------------------------------------------------------------- byte-order marks
+
+BOM = "\ufeff"
+DBN_2QUX = ">2QUX\nGGCACAGAAGAUAUGGCUUCGUGCC\n(((((.((((......)))))))))\n"
+
+
+def _plain_and_marked(tmp_path, name: str, text: str) -> tuple[Path, Path]:
+    """``text`` written to ``name`` in two directories, the second copy
+    after a byte-order mark."""
+    paths = (tmp_path / "plain" / name, tmp_path / "bom" / name)
+    for path, mark in zip(paths, ("", BOM)):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(mark + text, encoding="utf-8")
+    assert paths[1].read_bytes() == b"\xef\xbb\xbf" + paths[0].read_bytes()
+    return paths
+
+
+@pytest.mark.parametrize("name", ["2qux.fasta", "2qux.ct", "2qux.dbn", "p.json", "r.json"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, seq_2qux, name):
+    from stemp.profiles import builtin_profile, load_profile, profile_to_dict
+    _, report = run_pipeline(seq_2qux, resolve_profile("protein"))
+    text, read = {
+        "2qux.fasta": ((FIXTURES / "2qux.fasta").read_text(), read_fasta),
+        "2qux.ct": ((FIXTURES / "2qux.ct").read_text(), read_ct),
+        "2qux.dbn": (DBN_2QUX, read_reference),
+        "p.json": (json.dumps(profile_to_dict(builtin_profile("rrna5s-bacterial"))),
+                   load_profile),
+        "r.json": (json.dumps(report_to_dict(report, seq_2qux), indent=2), read_report),
+    }[name]
+    plain, marked = _plain_and_marked(tmp_path, name, text)
+    assert read(marked) == read(plain)
+
+
+def test_predict_and_evaluate_read_byte_order_marked_files_as_plain(tmp_path, capsys):
+    texts = {"2qux.fasta": (FIXTURES / "2qux.fasta").read_text(),
+             "2qux.ct": (FIXTURES / "2qux.ct").read_text(), "2qux.dbn": DBN_2QUX,
+             "p.json": json.dumps(fileio.read_json(
+                 Path(fileio.__file__).parent / "profiles" / "protein.json"))}
+    outputs = []
+    for side in ("plain", "bom"):
+        for name, text in texts.items():
+            _plain_and_marked(tmp_path, name, text)
+        where = tmp_path / side
+        assert main(["predict", "--profile", str(where / "p.json"), str(where / "2qux.fasta"),
+                     "-o", str(where / "r.json"), "--dot-bracket", str(where / "top.dbn")]) == 0
+        for reference in ("2qux.ct", "2qux.dbn"):
+            assert main(["evaluate", "--profile", str(where / "p.json"),
+                         str(where / "2qux.fasta"), "--reference", str(where / reference)]) == 0
+        assert main(["evaluate", "--profile", "protein", "--report", str(where / "r.json"),
+                     "--reference", str(where / "2qux.ct")]) == 0
+        outputs.append(((where / "r.json").read_bytes(), (where / "top.dbn").read_bytes(),
+                        capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert b'"profile": "protein"' in outputs[0][0]
+
+
+@pytest.mark.parametrize("name, text, read, error", [
+    ("a.fasta", BOM + ">a\nGGGG\n", read_fasta, "line 1: sequence data before a '>' header"),
+    ("a.fasta", ">a\nGG" + BOM + "GG\n", read_fasta, "record 'a'"),
+    ("a.ct", BOM + "1 t\n1 G 0 0 0 1\n", read_ct, "CT header must start with the length"),
+    ("a.dbn", BOM + "((....))\n", read_reference, "no dot-bracket line found"),
+    ("a.json", BOM + "{}", read_report, "not JSON: Unexpected UTF-8 BOM"),
+    ("a.json", "{" + BOM + "}", read_report, "not JSON"),
+])
+def test_a_byte_order_mark_anywhere_else_is_an_error(tmp_path, name, text, read, error):
+    path = tmp_path / name
+    path.write_text(BOM + text, encoding="utf-8")
+    with pytest.raises(StempError, match=re.escape(error)):
+        read(path)
+
+
+def test_a_byte_order_mark_counts_in_the_offset_of_a_bad_byte(tmp_path):
+    path = tmp_path / "bad.fasta"
+    path.write_bytes(b"\xef\xbb\xbf>a\n\xff\n")
+    with pytest.raises(FormatError, match=re.escape("not UTF-8 text (byte 6:")):
+        read_fasta(path)
+
+
 # ------------------------------------------------------------- dot-bracket
 
 def test_hairpin_rendering():
@@ -331,7 +436,7 @@ def test_tier_tables_match_the_oracle():
                                      contiguous_stem(rng.randint(1, n - 1), n + 1, 1)]))
         graph = build_stem_graph(stems)
         report = rank_predictions(graph, maximal_cliques(graph, max_cliques=64))
-        table = fileio._graph_tiers(graph, n)
+        table = fileio._graph_tiers(graph)
         texts = []
         for _, _, block in report.predictions.blocks():
             for vertices in block:
@@ -376,7 +481,7 @@ def test_hand_built_helix_pairs_raise_what_the_sorted_list_raises():
         assert _render(write_dot_bracket, n, HelixPairs(stems)) == error
         # a graph's table takes stems that share a base, though no clique does
         by_table = HelixPairs(stems)
-        by_table.table = fileio._graph_tiers(build_stem_graph(stems), n)
+        by_table.table = fileio._graph_tiers(build_stem_graph(stems))
         assert _render(write_dot_bracket, n, by_table) == error
         assert _render(write_dot_bracket, n, by_table) == error  # its entries now built
     # no bases: nothing is laid out, and any pair is out of range
@@ -386,40 +491,46 @@ def test_hand_built_helix_pairs_raise_what_the_sorted_list_raises():
 
 
 class _CountedTierTable(fileio.TierTable):
-    """A TierTable that records the n of each one built."""
+    """A TierTable that counts the ones built."""
 
     __slots__ = ()
-    built: list[int] = []
+    built: list = []
 
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.built.append(n)
+    def __init__(self):
+        super().__init__()
+        self.built.append(self)
 
 
-def test_a_tier_table_serves_one_sequence_length(monkeypatch):
+def test_a_graph_tier_table_serves_every_sequence_length(monkeypatch):
+    """The graph's one table lays out its reports' predictions at any
+    length, shorter than the pairs reach or longer, with the plain list's
+    and the oracle's text or error, and builds no other table."""
     monkeypatch.setattr(_CountedTierTable, "built", [])
     monkeypatch.setattr(fileio, "TierTable", _CountedTierTable)
     built = _CountedTierTable.built
     r76 = _random_76mer()
-    _, report = run_pipeline(r76, resolve_profile("trna"))
+    graph, report = run_pipeline(r76, resolve_profile("trna"))
     doc = report_to_dict(report, seq=r76)
-    assert built == [76]
-    assert report_to_dict(report, seq=r76) == doc and built == [76]
+    assert built == [fileio._graph_tiers(graph)]
+    assert report_to_dict(report, seq=r76) == doc and len(built) == 1
+    table = built[0]
     reach = max(q for entry in doc["predictions"] for _, q in entry["pairs"])
-    for n in (reach - 1, 76, 90):
+    for n in (reach - 1, 40, 76, 90, 0, reach, 76):
         for entry in doc["predictions"][::50]:
             pairs = entry["pairs"]
-            assert pairs.table.n == 76
-            want = _render(write_dot_bracket, n, [tuple(pair) for pair in pairs])
-            before = len(built)
+            assert pairs.table is table
+            want = _render(pairwise_dot_bracket, n, pairs)
             assert _render(write_dot_bracket, n, pairs) == want
-            assert built[before:before + 1] == ([] if n == 76 else [n])  # a table of its own
-            assert want == _render(pairwise_dot_bracket, n, pairs)
-    built.clear()
+            assert len(built) == 1  # the graph's table served it
+            assert _render(write_dot_bracket, n, [tuple(pair) for pair in pairs]) == want
+            del built[1:]  # the plain list's one of its own
+    assert set(table.dots) == {reach - 1, 40, 76, 90, 0, reach}
+    # no entry is built wider than a length that laid out its run
+    assert max(q for _, q, _ in table.entries) == reach
     shorter = parse_sequence(r76.residues[:reach - 1], id="short")
     with pytest.raises(IndexOutOfRange):
         report_to_dict(report, seq=shorter)
-    assert built[:1] == [reach - 1]  # then the scan for the error builds its own
+    assert len(built) == 1
 
 
 def test_a_report_builds_one_tier_table_per_graph(tmp_path, monkeypatch):
@@ -430,12 +541,12 @@ def test_a_report_builds_one_tier_table_per_graph(tmp_path, monkeypatch):
     _, report = run_pipeline(r76, resolve_profile("trna"))
     assert len(report.predictions) > 8 * fileio.RENDER_SLICE
     write_report(report, tmp_path / "r.json", seq=r76)
-    assert built == [76]
+    assert len(built) == 1
     fasta = tmp_path / "two.fasta"
     fasta.write_text(f">a\n{r76.residues}\n>b\n{r76.residues[::-1]}\n")
     built.clear()
     assert main(["predict", "--profile", "trna", str(fasta), "-o", str(tmp_path / "set.json")]) == 0
-    assert built == [76, 76]  # one per record's graph
+    assert len(built) == 2  # one per record's graph
 
 
 def _random_76mer():
@@ -953,16 +1064,17 @@ def test_empty_rankings_and_report_sets_render_by_helix_as_by_pair(seq_2qux):
 
 
 def test_helix_texts_are_kept_for_one_report_only(seq_2qux, monkeypatch):
-    memos = []
+    memos = []  # per writer built, the helices of the entries it wrote
     writer = fileio._entry_writer
 
     def spied(nl):
         text = writer(nl)
+        memo = set()
+        memos.append(memo)
 
-        def spy(entry, helix_texts=None):
-            if not any(memo is helix_texts for memo in memos):
-                memos.append(helix_texts)
-            return text(entry, helix_texts)
+        def spy(entry):
+            memo.update(entry["pairs"].helices)
+            return text(entry)
         return spy
 
     monkeypatch.setattr(fileio, "_entry_writer", spied)
@@ -975,8 +1087,9 @@ def test_helix_texts_are_kept_for_one_report_only(seq_2qux, monkeypatch):
     assert len(helices[0]) > len(helices[1]) > 0
     _streamed(docs[0])
     _streamed({"schema": fileio.REPORT_SET_SCHEMA, "reports": docs})
-    # one memo per report written, holding that report's helices and no more
-    assert [set(memo) for memo in memos] == [helices[0], helices[0], helices[1]]
+    # one writer, and so one memo, per report written, for that report's
+    # helices and no more
+    assert memos == [helices[0], helices[0], helices[1]]
 
 
 def test_pair_lists_are_never_shared(seq_2qux):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stemp import (GapPattern, Interval, PairingRule, ProfileError, Stem, build_stem_graph,
-                   can_coexist, enumerate_gapped_stems, enumerate_partial_stems,
-                   enumerate_stems, parse_sequence)
+from stemp import (FormatError, GapPattern, Interval, PairingRule, ProfileError, Stem,
+                   build_stem_graph, can_coexist, enumerate_gapped_stems,
+                   enumerate_partial_stems, enumerate_stems, parse_sequence)
 from stemp.profiles import (BUILTIN_PROFILES, builtin_profile, profile_vertices,
                             rrna5s_helix_candidates)
 from stemp.stems import canonical_order, contiguous_stem, helix_runs, pattern_of_pairs
@@ -135,6 +135,18 @@ def test_gap_pattern_rejects_malformed(bad):
         GapPattern.parse(bad)
 
 
+@pytest.mark.parametrize("gaps, message", [
+    ((), "expected 1 gaps for 2 segments, got 0"),
+    (((0, 0), (1, 1)), "expected 1 gaps for 2 segments, got 2"),
+    (((-1, 0),), "gap sizes must be >= 0: ((-1, 0),)"),
+    (((0, -2),), "gap sizes must be >= 0: ((0, -2),)"),
+])
+def test_gap_pattern_refuses_a_wrong_gap_count_or_a_negative_gap(gaps, message):
+    with pytest.raises(FormatError) as raised:
+        GapPattern((2, 1), gaps)
+    assert str(raised.value) == message
+
+
 def test_engineered_two_segment_stem():
     seq = parse_sequence("GGAGAGAGAAAAAAUCUCUCAACC", id="gap24")
     out = enumerate_gapped_stems(seq, CANON, GapPattern.parse("2[1/2]6"))
@@ -154,6 +166,11 @@ def test_zero_gap_degenerates_to_exact_length():
         via_pattern = {s.pairs for s in enumerate_gapped_stems(seq, CANON, pattern)}
         via_exact = {s.pairs for s in enumerate_stems(seq, CANON, 2) if s.length == 5}
         assert via_pattern == via_exact
+    # the pairs only: each stem keeps the pattern, so it is not the contiguous stem
+    (stem,) = enumerate_gapped_stems(parse_sequence("GGGAAAACCC"), CANON,
+                                     GapPattern.parse("2[0/0]1"))
+    assert stem.pattern == GapPattern((2, 1), ((0, 0),))
+    assert stem.pairs == contiguous_stem(1, 10, 3).pairs and stem != contiguous_stem(1, 10, 3)
 
 
 def test_pattern_overrun_discarded_silently():

@@ -39,12 +39,13 @@ class AsymmetricPair(FormatError):
 
 
 class IndexOutOfRange(StempError):
-    """A base-pair index exceeds the sequence length."""
+    """A base-pair index below 1 or past the sequence length."""
 
     def __init__(self, index: int, length: int):
         self.index = index
         self.length = length
-        super().__init__(f"pair index {index} exceeds sequence length {length}")
+        super().__init__(f"pair index {index} is below 1" if index < 1 else
+                         f"pair index {index} exceeds sequence length {length}")
 
 
 class TooManyLayers(StempError):

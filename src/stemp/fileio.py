@@ -86,14 +86,13 @@ def read_fasta(path: str | Path) -> list[Sequence]:
     return out
 
 
-def _line_of(body: list[tuple[int, str]], position: int) -> int | None:
-    seen = 0
+def _line_of(body: list[tuple[int, str]], position: int) -> int:
+    """The number of the line holding the ``position``-th residue that
+    parse_sequence keeps, which lies within the body."""
     for line_no, chunk in body:
-        kept = sum(1 for ch in chunk if not (ch.isspace() or ch.isdigit()))
-        if seen + kept >= position:
+        position -= sum(1 for ch in chunk if not (ch.isspace() or ch.isdigit()))
+        if position <= 0:
             return line_no
-        seen += kept
-    return body[-1][0] if body else None
 
 
 # ---------------------------------------------------------------- CT
@@ -184,25 +183,30 @@ class HelixPairs(list):
 
     ``helices`` holds the stems' helices (``Stem.helices``), sorted, for
     ``write_dot_bracket`` and ``stream_report`` to work one helix at a
-    time. They read ``helices``, not the items, so a HelixPairs is for
+    time; ``bases``, the OR of the stems' ``Stem.base_mask``, shows
+    ``write_dot_bracket`` that the pairs are valid: no bit past n, and two
+    bits a pair. Both are read, not the items, so a HelixPairs is for
     reading: edit a copy of it. ``table`` is the TierTable that
     ``write_dot_bracket`` lays the helices out by, at any sequence length:
     ``report_to_dict`` sets its graph's, else it is None and a new one
     serves the one call.
     """
 
-    __slots__ = ("helices", "table")
+    __slots__ = ("helices", "bases", "table")
 
     def __init__(self, stems: Iterable[Stem]):
         pairs: list[Pair] = []
         helices: list[tuple[int, int, int]] = []
+        bases = 0
         for stem in stems:
             pairs += stem.pairs
             helices += stem.helices
+            bases |= stem.base_mask
         pairs.sort()
         helices.sort()
         self += map(list, pairs)
         self.helices = helices
+        self.bases = bases
         self.table = None
 
 
@@ -214,39 +218,35 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
     raises TooManyLayers. Greedy is not minimal: it can open a tier that a
     different assignment would not need (Smit et al., RNA 2008).
 
-    The pairs are laid out once, a run of stacked pairs at a time, by a
-    ``TierTable``, each run on the lowest tier that no earlier run crossing
-    it holds: a HelixPairs by its helices, through its ``table`` if it has
-    one, any other pairs by the ``helix_runs`` of their sorted list, through
-    a new table. Where that fails, the first pair in sorted order without
-    1 <= p < q <= n, or on a base an earlier pair took, is the error unless
-    the pairs before it need a fifth tier, and else the table's TooManyLayers.
+    The pairs are checked first, then laid out. A HelixPairs is checked by
+    its ``bases``, and only where they show a bad pair by the sorted scan
+    that checks any other pairs. The first bad pair is the error unless the
+    pairs before it need a fifth tier: IndexOutOfRange naming an end
+    outside 1..n, else a ValueError naming a pair with p >= q or on a base
+    an earlier pair took. Valid pairs are laid out once, a run of stacked
+    pairs at a time, by a ``TierTable``: a HelixPairs' helices through its
+    ``table`` if it has one, other pairs' ``helix_runs`` through a new one.
     """
     n = seq if isinstance(seq, int) else seq.length
     if type(pairs) is HelixPairs:
-        runs = pairs.helices
-        table = pairs.table or TierTable()
+        table, runs = pairs.table or TierTable(), pairs.helices
+        if pairs.bases.bit_length() <= n + 1 and pairs.bases.bit_count() == 2 * len(pairs):
+            return table.text(runs, n)
     else:
         pairs = sorted(pairs)
-        runs = helix_runs(pairs)
-        table = TierTable()
-    fifth = None
-    try:
-        text = table.text(runs, len(pairs), n)
-        if text is not None:
-            return text
-    except TooManyLayers as exc:
-        fifth = exc
-    used = bytearray(n + 1)
+        table, runs = TierTable(), helix_runs(pairs)
+    used = bytearray(max(n, 0) + 1)
     for m, (p, q) in enumerate(pairs):
         if 1 <= p < q <= n and not (used[p] or used[q]):
             used[p] = used[q] = 1
             continue
-        table.text(helix_runs(pairs[:m]), m, n)  # a fifth tier before (p, q) is the error
-        if not 1 <= p < q <= n:
-            raise IndexOutOfRange(q if q > n else p, n)
-        raise ValueError(f"index reused by pair ({p},{q})")
-    raise fifth  # no pair is bad, so the table met a fifth tier
+        table.text(helix_runs(pairs[:m]), n)  # a fifth tier before (p, q) is the error
+        end = q if q > n else p if not 1 <= p <= n else q
+        if not 1 <= end <= n:
+            raise IndexOutOfRange(end, n)
+        raise ValueError(f"pair ({p},{q}) does not open before it closes" if p >= q
+                         else f"index reused by pair ({p},{q})")
+    return table.text(runs, n)
 
 
 # What a bracket of each tier adds to a "." byte: (opening, closing).
@@ -263,18 +263,16 @@ class TierTable:
     closes inside (p, q): a tier is refused iff the mask of its runs'
     closings meets the mask of the bases inside (p, q).
 
-    ``entries`` maps each run that ``text`` has laid out to what that
+    ``text`` checks nothing: ``write_dot_bracket`` hands it only runs whose
+    pairs it has checked. ``entries`` maps each run laid out to what that
     needs, built once and kept for every length:
 
     - the mask of the bases strictly inside its outer pair, and the bit of
       its outer closing;
-    - the mask of its bases;
     - per tier, what putting it there adds to the integer whose
       little-endian bytes are the text of dots, or 0 until first needed.
 
-    A run not inside 1..n where it is first met, or whose strands meet, is
-    laid out as nothing and gets no entry; one kept from a greater length is
-    refused by its bases past n. ``dots`` holds each length's text of dots.
+    ``dots`` holds each length's text of dots.
 
     This is greedy layering of the runs' pairs, sorted, wherever no base is
     in two pairs. Greedy puts a pair on the lowest tier that holds no pair
@@ -290,30 +288,20 @@ class TierTable:
         self.dots: dict[int, int] = {}
         self.entries: dict[tuple[int, int, int], list[int]] = {}
 
-    def _entry(self, run: tuple[int, int, int], n: int) -> list[int]:
-        p, q, k = run
-        if not (0 < p <= q - 2 * k + 1 and q <= n):  # p+k-1 < q-k+1: strands apart
-            return [0, 0, 1, *[0] * len(BRACKET_TIERS)]  # laid out as nothing, kept for no n
-        strand = (1 << k) - 1
-        entry = self.entries[run] = [(1 << q) - (2 << p), 1 << q,
-                                     strand << p | strand << q - k + 1,
-                                     *[0] * len(BRACKET_TIERS)]
-        return entry
-
-    def text(self, runs: Iterable[tuple[int, int, int]], count: int, n: int) -> str | None:
-        """The text on n bases of sorted ``runs``, which hold ``count``
-        pairs: None if one is not inside 1..n or a base is in two pairs. A
-        run that needs a fifth tier, met before the bases are checked, is
-        TooManyLayers naming its first pair."""
+    def text(self, runs: Iterable[tuple[int, int, int]], n: int) -> str:
+        """The text on n bases of sorted ``runs`` of checked pairs; a run
+        that needs a fifth tier is TooManyLayers naming its first pair."""
         n = max(n, 0)
         entries = self.entries
         closings = [0] * (len(BRACKET_TIERS) + 1)  # per tier; the last holds none
-        used = 0
         total = self.dots.get(n)
         if total is None:
             total = self.dots[n] = int.from_bytes(b"." * n, "little")
         for run in runs:
-            entry = entries.get(run) or self._entry(run, n)
+            entry = entries.get(run)
+            if entry is None:
+                p, q, _ = run
+                entry = entries[run] = [(1 << q) - (2 << p), 1 << q, *[0] * len(BRACKET_TIERS)]
             inside = entry[0]
             tier = 0
             while inside & closings[tier]:
@@ -321,23 +309,18 @@ class TierTable:
             if tier == len(BRACKET_TIERS):
                 raise TooManyLayers(f"pair ({run[0]},{run[1]}) needs a fifth bracket tier")
             closings[tier] |= entry[1]
-            total += entry[3 + tier] or _stamp(entry, run, tier)
-            used |= entry[2]
-        if used & 1 or used >> n + 1 or used.bit_count() != 2 * count:
-            return None
+            total += entry[2 + tier] or _stamp(entry, run, tier)
         return total.to_bytes(n, "little").decode("ascii")
 
 
 def _stamp(entry: list[int], run: tuple[int, int, int], tier: int) -> int:
     """What putting ``run`` on ``tier`` adds to the text's integer, kept in
-    its ``entry``; 0 for a run that is laid out as nothing."""
-    if entry[2] == 1:
-        return 0
+    its ``entry``."""
     p, q, k = run
     ones = int.from_bytes(b"\1" * k, "little")
     up, down = _STAMP_DELTAS[tier]
-    entry[3 + tier] = (up * ones << 8 * (p - 1)) + (down * ones << 8 * (q - k))
-    return entry[3 + tier]
+    entry[2 + tier] = (up * ones << 8 * (p - 1)) + (down * ones << 8 * (q - k))
+    return entry[2 + tier]
 
 
 def _graph_tiers(graph: StemGraph) -> TierTable:

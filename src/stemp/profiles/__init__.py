@@ -62,9 +62,22 @@ def _interval_from_dict(doc: dict | None) -> Interval | None:
     return Interval(
         lo=as_fraction(doc["min"]) if "min" in doc else None,
         hi=as_fraction(doc["max"]) if "max" in doc else None,
-        lo_strict=bool(doc.get("min_exclusive", False)),
-        hi_strict=bool(doc.get("max_exclusive", False)),
+        lo_strict=_typed(doc, "min_exclusive", bool, False),
+        hi_strict=_typed(doc, "max_exclusive", bool, False),
     )
+
+
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string"}
+
+
+def _typed(doc: dict, key: str, kind: type, default=None):
+    """``doc[key]`` (``default`` if absent) if its type is ``kind``, else a
+    TypeError naming the key: "false" is no boolean, 2.9 or true no integer."""
+    value = doc.get(key, default)
+    if type(value) is not kind:
+        got = json.dumps(value, default=repr)
+        raise TypeError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {got}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -338,8 +351,8 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
     key = "pairing"  # the top-level key being read, for the error message
     try:
         flags = doc.get("pairing", {})
-        pairing = PairingRule(wobble=bool(flags.get("wobble", False)),
-                              uu=bool(flags.get("uu", False)))
+        pairing = PairingRule(wobble=_typed(flags, "wobble", bool, False),
+                              uu=_typed(flags, "uu", bool, False))
         key = "acceptor"
         acceptor = None
         if doc.get("acceptor") is not None:
@@ -360,7 +373,7 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
             for d in doc.get("domains", ())
         )
         key = "min_stem_length"
-        min_stem_length = int(doc["min_stem_length"])
+        min_stem_length = _typed(doc, "min_stem_length", int)
         key = "stem_loop"
         sl = _interval_from_dict(doc.get("stem_loop"))
         key = "span"
@@ -371,15 +384,15 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
         raise ProfileError(f"bad profile document: {key!r} is malformed: {exc}") from None
     try:
         return ProfileConfig(
-            name=doc["name"],
+            name=_typed(doc, "name", str),
             family=doc["family"],
             pairing=pairing,
             min_stem_length=min_stem_length,
             sl=sl,
             span=span,
             acceptor=acceptor,
-            partial_stems=bool(doc.get("partial_stems", False)),
-            use_gsl=bool(doc.get("use_gsl", True)),
+            partial_stems=_typed(doc, "partial_stems", bool, False),
+            use_gsl=_typed(doc, "use_gsl", bool, True),
             helices=helices,
             domains=domains,
             notes=doc.get("notes", ""),

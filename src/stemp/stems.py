@@ -181,7 +181,9 @@ class GapPattern:
     @classmethod
     def parse(cls, text: str) -> "GapPattern":
         """Parse ``l1[n1/n2]l2...`` notation (a bare integer is one segment)."""
-        tokens = re.findall(r"(\d+)|\[(\d+)/(\d+)\]|(.)", text)
+        # every character is in a token, and a number takes all the digits
+        # it starts, so a number always follows a gap or the start
+        tokens = re.findall(r"(\d+)|\[(\d+)/(\d+)\]|(.)", text, re.DOTALL)
         segments: list[int] = []
         gaps: list[tuple[int, int]] = []
         expect_segment = True
@@ -189,8 +191,6 @@ class GapPattern:
             if bad:
                 raise FormatError(f"bad gap pattern {text!r}: unexpected {bad!r}")
             if num:
-                if not expect_segment:
-                    raise FormatError(f"bad gap pattern {text!r}")
                 segments.append(int(num))
                 expect_segment = False
             else:
@@ -198,7 +198,7 @@ class GapPattern:
                     raise FormatError(f"bad gap pattern {text!r}")
                 gaps.append((int(g1), int(g2)))
                 expect_segment = True
-        if expect_segment or not segments:
+        if expect_segment:
             raise FormatError(f"bad gap pattern {text!r}")
         return cls(tuple(segments), tuple(gaps))
 

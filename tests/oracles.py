@@ -219,8 +219,13 @@ def pairwise_dot_bracket(seq: Sequence | int, pairs) -> str:
     tiers: list[list[tuple[int, int]]] = []
     used = set()
     for p, q in ordered:
-        if not (1 <= p < q <= n):
-            raise IndexOutOfRange(q if q > n else p, n)
+        if q > n:
+            raise IndexOutOfRange(q, n)
+        for end in (p, q):
+            if not 1 <= end <= n:
+                raise IndexOutOfRange(end, n)
+        if p >= q:
+            raise ValueError(f"pair ({p},{q}) does not open before it closes")
         if p in used or q in used:
             raise ValueError(f"index reused by pair ({p},{q})")
         used.update((p, q))

@@ -663,6 +663,47 @@ def test_predict_refuses_a_bad_profile_file(tmp_path, capsys, change, message):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc.update(use_gsl="false"),
+     "bad profile document: 'use_gsl' must be a JSON boolean, got \"false\""),
+    (lambda doc: doc.update(partial_stems="no"),
+     "bad profile document: 'partial_stems' must be a JSON boolean, got \"no\""),
+    (lambda doc: doc["pairing"].update(wobble="false"),
+     "bad profile document: 'pairing' is malformed: 'wobble' must be a JSON boolean, "
+     "got \"false\""),
+    (lambda doc: doc["domains"][0]["gsl"].update(max_exclusive=1),
+     "bad profile document: 'domains' is malformed: 'max_exclusive' must be a JSON boolean, "
+     "got 1"),
+    (lambda doc: doc.update(min_stem_length=2.9),
+     "bad profile document: 'min_stem_length' is malformed: 'min_stem_length' must be a "
+     "JSON integer, got 2.9"),
+    (lambda doc: doc.update(min_stem_length=True),
+     "bad profile document: 'min_stem_length' is malformed: 'min_stem_length' must be a "
+     "JSON integer, got true"),
+    (lambda doc: doc.update(name=5), "bad profile document: 'name' must be a JSON string, got 5"),
+], ids=["use-gsl", "partial-stems", "wobble", "max-exclusive", "float-length", "bool-length",
+        "name"])
+def test_predict_refuses_a_profile_value_of_the_wrong_type(tmp_path, capsys, change, message):
+    """A flag that is not a JSON boolean, a min_stem_length that is not an
+    integer and a name that is not a string are refused, not coerced."""
+    doc = profile_to_dict(builtin_profile("rrna5s-bacterial"))
+    change(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("predict", "--profile", str(path), TWOQUX_FASTA) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_evaluate_names_a_ct_partner_below_1(tmp_path, capsys):
+    fasta = tmp_path / "s.fasta"
+    fasta.write_text(">s\nGGCC\n")
+    ct = tmp_path / "s.ct"
+    ct.write_text("4 s\n1 G 0 2 -1 1\n2 G 1 3 0 2\n3 C 2 4 0 3\n4 C 3 0 0 4\n")
+    assert run("evaluate", "--profile", "protein", str(fasta), "--reference", str(ct)) == 2
+    assert capsys.readouterr().err == "error: pair index -1 is below 1\n"
+
+
 def test_batch_min_length_flag(batch_dir, tmp_path):
     out = tmp_path / "batch.json"
     run("batch", "--profile", "protein", str(batch_dir), "-o", str(out),

@@ -270,6 +270,47 @@ def _render(writer, n, pairs):
         return type(exc), str(exc)
 
 
+def test_index_out_of_range_says_below_1_or_past_the_length():
+    assert str(IndexOutOfRange(0, 10)) == "pair index 0 is below 1"
+    assert str(IndexOutOfRange(-1, 4)) == "pair index -1 is below 1"
+    assert str(IndexOutOfRange(11, 10)) == "pair index 11 exceeds sequence length 10"
+    with pytest.raises(IndexOutOfRange, match=r"^pair index 0 is below 1$"):
+        write_ct(parse_sequence("GGGGAAAACC", id="x"), [(0, 5)])
+    # a length below -1 refuses any pair, as the oracle does
+    for writer in (write_dot_bracket, pairwise_dot_bracket):
+        assert _render(writer, -5, [(1, 2)]) == (
+            IndexOutOfRange, "pair index 2 exceeds sequence length -5")
+
+
+@pytest.mark.parametrize("pairs, error", [
+    ([(5, 3)], ValueError("pair (5,3) does not open before it closes")),
+    ([(4, 4)], ValueError("pair (4,4) does not open before it closes")),
+    ([(1, 10), (6, 6)], ValueError("pair (6,6) does not open before it closes")),
+    ([(3, 0)], IndexOutOfRange(0, 10)),
+    ([(0, 5)], IndexOutOfRange(0, 10)),
+    ([(-1, 0)], IndexOutOfRange(-1, 10)),
+    ([(12, 5)], IndexOutOfRange(12, 10)),
+    ([(-1, 11)], IndexOutOfRange(11, 10)),
+    ([(1, 10), (2, 10)], ValueError("index reused by pair (2,10)")),
+])
+def test_write_dot_bracket_names_the_bad_pair_truthfully(pairs, error):
+    """An end outside 1..n is named (the one past n if there is one, else
+    the first below 1), and a pair inside 1..n with p >= q whole, as the
+    oracle names them."""
+    want = (type(error), str(error))
+    assert _render(write_dot_bracket, 10, pairs) == want
+    assert _render(pairwise_dot_bracket, 10, pairs) == want
+
+
+def test_helix_pairs_bases_are_their_stems_base_masks():
+    stems = [contiguous_stem(1, 20, 3), contiguous_stem(5, 12, 2)]
+    pairs = HelixPairs(stems)
+    assert pairs.bases == stems[0].base_mask | stems[1].base_mask
+    assert pairs.bases.bit_count() == 2 * len(pairs) and pairs.bases.bit_length() == 21
+    assert write_dot_bracket(20, pairs) == write_dot_bracket(20, list(pairs)) == (
+        "(((.((....)).....)))")
+
+
 def _random_pairs(rng, n, count):
     """``count`` disjoint pairs on 1..n, crossing freely."""
     ends = rng.sample(range(1, n + 1), 2 * count)

@@ -243,6 +243,18 @@ def test_builtin_profiles_load_and_round_trip(name):
     assert profile_from_dict(profile_to_dict(cfg)) == cfg
 
 
+def test_profile_round_trips_every_interval_flag():
+    iv = Interval(lo=Fraction(3), hi=Fraction(27, 5), lo_strict=True, hi_strict=True)
+    cfg = builtin_profile("rrna5s-bacterial")
+    cfg = replace(cfg, sl=iv, span=iv,
+                  helices=tuple(replace(h, sl=iv) for h in cfg.helices),
+                  domains=tuple(replace(d, gsl=iv) for d in cfg.domains))
+    doc = json.loads(json.dumps(profile_to_dict(cfg)))
+    assert doc["stem_loop"] == doc["span"] == doc["domains"][0]["gsl"] == {
+        "min": "3", "max": "5.4", "min_exclusive": True, "max_exclusive": True}
+    assert profile_from_dict(doc) == cfg
+
+
 def test_trna_profile_contents():
     cfg = builtin_profile("trna")
     assert cfg.pairing.wobble and not cfg.pairing.uu

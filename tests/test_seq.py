@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stemp import InvalidCharacter, PairingRule, parse_sequence
+from stemp import InvalidCharacter, PairingRule, Sequence, parse_sequence
 
 RULES = [PairingRule(), PairingRule(wobble=True), PairingRule(uu=True),
          PairingRule(wobble=True, uu=True)]
@@ -38,6 +38,16 @@ def test_parse_invalid_character_position():
 def test_gap_characters_rejected_not_skipped(text, pos, char):
     with pytest.raises(InvalidCharacter) as err:
         parse_sequence(text)
+    assert (err.value.position, err.value.char) == (pos, char)
+
+
+@pytest.mark.parametrize("residues, pos, char", [("ACGXU", 4, "X"), ("ACgU", 3, "g"),
+                                                 ("AC U", 3, " ")])
+def test_sequence_built_directly_refuses_a_bad_residue(residues, pos, char):
+    """A Sequence built without parse_sequence checks its residues as they
+    stand: nothing is cleaned, uppercased or skipped."""
+    with pytest.raises(InvalidCharacter) as err:
+        Sequence(id="x", residues=residues)
     assert (err.value.position, err.value.char) == (pos, char)
 
 

@@ -135,6 +135,19 @@ def test_gap_pattern_rejects_malformed(bad):
         GapPattern.parse(bad)
 
 
+@pytest.mark.parametrize("text, why", [
+    ("", ""), ("[1/2]3", ""), ("2[1/2]", ""), ("2[1/2][1/1]3", ""),
+    ("2x", ": unexpected 'x'"), ("2\n3", ": unexpected '\\n'"),
+    ("2\n[1/1]3", ": unexpected '\\n'"),
+])
+def test_gap_pattern_names_what_it_cannot_parse(text, why):
+    """Every character is read, a newline too, so two numbers never follow
+    one another."""
+    with pytest.raises(FormatError) as raised:
+        GapPattern.parse(text)
+    assert str(raised.value) == f"bad gap pattern {text!r}{why}"
+
+
 @pytest.mark.parametrize("gaps, message", [
     ((), "expected 1 gaps for 2 segments, got 0"),
     (((0, 0), (1, 1)), "expected 1 gaps for 2 segments, got 2"),

@@ -27,9 +27,8 @@ from .seq import Sequence, parse_sequence
 from .stems import MIN_PAIR_GAP, GapPattern, Pair, Stem, StemGraph, helix_runs
 
 BRACKET_TIERS = ("()", "[]", "{}", "<>")
-# Unpaired bases. Every other character of a structure line is a bracket of
-# BRACKET_TIERS, which is how read_dot_bracket tells it from the sequence
-# line; a letter tier (bpRNA's Aa, Bb, ...) would make that ambiguous.
+# Unpaired bases; every other character of a structure is a bracket of
+# BRACKET_TIERS.
 _UNPAIRED = "._-,:"
 _OPEN = {pair[0]: tier for tier, pair in enumerate(BRACKET_TIERS)}
 _CLOSE = {pair[1]: tier for tier, pair in enumerate(BRACKET_TIERS)}
@@ -334,7 +333,7 @@ def _graph_tiers(graph: StemGraph) -> TierTable:
 
 
 def parse_dot_bracket(text: str) -> frozenset[Pair]:
-    """Pairs (1-based) encoded by a dot-bracket string with up to 4 tiers."""
+    """Pairs (1-based) encoded by a dot-bracket string in the tiers of BRACKET_TIERS."""
     opened: list[list[int]] = [[] for _ in BRACKET_TIERS]  # per tier, its open brackets
     pairs = set()
     for pos, ch in enumerate(text.strip(), start=1):
@@ -356,44 +355,32 @@ def parse_dot_bracket(text: str) -> frozenset[Pair]:
 
 
 def read_dot_bracket(path: str | Path) -> ReferenceStructure:
-    """Reference from a .dbn-style file: optional '>' header, optional
-    sequence line, then the structure line, which ends the one record. A
-    non-blank line after it, a second header line or a header after the
-    sequence line, and a second sequence line are FormatErrors naming
-    their line number."""
+    """Reference from a .dbn-style file, read by line position. Of its
+    non-blank lines, a first one starting with '>' is the header and the
+    last is the structure; at most one line, of letters only, comes between
+    them, the sequence. Any other line is a FormatError naming its number,
+    as is a structure that parse_dot_bracket refuses."""
     path = Path(path)
+    lines = [(number, line) for number, line
+             in enumerate(map(str.strip, read_text(path).splitlines()), start=1) if line]
     name = path.stem
-    headed = False
-    bases = None
-    structure = None
-    for number, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if structure is not None:
-            raise FormatError(f"{path}: line {number} follows the structure line; "
-                              "a reference holds one record")
-        if line.startswith(">"):
-            if headed or bases is not None:
-                raise FormatError(f"{path}: line {number} is a header after the "
-                                  f"{'header' if bases is None else 'sequence'} line; "
-                                  "a reference holds one record")
-            headed = True
-            header = line[1:].strip()
-            name = header.split()[0] if header else name
-        elif set(line) <= set(_UNPAIRED + "".join(BRACKET_TIERS)):
-            structure = line
-        elif bases is not None:
-            raise FormatError(f"{path}: line {number} is a second sequence line; "
-                              "a reference holds one record")
-        else:
-            bases = line.upper().replace("T", "U")
-    if structure is None:
+    if lines and lines[0][1].startswith(">"):
+        name = (lines.pop(0)[1][1:].split() or [name])[0]
+    if not lines:
         raise FormatError(f"{path}: no dot-bracket line found")
+    *middle, (number, structure) = lines
+    try:
+        pairs = parse_dot_bracket(structure)
+    except FormatError as exc:
+        raise FormatError(f"{path}: line {number}: {exc}") from None
+    for k, (number, line) in enumerate(middle):
+        if k or not line.isalpha():
+            raise FormatError(f"{path}: line {number} is not the header, the sequence or the "
+                              "structure line; a reference holds one record")
+    bases = middle[0][1].upper().replace("T", "U") if middle else None
     if bases is not None and len(bases) != len(structure):
         raise FormatError(f"{path}: sequence and structure lengths differ")
-    return ReferenceStructure(id=name, length=len(structure),
-                              pairs=parse_dot_bracket(structure),
+    return ReferenceStructure(id=name, length=len(structure), pairs=pairs,
                               source="dotbracket", bases=bases)
 
 
@@ -478,17 +465,29 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
     return doc
 
 
-def _int(value, what: str) -> int:
-    """``value`` if it is an int; a bool or any other JSON value is a ValueError."""
+def _int(value, what: str, least: int | None = None) -> int:
+    """``value`` if it is an int, and not below ``least`` if that is given;
+    a bool or any other JSON value is a ValueError."""
     if type(value) is not int:
         raise ValueError(f"{what} {json.dumps(value)} is not an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{what} {value} is below {least}")
     return value
 
 
-def _str(value, what: str) -> str:
-    """``value`` if it is a str; any other JSON value is a ValueError."""
-    if type(value) is not str:
-        raise ValueError(f"{what} {json.dumps(value)} is not a string")
+def _str(value, what: str, nullable: bool = False) -> str | None:
+    """``value`` if it is a str, or None if ``nullable``; any other JSON
+    value is a ValueError."""
+    if type(value) is not str and not (nullable and value is None):
+        raise ValueError(f"{what} {json.dumps(value)} is not a string"
+                         + (" or null" if nullable else ""))
+    return value
+
+
+def _list(value, what: str) -> list:
+    """``value`` if it is a list; any other JSON value is a ValueError."""
+    if type(value) is not list:
+        raise ValueError(f"{what} is not a list")
     return value
 
 
@@ -508,11 +507,14 @@ def _pairs(value) -> tuple[tuple[int, int], ...]:
 
 
 def report_from_dict(doc: dict) -> PredictionReport:
-    """A report read back from its document. Every rank, count, vertex and
-    pair index must be an int, as ``report_to_dict`` writes them, every pair
-    (p, q) must have 1 <= p < q and no base may be in two pairs of one
-    prediction, and the sequence id and profile must be strings; anything
-    else is a FormatError that names the prediction (or the report)."""
+    """A report read back from its document. The predictions must be a
+    list. Every rank, count, vertex and pair index must be an int, as
+    ``report_to_dict`` writes them, each rank, multiplicity and vertex at
+    least 1 and each energy at least 0; every pair (p, q) must have
+    1 <= p < q and no base may be in two pairs of one prediction; a
+    dot-bracket must be a string or null, and the sequence id and profile
+    strings. Anything else is a FormatError that names the prediction (or
+    the report)."""
     if not isinstance(doc, dict):
         raise FormatError(f"not a report document: the top level is a {type(doc).__name__}")
     if doc.get("schema") != REPORT_SCHEMA:
@@ -520,16 +522,17 @@ def report_from_dict(doc: dict) -> PredictionReport:
     where = "report"
     try:
         preds = []
-        for rank, entry in enumerate(doc["predictions"], start=1):
+        for rank, entry in enumerate(_list(doc["predictions"], "predictions"), start=1):
             where = f"prediction {rank}"
             preds.append(FoldPrediction(
-                vertices=tuple(_int(v, "vertex") - 1 for v in entry["vertices"]),
-                energy=_int(entry["energy"], "energy"),
+                vertices=tuple(_int(v, "vertex", 1) - 1 for v in entry["vertices"]),
+                energy=_int(entry["energy"], "energy", 0),
                 pairs=_pairs(entry["pairs"]),
-                scr=_int(entry["rank_scr"], "rank_scr"),
-                dr=_int(entry["rank_dr"], "rank_dr"),
-                multiplicity=_int(entry["multiplicity"], "multiplicity"),
+                scr=_int(entry["rank_scr"], "rank_scr", 1),
+                dr=_int(entry["rank_dr"], "rank_dr", 1),
+                multiplicity=_int(entry["multiplicity"], "multiplicity", 1),
             ))
+            _str(entry.get("dot_bracket"), "dot_bracket", nullable=True)
         where = "report"
         report = PredictionReport(sequence_id=_str(doc["sequence_id"], "sequence_id"),
                                   profile=_str(doc["profile"], "profile"),
@@ -760,6 +763,10 @@ def graph_to_dict(graph: StemGraph) -> dict:
 
 
 def graph_from_dict(doc: dict) -> StemGraph:
+    """A graph read back from its document. Its vertices and edges must be
+    lists, each vertex's i, j, length and span ints and its helix a string
+    or null; anything else is a FormatError naming the vertex, the edge or
+    the graph."""
     if not isinstance(doc, dict):
         raise FormatError(f"not a graph document: the top level is a {type(doc).__name__}")
     if doc.get("schema") != GRAPH_SCHEMA:
@@ -767,14 +774,15 @@ def graph_from_dict(doc: dict) -> StemGraph:
     where = "graph"
     try:
         vertices = []
-        for number, e in enumerate(doc["vertices"], start=1):
+        for number, e in enumerate(_list(doc["vertices"], "vertices"), start=1):
             where = f"vertex {number}"
-            vertices.append(_rebuild_stem(e["i"], e["j"], e["length"], e["span"], e["sl"],
-                                          e.get("pattern"), e.get("helix"), where,
+            i, j, length, span = (_int(e[key], key) for key in ("i", "j", "length", "span"))
+            vertices.append(_rebuild_stem(i, j, length, span, e["sl"], e.get("pattern"),
+                                          _str(e.get("helix"), "helix", nullable=True), where,
                                           f"inconsistent stem entry: {e}"))
         where = "graph"
         edges = []
-        for number, edge in enumerate(doc["edges"], start=1):
+        for number, edge in enumerate(_list(doc["edges"], "edges"), start=1):
             where = f"edge {number}"
             u, v = edge
             edges.append((where, u, v))

@@ -67,13 +67,14 @@ def _interval_from_dict(doc: dict | None) -> Interval | None:
     )
 
 
-_JSON_TYPES = {bool: "boolean", int: "integer", str: "string"}
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string", list: "array"}
 
 
 def _typed(doc: dict, key: str, kind: type, default=None):
-    """``doc[key]`` (``default`` if absent) if its type is ``kind``, else a
-    TypeError naming the key: "false" is no boolean, 2.9 or true no integer."""
-    value = doc.get(key, default)
+    """``doc[key]`` (``default`` if absent and given, else a KeyError) if its
+    type is ``kind``, else a TypeError naming the key: "false" is no
+    boolean, 2.9 or true no integer, "5" no array."""
+    value = doc[key] if default is None else doc.get(key, default)
     if type(value) is not kind:
         got = json.dumps(value, default=repr)
         raise TypeError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {got}")
@@ -360,17 +361,17 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
         key = "helices"
         helices = tuple(
             HelixSpec(
-                name=h["name"],
-                patterns=tuple(GapPattern.parse(p) for p in h["patterns"]),
+                name=_typed(h, "name", str),
+                patterns=tuple(GapPattern.parse(p) for p in _typed(h, "patterns", list)),
                 sl=_interval_from_dict(h.get("stem_loop")),
             )
-            for h in doc.get("helices", ())
+            for h in _typed(doc, "helices", list, [])
         )
         key = "domains"
         domains = tuple(
-            DomainSpec(name=d["name"], outer=d["outer"], inner=d["inner"],
-                       gsl=_interval_from_dict(d["gsl"]))
-            for d in doc.get("domains", ())
+            DomainSpec(name=_typed(d, "name", str), outer=_typed(d, "outer", str),
+                       inner=_typed(d, "inner", str), gsl=_interval_from_dict(d["gsl"]))
+            for d in _typed(doc, "domains", list, [])
         )
         key = "min_stem_length"
         min_stem_length = _typed(doc, "min_stem_length", int)
@@ -395,9 +396,9 @@ def profile_from_dict(doc: dict) -> ProfileConfig:
             use_gsl=_typed(doc, "use_gsl", bool, True),
             helices=helices,
             domains=domains,
-            notes=doc.get("notes", ""),
+            notes=_typed(doc, "notes", str, ""),
         )
-    except TypeError as exc:  # e.g. a helix name that is not a string
+    except TypeError as exc:  # a name, flag or notes of the wrong type
         raise ProfileError(f"bad profile document: {exc}") from None
 
 

@@ -38,6 +38,34 @@ def pair_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def failing_render(monkeypatch):
+    """A function ``arm(record, at)``: from its call on, the ``at``-th
+    dot-bracket that ``stemp.fileio`` writes for record ``record`` raises a
+    StempError, so that record's report fails while it is rendered, as one
+    that needs more bracket tiers than there are would. Call it again
+    before each run."""
+    from stemp import fileio
+    from stemp.errors import StempError
+
+    real = fileio.write_dot_bracket
+    armed = {}
+
+    def write_dot_bracket(seq, pairs):
+        if getattr(seq, "id", None) == armed.get("record"):
+            armed["left"] -= 1
+            if armed["left"] == 0:
+                raise StempError(f"rendering failed at prediction {armed['at']} of "
+                                 f"{armed['record']}")
+        return real(seq, pairs)
+
+    def arm(record: str, at: int) -> None:
+        armed.update(record=record, at=at, left=at)
+
+    monkeypatch.setattr(fileio, "write_dot_bracket", write_dot_bracket)
+    return arm
+
+
 def load_perfbench(name, monkeypatch):
     """The benchmark's module ``perfbench/<name>.py``, loaded by path and
     only read; it stays in ``sys.modules`` for the test's duration, since

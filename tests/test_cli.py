@@ -314,6 +314,17 @@ def _report_doc(*entries):
     (dict(_report_doc({}), sequence_id=[1]),
      "report is malformed: sequence_id [1] is not a string"),
     (dict(_report_doc({}), profile=None), "report is malformed: profile null is not a string"),
+    (dict(_report_doc({}), predictions={}), "report is malformed: predictions is not a list"),
+    (dict(_report_doc({}), predictions=""), "report is malformed: predictions is not a list"),
+    (_report_doc({"rank_scr": 0}), "prediction 1 is malformed: rank_scr 0 is below 1"),
+    (_report_doc({}, {"rank_dr": -1}), "prediction 2 is malformed: rank_dr -1 is below 1"),
+    (_report_doc({"multiplicity": 0}), "prediction 1 is malformed: multiplicity 0 is below 1"),
+    (_report_doc({"energy": -1}), "prediction 1 is malformed: energy -1 is below 0"),
+    (_report_doc({"vertices": [0]}), "prediction 1 is malformed: vertex 0 is below 1"),
+    (_report_doc({"dot_bracket": 5}),
+     "prediction 1 is malformed: dot_bracket 5 is not a string or null"),
+    (_report_doc({"dot_bracket": None}, {"dot_bracket": ["."]}),
+     "prediction 2 is malformed: dot_bracket [\".\"] is not a string or null"),
 ])
 def test_evaluate_malformed_report_exit_2(tmp_path, capsys, doc, message):
     report = tmp_path / "r.json"
@@ -421,10 +432,10 @@ def test_dot_bracket_records_are_the_streamed_rank_1_entries(tmp_path, pair_call
 
 
 def test_dbn_reference_holds_one_record(tmp_path, capsys):
-    """A line after the structure line is a FormatError that names it, so a
-    multi-record ``--dot-bracket`` file is refused as a reference rather
-    than read as its last record; one record reads with or without its
-    header and sequence lines."""
+    """A structure line before the last line is a FormatError that names
+    it, so a multi-record ``--dot-bracket`` file is refused as a reference
+    rather than read as its last record; one record reads with or without
+    its header and sequence lines."""
     bases, structure = "GGCACAGAAGAUAUGGCUUCGUGCC", write_dot_bracket(25, PAIRS_2QUX)
     for header in ([], [">2QUX x"]):
         for sequence in ([], [bases]):
@@ -439,12 +450,40 @@ def test_dbn_reference_holds_one_record(tmp_path, capsys):
     capsys.readouterr()
     two = tmp_path / "two.dbn"
     two.write_text(f">2QUX a\n{bases}\n{structure}\n\n>2QUX b\n{bases}\n{'.' * 25}\n")
-    message = f"{two}: line 5 follows the structure line; a reference holds one record"
+    message = (f"{two}: line 3 is not the header, the sequence or the structure line; "
+               "a reference holds one record")
     with pytest.raises(FormatError) as raised:
         read_reference(two)
     assert str(raised.value) == message
     assert run("evaluate", "--profile", "protein", TWOQUX_FASTA, "--reference", str(two)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["((((....)))"], "line 1: unmatched '(' at position 1"),
+    ([">s x", "GGGGAAAACCC", "((((....)))"], "line 3: unmatched '(' at position 1"),
+    (["GGGGAAAACCCC"], "line 1: "),  # then the parser's text, which the alphabet sets
+    (["((((....))))", "GGGGAAAACCCC"], "line 2: "),
+    (["((((....))))", "", "((((....))))"],
+     "line 1 is not the header, the sequence or the structure line; "
+     "a reference holds one record"),
+    (["GGGG-AAAACCC", "((((....))))"],
+     "line 1 is not the header, the sequence or the structure line; "
+     "a reference holds one record"),
+    ([">s", ""], "no dot-bracket line found"),
+], ids=["unmatched", "unmatched-after-sequence", "sequence-only", "structure-first",
+        "two-structures", "gapped-sequence", "header-only"])
+def test_evaluate_names_the_bad_line_of_a_dbn_reference(tmp_path, capsys, lines, message):
+    """The last non-blank line is the structure: a structure the parser
+    refuses, or a line before it that is neither the header nor one line of
+    letters, ends evaluate with one error naming the file and the line."""
+    reference = tmp_path / "ref.dbn"
+    reference.write_text("\n".join(lines) + "\n")
+    assert run("evaluate", "--profile", "protein", TWOQUX_FASTA,
+               "--reference", str(reference)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {reference}: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_ignore_noncanonical_needs_reference_bases(tmp_path, capsys, batch_dir):
@@ -681,11 +720,25 @@ def test_predict_refuses_a_bad_profile_file(tmp_path, capsys, change, message):
      "bad profile document: 'min_stem_length' is malformed: 'min_stem_length' must be a "
      "JSON integer, got true"),
     (lambda doc: doc.update(name=5), "bad profile document: 'name' must be a JSON string, got 5"),
+    (lambda doc: doc["helices"][0].update(name=5),
+     "bad profile document: 'helices' is malformed: 'name' must be a JSON string, got 5"),
+    (lambda doc: doc["domains"][0].update(name=5),
+     "bad profile document: 'domains' is malformed: 'name' must be a JSON string, got 5"),
+    (lambda doc: doc["domains"][0].update(outer=5),
+     "bad profile document: 'domains' is malformed: 'outer' must be a JSON string, got 5"),
+    (lambda doc: doc["domains"][0].update(inner=None),
+     "bad profile document: 'domains' is malformed: 'inner' must be a JSON string, got null"),
+    (lambda doc: doc.update(notes=5), "bad profile document: 'notes' must be a JSON string, got 5"),
+    (lambda doc: doc["helices"][0].update(patterns="5"),
+     "bad profile document: 'helices' is malformed: 'patterns' must be a JSON array, got \"5\""),
+    (lambda doc: doc.update(domains={}),
+     "bad profile document: 'domains' is malformed: 'domains' must be a JSON array, got {}"),
 ], ids=["use-gsl", "partial-stems", "wobble", "max-exclusive", "float-length", "bool-length",
-        "name"])
+        "name", "helix-name", "domain-name", "outer", "inner", "notes", "patterns", "domains"])
 def test_predict_refuses_a_profile_value_of_the_wrong_type(tmp_path, capsys, change, message):
     """A flag that is not a JSON boolean, a min_stem_length that is not an
-    integer and a name that is not a string are refused, not coerced."""
+    integer, a name, helix name, domain text or notes that is not a string
+    and patterns or domains that are not an array are refused, not coerced."""
     doc = profile_to_dict(builtin_profile("rrna5s-bacterial"))
     change(doc)
     path = tmp_path / "bad.json"
@@ -828,8 +881,8 @@ def test_predict_streams_the_oracle_bytes(tmp_path, capsys, monkeypatch, case, r
         assert printed == text
 
 
-def _fifth_tier_76mer(tmp_path):
-    rng = random.Random(7)  # under protein, prediction 6 needs a fifth bracket tier
+def _r76_fasta(tmp_path):
+    rng = random.Random(7)  # under protein, thousands of predictions
     fasta = tmp_path / "r76-7.fasta"
     fasta.write_text(">r76\n" + "".join(rng.choice("ACGU") for _ in range(76)) + "\n")
     return str(fasta)
@@ -843,25 +896,28 @@ def _assert_nothing_written(capsys, out, before):
 
 @pytest.mark.parametrize("render_slice", [1, fileio.RENDER_SLICE])
 def test_predict_failure_leaves_no_partial_output(tmp_path, capsys, monkeypatch,
-                                                  render_slice):
+                                                  failing_render, render_slice):
     monkeypatch.setattr(fileio, "RENDER_SLICE", render_slice)  # 1: fails mid-stream
-    fasta = _fifth_tier_76mer(tmp_path)
+    fasta = _r76_fasta(tmp_path)
     out = tmp_path / "out" / "report.json"
     out.parent.mkdir()
     out.write_text("earlier report\n")
+    failing_render("r76", 6)
     assert run("predict", "--profile", "protein", fasta, "-o", str(out)) == 2
-    assert "fifth bracket tier" in capsys.readouterr().err
+    assert "rendering failed at prediction 6 of r76" in capsys.readouterr().err
     _assert_nothing_written(capsys, out, "earlier report\n")
+    failing_render("r76", 6)
     assert run("predict", "--profile", "protein", fasta) == 2
     assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("first", [None, "2qux.fasta"])
-def test_failed_predict_leaves_the_graph_dumps_unchanged(tmp_path, capsys, first):
+def test_failed_predict_leaves_the_graph_dumps_unchanged(tmp_path, capsys, failing_render,
+                                                         first):
     """A graph dump is written only once the whole report is: a record that
     fails while rendered, alone or after one that succeeds, leaves every
     dump file as it was."""
-    r76 = Path(_fifth_tier_76mer(tmp_path)).read_text()
+    r76 = Path(_r76_fasta(tmp_path)).read_text()
     fasta = tmp_path / "in.fasta"
     fasta.write_text(((FIXTURES / first).read_text() if first else "") + r76)
     out = tmp_path / "out"
@@ -869,9 +925,10 @@ def test_failed_predict_leaves_the_graph_dumps_unchanged(tmp_path, capsys, first
     dumps = [out / "g.json"] if first is None else [out / "g-2QUX.json", out / "g-r76.json"]
     for dump in dumps:
         dump.write_text("earlier dump\n")
+    failing_render("r76", 6)
     assert run("predict", "--profile", "protein", str(fasta), "-o", str(out / "r.json"),
                "--dump-graph", str(out / "g.json")) == 2
-    assert "fifth bracket tier" in capsys.readouterr().err
+    assert "rendering failed at prediction 6 of r76" in capsys.readouterr().err
     assert all(dump.read_text() == "earlier dump\n" for dump in dumps)
     assert sorted(p.name for p in out.iterdir()) == sorted(d.name for d in dumps)
 

@@ -214,7 +214,8 @@ def test_predict_and_evaluate_read_byte_order_marked_files_as_plain(tmp_path, ca
     ("a.fasta", BOM + ">a\nGGGG\n", read_fasta, "line 1: sequence data before a '>' header"),
     ("a.fasta", ">a\nGG" + BOM + "GG\n", read_fasta, "record 'a'"),
     ("a.ct", BOM + "1 t\n1 G 0 0 0 1\n", read_ct, "CT header must start with the length"),
-    ("a.dbn", BOM + "((....))\n", read_reference, "no dot-bracket line found"),
+    ("a.dbn", BOM + "((....))\n", read_reference,
+     "line 1: unexpected character '\\ufeff' at position 1"),
     ("a.json", BOM + "{}", read_report, "not JSON: Unexpected UTF-8 BOM"),
     ("a.json", "{" + BOM + "}", read_report, "not JSON"),
 ])
@@ -646,19 +647,24 @@ def test_dbn_length_mismatch(tmp_path):
         read_reference(db)
 
 
-@pytest.mark.parametrize("lines, number, what", [
+DBN_EXTRA_LINE = ("is not the header, the sequence or the structure line; "
+                  "a reference holds one record")
+
+
+@pytest.mark.parametrize("lines, number, case", [
     ([">a", "GGGGAAAACCCC", ">b", "AAAAAAAAAAAA"], 3, "is a header after the sequence line"),
     ([">a", ">b", "GGGGAAAACCCC"], 2, "is a header after the header line"),
     (["GGGGAAAACCCC", ">b"], 2, "is a header after the sequence line"),
     ([">a", "GGGGAAAACCCC", "AAAAAAAAAAAA"], 3, "is a second sequence line"),
     (["GGGGAAAACCCC", "", "AAAAAAAAAAAA"], 3, "is a second sequence line"),
 ])
-def test_dbn_refuses_a_second_header_or_sequence_line(tmp_path, lines, number, what):
+def test_dbn_refuses_a_second_header_or_sequence_line(tmp_path, lines, number, case):
+    """``case`` says what the refused line is; every such line gets one text."""
     db = tmp_path / "two.dbn"
     db.write_text("\n".join([*lines, "((((....))))", ""]))
     with pytest.raises(FormatError) as raised:
         read_reference(db)
-    assert str(raised.value) == f"{db}: line {number} {what}; a reference holds one record"
+    assert str(raised.value) == f"{db}: line {number} {DBN_EXTRA_LINE}", case
 
 
 # ------------------------------------------------------------- documents
@@ -873,6 +879,15 @@ def _graph_doc(**changes):
     (_graph_doc(vertices=[_graph_doc()["vertices"][0],
                           {"i": 2, "j": 24, "length": 4, "span": 22, "sl": "11/2"}]),
      "^edge 1 is malformed: \\[1, 2\\] joins two stems that share a base$"),
+    (_graph_doc(vertices={}), "^graph is malformed: vertices is not a list$"),
+    (_graph_doc(edges={}), "^graph is malformed: edges is not a list$"),
+    (_graph_doc(vertices=[dict(_graph_doc()["vertices"][0], i=True)]),
+     "^vertex 1 is malformed: i true is not an integer$"),
+    (_graph_doc(vertices=[_graph_doc()["vertices"][0], dict(_graph_doc()["vertices"][1],
+                                                            length=4.0)]),
+     "^vertex 2 is malformed: length 4.0 is not an integer$"),
+    (_graph_doc(vertices=[dict(_graph_doc()["vertices"][0], helix=5)]),
+     "^vertex 1 is malformed: helix 5 is not a string or null$"),
 ])
 def test_graph_from_dict_rejects_malformed_documents(doc, message):
     with pytest.raises(FormatError, match=message):
@@ -952,14 +967,16 @@ def test_write_report_renders_a_slice_at_a_time(tmp_path, monkeypatch, as_tuple)
     assert max(slices) <= fileio.RENDER_SLICE and len(slices) > 1
 
 
-def test_write_report_failing_mid_stream_leaves_the_file(tmp_path, monkeypatch):
-    rng = random.Random(7)  # under protein, prediction 6 needs a fifth bracket tier
+def test_write_report_failing_mid_stream_leaves_the_file(tmp_path, monkeypatch,
+                                                         failing_render):
+    rng = random.Random(7)
     seq = parse_sequence("".join(rng.choice("ACGU") for _ in range(76)), id="r76")
     _, report = run_pipeline(seq, resolve_profile("protein"))
     monkeypatch.setattr(fileio, "RENDER_SLICE", 1)  # so prediction 6 fails mid-stream
     path = tmp_path / "r.json"
     path.write_text("earlier report\n")
-    with pytest.raises(TooManyLayers):
+    failing_render("r76", 6)
+    with pytest.raises(StempError, match="^rendering failed at prediction 6 of r76$"):
         write_report(report, path, seq=seq)
     assert path.read_text() == "earlier report\n"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, TextIO
 
 from .cliques import FoldPrediction, PredictionReport, RankedPredictions
 from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
-                     InvalidCharacter, TooManyLayers)
+                     InvalidCharacter, StempError, TooManyLayers)
 from .metrics import ReferenceStructure
 from .seq import Sequence, parse_sequence
 from .stems import MIN_PAIR_GAP, GapPattern, Pair, Stem, StemGraph, helix_runs
@@ -465,36 +465,41 @@ def report_to_dict(report: PredictionReport, seq: Sequence | None = None,
     return doc
 
 
-def _int(value, what: str, least: int | None = None) -> int:
-    """``value`` if it is an int, and not below ``least`` if that is given;
-    a bool or any other JSON value is a ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"{what} {json.dumps(value)} is not an integer")
-    if least is not None and value < least:
-        raise ValueError(f"{what} {value} is below {least}")
-    return value
+# The Python types that json.loads gives each JSON kind a schema names.
+_KINDS = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
+          "integer or string": (int, str), "list": list, "object": dict}
 
 
-def _str(value, what: str, nullable: bool = False) -> str | None:
-    """``value`` if it is a str, or None if ``nullable``; any other JSON
-    value is a ValueError."""
-    if type(value) is not str and not (nullable and value is None):
-        raise ValueError(f"{what} {json.dumps(value)} is not a string"
+def json_value(value, name: str, kind: str, least: int | None = None, nullable: bool = False):
+    """``value`` if it is of JSON ``kind`` (a key of _KINDS) and not below
+    ``least`` if that is given, or None if ``nullable``; else a ValueError
+    naming ``name``, and the value unless it should be a list or object. A
+    bool is of no kind but "boolean"; a list or object may be a subclass
+    (report_to_dict's pairs are a HelixPairs)."""
+    if value is None and nullable:
+        return value
+    if not isinstance(value, _KINDS[kind]) or type(value) is bool and kind != "boolean":
+        shown = "" if kind in ("list", "object") else f" {json.dumps(value, default=repr)}"
+        raise ValueError(f"{name}{shown} is not {'an' if kind[0] in 'aio' else 'a'} {kind}"
                          + (" or null" if nullable else ""))
+    if least is not None and value < least:
+        raise ValueError(f"{name} {value} is below {least}")
     return value
 
 
-def _list(value, what: str) -> list:
-    """``value`` if it is a list; any other JSON value is a ValueError."""
-    if type(value) is not list:
-        raise ValueError(f"{what} is not a list")
-    return value
+def json_document(doc, schema: str, what: str, error: type[StempError] = FormatError) -> None:
+    """An ``error`` unless ``doc`` is an object whose "schema" is ``schema``."""
+    if not isinstance(doc, dict):
+        raise error(f"not a {what} document: the top level is a {type(doc).__name__}")
+    if doc.get("schema") != schema:
+        raise error(f"not a {what} document: schema={doc.get('schema')!r}")
 
 
 def _pairs(value) -> tuple[tuple[int, int], ...]:
     """Pairs (p, q) of ints with 1 <= p < q, no base index in two of them;
     anything else is a ValueError."""
-    pairs = tuple((_int(p, "pair index"), _int(q, "pair index")) for p, q in value)
+    pairs = tuple((json_value(p, "pair index", "integer"), json_value(q, "pair index", "integer"))
+                  for p, q in (json_value(pair, "pair", "list") for pair in value))
     used = set()
     for p, q in pairs:
         if not 1 <= p < q:
@@ -507,37 +512,38 @@ def _pairs(value) -> tuple[tuple[int, int], ...]:
 
 
 def report_from_dict(doc: dict) -> PredictionReport:
-    """A report read back from its document. The predictions must be a
-    list. Every rank, count, vertex and pair index must be an int, as
-    ``report_to_dict`` writes them, each rank, multiplicity and vertex at
-    least 1 and each energy at least 0; every pair (p, q) must have
-    1 <= p < q and no base may be in two pairs of one prediction; a
-    dot-bracket must be a string or null, and the sequence id and profile
-    strings. Anything else is a FormatError that names the prediction (or
-    the report)."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"not a report document: the top level is a {type(doc).__name__}")
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise FormatError(f"not a report document: schema={doc.get('schema')!r}")
+    """A report read back from its document, which must hold what
+    docs/report.schema.json asks: every rank, count, vertex and pair index
+    an int, each rank, multiplicity and vertex at least 1 and each energy at
+    least 0; every pair (p, q) with 1 <= p < q, and no base in two pairs of
+    one prediction; a dot-bracket a string or null, the sequence id and
+    profile strings and the timing a number or null. Anything else is a
+    FormatError that names the prediction (or the report)."""
+    json_document(doc, REPORT_SCHEMA, "report")
     where = "report"
     try:
         preds = []
-        for rank, entry in enumerate(_list(doc["predictions"], "predictions"), start=1):
+        for rank, entry in enumerate(json_value(doc["predictions"], "predictions", "list"),
+                                     start=1):
             where = f"prediction {rank}"
+            json_value(entry, "it", "object")
             preds.append(FoldPrediction(
-                vertices=tuple(_int(v, "vertex", 1) - 1 for v in entry["vertices"]),
-                energy=_int(entry["energy"], "energy", 0),
-                pairs=_pairs(entry["pairs"]),
-                scr=_int(entry["rank_scr"], "rank_scr", 1),
-                dr=_int(entry["rank_dr"], "rank_dr", 1),
-                multiplicity=_int(entry["multiplicity"], "multiplicity", 1),
+                vertices=tuple(json_value(v, "vertex", "integer", 1) - 1
+                               for v in json_value(entry["vertices"], "vertices", "list")),
+                energy=json_value(entry["energy"], "energy", "integer", 0),
+                pairs=_pairs(json_value(entry["pairs"], "pairs", "list")),
+                scr=json_value(entry["rank_scr"], "rank_scr", "integer", 1),
+                dr=json_value(entry["rank_dr"], "rank_dr", "integer", 1),
+                multiplicity=json_value(entry["multiplicity"], "multiplicity", "integer", 1),
             ))
-            _str(entry.get("dot_bracket"), "dot_bracket", nullable=True)
+            json_value(entry["dot_bracket"], "dot_bracket", "string", nullable=True)
         where = "report"
-        report = PredictionReport(sequence_id=_str(doc["sequence_id"], "sequence_id"),
-                                  profile=_str(doc["profile"], "profile"),
-                                  predictions=tuple(preds),
-                                  timing=doc.get("timing_seconds"))
+        report = PredictionReport(
+            sequence_id=json_value(doc["sequence_id"], "sequence_id", "string"),
+            profile=json_value(doc["profile"], "profile", "string"),
+            predictions=tuple(preds),
+            timing=json_value(doc.get("timing_seconds"), "timing_seconds", "number",
+                              nullable=True))
     except KeyError as exc:
         raise FormatError(f"{where} has no {exc.args[0]!r} key") from None
     except (TypeError, ValueError) as exc:
@@ -735,16 +741,15 @@ def _rebuild_stem(i: int, j: int, length: int, span: int, sl: str,
 
 def _graph_of(vertices, edges) -> StemGraph:
     """A graph from its vertices and its edges, each (where, u, v) with
-    1-based u and v; FormatError names ``where`` for an edge that does not
+    1-based int u and v; FormatError names ``where`` for an edge that does not
     join two different vertices, or joins two stems that share a base."""
     n = len(vertices)
     masks = [0] * n
     # sets, not base masks: a mask is as wide as its highest base index
     bases = [{x for pair in stem.pairs for x in pair} for stem in vertices]
     for where, u, v in edges:
-        if not (type(u) is type(v) is int and 1 <= min(u, v) and max(u, v) <= n
-                and u != v):
-            raise FormatError(f"{where} is malformed: [{u!r}, {v!r}] does not join two "
+        if not (1 <= min(u, v) and max(u, v) <= n and u != v):
+            raise FormatError(f"{where} is malformed: [{u}, {v}] does not join two "
                               f"of the {n} vertices")
         if not bases[u - 1].isdisjoint(bases[v - 1]):
             raise FormatError(f"{where} is malformed: [{u}, {v}] joins two stems that "
@@ -763,32 +768,35 @@ def graph_to_dict(graph: StemGraph) -> dict:
 
 
 def graph_from_dict(doc: dict) -> StemGraph:
-    """A graph read back from its document. Its vertices and edges must be
-    lists, each vertex's i, j, length and span ints and its helix a string
-    or null; anything else is a FormatError naming the vertex, the edge or
-    the graph."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"not a graph document: the top level is a {type(doc).__name__}")
-    if doc.get("schema") != GRAPH_SCHEMA:
-        raise FormatError(f"not a graph document: schema={doc.get('schema')!r}")
+    """A graph read back from its document, which must hold what
+    docs/graph.schema.json asks: lists of vertices and of edges, each
+    vertex's i, j, length and span ints of at least 1, its score a string
+    and its pattern and helix strings or null. Anything else is a
+    FormatError naming the vertex, the edge or the graph."""
+    json_document(doc, GRAPH_SCHEMA, "graph")
     where = "graph"
     try:
         vertices = []
-        for number, e in enumerate(_list(doc["vertices"], "vertices"), start=1):
+        for number, e in enumerate(json_value(doc["vertices"], "vertices", "list"), start=1):
             where = f"vertex {number}"
-            i, j, length, span = (_int(e[key], key) for key in ("i", "j", "length", "span"))
-            vertices.append(_rebuild_stem(i, j, length, span, e["sl"], e.get("pattern"),
-                                          _str(e.get("helix"), "helix", nullable=True), where,
-                                          f"inconsistent stem entry: {e}"))
+            json_value(e, "it", "object")
+            i, j, length, span = (json_value(e[key], key, "integer", 1)
+                                  for key in ("i", "j", "length", "span"))
+            vertices.append(_rebuild_stem(
+                i, j, length, span, json_value(e["sl"], "sl", "string"),
+                json_value(e.get("pattern"), "pattern", "string", nullable=True),
+                json_value(e.get("helix"), "helix", "string", nullable=True), where,
+                f"inconsistent stem entry: {e}"))
         where = "graph"
         edges = []
-        for number, edge in enumerate(_list(doc["edges"], "edges"), start=1):
+        for number, edge in enumerate(json_value(doc["edges"], "edges", "list"), start=1):
             where = f"edge {number}"
-            u, v = edge
+            u, v = (json_value(end, "vertex number", "integer")
+                    for end in json_value(edge, "it", "list"))
             edges.append((where, u, v))
     except KeyError as exc:
         raise FormatError(f"{where} has no {exc.args[0]!r} key") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{where} is malformed: {exc}") from None
     return _graph_of(vertices, edges)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..errors import NotAcceptorCandidate, ProfileError
-from ..fileio import read_json
+from ..fileio import json_document, json_value, read_json
 from ..seq import PairingRule, Sequence
 from ..stems import (GapPattern, Interval, PairRuns, Stem, StemGraph, as_fraction,
                      build_stem_graph, canonical_order, contiguous_stem, pattern_of_pairs,
@@ -56,29 +56,22 @@ def _interval_to_dict(iv: Interval | None) -> dict | None:
     return doc
 
 
-def _interval_from_dict(doc: dict | None) -> Interval | None:
-    if doc is None:
+def _bound(value, name: str) -> Fraction:
+    """A bound: an integer, or a decimal or p/q string. A JSON float is
+    refused, since json.loads has lost its text (0.30000000000000001 reads
+    as 0.3)."""
+    return as_fraction(json_value(value, name, "integer or string"))
+
+
+def _interval_from_dict(doc: dict | None, name: str) -> Interval | None:
+    if json_value(doc, name, "object", nullable=True) is None:
         return None
     return Interval(
-        lo=as_fraction(doc["min"]) if "min" in doc else None,
-        hi=as_fraction(doc["max"]) if "max" in doc else None,
-        lo_strict=_typed(doc, "min_exclusive", bool, False),
-        hi_strict=_typed(doc, "max_exclusive", bool, False),
+        lo=_bound(doc["min"], "min") if "min" in doc else None,
+        hi=_bound(doc["max"], "max") if "max" in doc else None,
+        lo_strict=json_value(doc.get("min_exclusive", False), "min_exclusive", "boolean"),
+        hi_strict=json_value(doc.get("max_exclusive", False), "max_exclusive", "boolean"),
     )
-
-
-_JSON_TYPES = {bool: "boolean", int: "integer", str: "string", list: "array"}
-
-
-def _typed(doc: dict, key: str, kind: type, default=None):
-    """``doc[key]`` (``default`` if absent and given, else a KeyError) if its
-    type is ``kind``, else a TypeError naming the key: "false" is no
-    boolean, 2.9 or true no integer, "5" no array."""
-    value = doc[key] if default is None else doc.get(key, default)
-    if type(value) is not kind:
-        got = json.dumps(value, default=repr)
-        raise TypeError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {got}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -341,65 +334,61 @@ def profile_to_dict(cfg: ProfileConfig) -> dict:
 
 
 def profile_from_dict(doc: dict) -> ProfileConfig:
-    """A profile from its JSON document; ProfileError names what is wrong."""
-    if not isinstance(doc, dict):
-        raise ProfileError(f"not a profile document: the top level is a {type(doc).__name__}")
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise ProfileError(f"not a profile document: schema={doc.get('schema')!r}")
-    for key in ("name", "family", "min_stem_length"):
+    """A profile from its JSON document, which must hold what
+    docs/profile.schema.json asks; ProfileError names the top-level key
+    whose value is wrong."""
+    json_document(doc, PROFILE_SCHEMA, "profile", ProfileError)
+    for key in ("name", "family", "pairing", "min_stem_length"):
         if key not in doc:
             raise ProfileError(f"bad profile document: no {key!r} key")
-    key = "pairing"  # the top-level key being read, for the error message
+    key = "name"  # the top-level key being read, for the error message
     try:
-        flags = doc.get("pairing", {})
-        pairing = PairingRule(wobble=_typed(flags, "wobble", bool, False),
-                              uu=_typed(flags, "uu", bool, False))
+        name = json_value(doc["name"], "name", "string")
+        key = "pairing"
+        flags = json_value(doc["pairing"], "pairing", "object")
+        pairing = PairingRule(wobble=json_value(flags.get("wobble", False), "wobble", "boolean"),
+                              uu=json_value(flags.get("uu", False), "uu", "boolean"))
         key = "acceptor"
-        acceptor = None
-        if doc.get("acceptor") is not None:
-            acceptor = AcceptorSpec(max_score=as_fraction(doc["acceptor"]["max_score"]))
+        acceptor = json_value(doc.get("acceptor"), "acceptor", "object", nullable=True)
+        if acceptor is not None:
+            acceptor = AcceptorSpec(max_score=_bound(acceptor["max_score"], "max_score"))
         key = "helices"
-        helices = tuple(
-            HelixSpec(
-                name=_typed(h, "name", str),
-                patterns=tuple(GapPattern.parse(p) for p in _typed(h, "patterns", list)),
-                sl=_interval_from_dict(h.get("stem_loop")),
-            )
-            for h in _typed(doc, "helices", list, [])
-        )
+        helices = []
+        for h in json_value(doc.get("helices", []), "helices", "list"):
+            json_value(h, "helix", "object")
+            helices.append(HelixSpec(
+                name=json_value(h["name"], "name", "string"),
+                patterns=tuple(GapPattern.parse(json_value(p, "pattern", "string"))
+                               for p in json_value(h["patterns"], "patterns", "list")),
+                sl=_interval_from_dict(h.get("stem_loop"), "stem_loop")))
         key = "domains"
-        domains = tuple(
-            DomainSpec(name=_typed(d, "name", str), outer=_typed(d, "outer", str),
-                       inner=_typed(d, "inner", str), gsl=_interval_from_dict(d["gsl"]))
-            for d in _typed(doc, "domains", list, [])
-        )
+        domains = []
+        for d in json_value(doc.get("domains", []), "domains", "list"):
+            json_value(d, "domain", "object")
+            domains.append(DomainSpec(name=json_value(d["name"], "name", "string"),
+                                      outer=json_value(d["outer"], "outer", "string"),
+                                      inner=json_value(d["inner"], "inner", "string"),
+                                      gsl=_interval_from_dict(d["gsl"], "gsl") or Interval()))
         key = "min_stem_length"
-        min_stem_length = _typed(doc, "min_stem_length", int)
+        min_stem_length = json_value(doc["min_stem_length"], "min_stem_length", "integer")
         key = "stem_loop"
-        sl = _interval_from_dict(doc.get("stem_loop"))
+        sl = _interval_from_dict(doc.get("stem_loop"), "stem_loop")
         key = "span"
-        span = _interval_from_dict(doc.get("span"))
+        span = _interval_from_dict(doc.get("span"), "span")
+        key = "partial_stems"
+        partial_stems = json_value(doc.get("partial_stems", False), "partial_stems", "boolean")
+        key = "use_gsl"
+        use_gsl = json_value(doc.get("use_gsl", True), "use_gsl", "boolean")
+        key = "notes"
+        notes = json_value(doc.get("notes", ""), "notes", "string")
     except KeyError as exc:
         raise ProfileError(f"bad profile document: {key!r} has no {exc.args[0]!r} key") from None
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ProfileError(f"bad profile document: {key!r} is malformed: {exc}") from None
-    try:
-        return ProfileConfig(
-            name=_typed(doc, "name", str),
-            family=doc["family"],
-            pairing=pairing,
-            min_stem_length=min_stem_length,
-            sl=sl,
-            span=span,
-            acceptor=acceptor,
-            partial_stems=_typed(doc, "partial_stems", bool, False),
-            use_gsl=_typed(doc, "use_gsl", bool, True),
-            helices=helices,
-            domains=domains,
-            notes=_typed(doc, "notes", str, ""),
-        )
-    except TypeError as exc:  # a name, flag or notes of the wrong type
-        raise ProfileError(f"bad profile document: {exc}") from None
+    return ProfileConfig(name=name, family=doc["family"], pairing=pairing,
+                         min_stem_length=min_stem_length, sl=sl, span=span, acceptor=acceptor,
+                         partial_stems=partial_stems, use_gsl=use_gsl, helices=tuple(helices),
+                         domains=tuple(domains), notes=notes)
 
 
 def load_profile(path: str | Path) -> ProfileConfig:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import re
 import sys
@@ -14,11 +15,21 @@ from stemp import parse_sequence
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 # Structured 25-mer used as the golden worked example (PDB entry 2QUX).
 SEQ_2QUX = "GGCACAGAAGAUAUGGCUUCGUGCC"
 PAIRS_2QUX = frozenset({(1, 25), (2, 24), (3, 23), (4, 22), (5, 21),
                         (7, 20), (8, 19), (9, 18), (10, 17)})
+
+
+def shipped_schema(name: str) -> dict:
+    """``docs/<name>.schema.json``; the test skips where the docs are not
+    alongside the tests."""
+    path = DOCS / f"{name}.schema.json"
+    if not path.is_file():
+        pytest.skip("schema docs not alongside the tests")
+    return json.loads(path.read_text())
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ cliques by enumerating every vertex subset, edges by raw index-set
 disjointness, tRNA trims by dropping one inner pair at a time, dot-bracket
 tiers by testing every pair of a tier for a crossing, report summaries by
 scoring every prediction on its own, profile vertices by building every
-candidate stem before any window filters it. The one exception is the
+candidate stem before any window filters it, JSON documents by walking the
+schema keyword by keyword. The one exception is the
 top-k clique search, whose reference is the search with its earlier length
 bound: one popcount per bit-plane of the stem lengths at every child.
 """
@@ -14,6 +15,7 @@ bound: one popcount per bit-plane of the stem lengths at every child.
 from __future__ import annotations
 
 import heapq
+import re
 from fractions import Fraction
 
 from stemp.errors import IndexOutOfRange, TooManyLayers
@@ -451,3 +453,60 @@ def filter_profile_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
             s = cand.as_stem()
             out.setdefault(s.pairs, s)
     return canonical_order(out.values())
+
+
+# The JSON Schema types by the Python types json.loads gives them; a bool is
+# no integer or number, and a float with no fraction is an integer.
+_SCHEMA_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def schema_errors(value, schema: dict, root: dict | None = None, at: str = "$") -> list[str]:
+    """Where ``value`` breaks ``schema``, one text each, by the keywords the
+    shipped schemas use: type, required, properties, const, enum, items,
+    minItems, maxItems, minimum, pattern and a local $ref. An empty list
+    means the value is valid."""
+    root = schema if root is None else root
+    if "$ref" in schema:
+        target = root
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            target = target[part]
+        return schema_errors(value, target, root, at)
+    kinds = schema.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(_SCHEMA_TYPES[kind](value) for kind in kinds):
+        return [f"{at}: not of type {kinds}"]
+    errors = []
+    if "const" in schema and not _same(value, schema["const"]):
+        errors.append(f"{at}: not {schema['const']!r}")
+    if "enum" in schema and not any(_same(value, x) for x in schema["enum"]):
+        errors.append(f"{at}: not one of {schema['enum']}")
+    if isinstance(value, dict):
+        errors += [f"{at}: no {key!r}" for key in schema.get("required", ()) if key not in value]
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                errors += schema_errors(value[key], sub, root, f"{at}.{key}")
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            errors.append(f"{at}: {len(value)} items")
+        if "items" in schema:
+            for k, item in enumerate(value):
+                errors += schema_errors(item, schema["items"], root, f"{at}[{k}]")
+    if _SCHEMA_TYPES["number"](value) and value < schema.get("minimum", value):
+        errors.append(f"{at}: below {schema['minimum']}")
+    if isinstance(value, str) and not re.search(schema.get("pattern", ""), value):
+        errors.append(f"{at}: does not match {schema['pattern']!r}")
+    return errors
+
+
+def _same(a, b) -> bool:
+    """Equal as JSON scalars: true is not 1, but 1 is 1.0."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)

@@ -281,7 +281,7 @@ def test_evaluate_non_integer_ct_column_exit_2(tmp_path, capsys):
 def _report_doc(*entries):
     """A report on 2QUX whose prediction k is a valid entry with entries[k]'s changes."""
     valid = {"rank_scr": 1, "rank_dr": 1, "multiplicity": 1, "energy": 1,
-             "vertices": [1], "pairs": [[1, 25]]}
+             "vertices": [1], "pairs": [[1, 25]], "dot_bracket": None}
     return {"schema": "stemp-report/1", "sequence_id": "2QUX", "profile": "protein",
             "predictions": [dict(valid, **changes) for changes in entries]}
 
@@ -325,6 +325,16 @@ def _report_doc(*entries):
      "prediction 1 is malformed: dot_bracket 5 is not a string or null"),
     (_report_doc({"dot_bracket": None}, {"dot_bracket": ["."]}),
      "prediction 2 is malformed: dot_bracket [\".\"] is not a string or null"),
+    (_report_doc({"pairs": {}}), "prediction 1 is malformed: pairs is not a list"),
+    (_report_doc({}, {"vertices": ""}), "prediction 2 is malformed: vertices is not a list"),
+    (dict(_report_doc({}), predictions=[
+        {key: value for key, value in _report_doc({})["predictions"][0].items()
+         if key != "dot_bracket"}]),
+     "prediction 1 has no 'dot_bracket' key"),
+    (dict(_report_doc({}), timing_seconds="x"),
+     "report is malformed: timing_seconds \"x\" is not a number or null"),
+    (dict(_report_doc({}), timing_seconds=True),
+     "report is malformed: timing_seconds true is not a number or null"),
 ])
 def test_evaluate_malformed_report_exit_2(tmp_path, capsys, doc, message):
     report = tmp_path / "r.json"
@@ -690,7 +700,8 @@ def test_evaluate_refuses_a_ct_line_of_four_columns(tmp_path, capsys):
     (lambda doc: doc.pop("family"), "bad profile document: no 'family' key"),
     (lambda doc: doc["domains"][0].pop("gsl"),
      "bad profile document: 'domains' has no 'gsl' key"),
-], ids=["no-patterns", "outer-is-inner", "one-name-twice", "no-family", "no-gsl"])
+    (lambda doc: doc.pop("pairing"), "bad profile document: no 'pairing' key"),
+], ids=["no-patterns", "outer-is-inner", "one-name-twice", "no-family", "no-gsl", "no-pairing"])
 def test_predict_refuses_a_bad_profile_file(tmp_path, capsys, change, message):
     doc = profile_to_dict(builtin_profile("rrna5s-bacterial"))
     assert doc["domains"][0]["outer"] == "II"
@@ -704,41 +715,48 @@ def test_predict_refuses_a_bad_profile_file(tmp_path, capsys, change, message):
 
 @pytest.mark.parametrize("change, message", [
     (lambda doc: doc.update(use_gsl="false"),
-     "bad profile document: 'use_gsl' must be a JSON boolean, got \"false\""),
+     "bad profile document: 'use_gsl' is malformed: use_gsl \"false\" is not a boolean"),
     (lambda doc: doc.update(partial_stems="no"),
-     "bad profile document: 'partial_stems' must be a JSON boolean, got \"no\""),
+     "bad profile document: 'partial_stems' is malformed: partial_stems \"no\" is not a "
+     "boolean"),
     (lambda doc: doc["pairing"].update(wobble="false"),
-     "bad profile document: 'pairing' is malformed: 'wobble' must be a JSON boolean, "
-     "got \"false\""),
+     "bad profile document: 'pairing' is malformed: wobble \"false\" is not a boolean"),
     (lambda doc: doc["domains"][0]["gsl"].update(max_exclusive=1),
-     "bad profile document: 'domains' is malformed: 'max_exclusive' must be a JSON boolean, "
-     "got 1"),
+     "bad profile document: 'domains' is malformed: max_exclusive 1 is not a boolean"),
     (lambda doc: doc.update(min_stem_length=2.9),
-     "bad profile document: 'min_stem_length' is malformed: 'min_stem_length' must be a "
-     "JSON integer, got 2.9"),
+     "bad profile document: 'min_stem_length' is malformed: min_stem_length 2.9 is not an "
+     "integer"),
     (lambda doc: doc.update(min_stem_length=True),
-     "bad profile document: 'min_stem_length' is malformed: 'min_stem_length' must be a "
-     "JSON integer, got true"),
-    (lambda doc: doc.update(name=5), "bad profile document: 'name' must be a JSON string, got 5"),
+     "bad profile document: 'min_stem_length' is malformed: min_stem_length true is not an "
+     "integer"),
+    (lambda doc: doc.update(name=5),
+     "bad profile document: 'name' is malformed: name 5 is not a string"),
     (lambda doc: doc["helices"][0].update(name=5),
-     "bad profile document: 'helices' is malformed: 'name' must be a JSON string, got 5"),
+     "bad profile document: 'helices' is malformed: name 5 is not a string"),
     (lambda doc: doc["domains"][0].update(name=5),
-     "bad profile document: 'domains' is malformed: 'name' must be a JSON string, got 5"),
+     "bad profile document: 'domains' is malformed: name 5 is not a string"),
     (lambda doc: doc["domains"][0].update(outer=5),
-     "bad profile document: 'domains' is malformed: 'outer' must be a JSON string, got 5"),
+     "bad profile document: 'domains' is malformed: outer 5 is not a string"),
     (lambda doc: doc["domains"][0].update(inner=None),
-     "bad profile document: 'domains' is malformed: 'inner' must be a JSON string, got null"),
-    (lambda doc: doc.update(notes=5), "bad profile document: 'notes' must be a JSON string, got 5"),
+     "bad profile document: 'domains' is malformed: inner null is not a string"),
+    (lambda doc: doc.update(notes=5),
+     "bad profile document: 'notes' is malformed: notes 5 is not a string"),
     (lambda doc: doc["helices"][0].update(patterns="5"),
-     "bad profile document: 'helices' is malformed: 'patterns' must be a JSON array, got \"5\""),
+     "bad profile document: 'helices' is malformed: patterns is not a list"),
     (lambda doc: doc.update(domains={}),
-     "bad profile document: 'domains' is malformed: 'domains' must be a JSON array, got {}"),
+     "bad profile document: 'domains' is malformed: domains is not a list"),
+    (lambda doc: doc["helices"][0]["stem_loop"].update(min=2.5),
+     "bad profile document: 'helices' is malformed: min 2.5 is not an integer or string"),
+    (lambda doc: doc["domains"][0]["gsl"].update(max=0.30000000000000001),
+     "bad profile document: 'domains' is malformed: max 0.3 is not an integer or string"),
 ], ids=["use-gsl", "partial-stems", "wobble", "max-exclusive", "float-length", "bool-length",
-        "name", "helix-name", "domain-name", "outer", "inner", "notes", "patterns", "domains"])
+        "name", "helix-name", "domain-name", "outer", "inner", "notes", "patterns", "domains",
+        "float-min", "float-max"])
 def test_predict_refuses_a_profile_value_of_the_wrong_type(tmp_path, capsys, change, message):
     """A flag that is not a JSON boolean, a min_stem_length that is not an
-    integer, a name, helix name, domain text or notes that is not a string
-    and patterns or domains that are not an array are refused, not coerced."""
+    integer, a name, helix name, domain text or notes that is not a string,
+    patterns or domains that are not an array and a bound that is a JSON
+    float (json.loads has lost its text) are refused, not coerced."""
     doc = profile_to_dict(builtin_profile("rrna5s-bacterial"))
     change(doc)
     path = tmp_path / "bad.json"

@@ -23,10 +23,11 @@ from stemp.fileio import (HelixPairs, graph_from_dict, graph_to_dict, parse_ct,
                           read_reference, read_report, render_graph_text, report_from_dict,
                           report_to_dict, stream_report, write_ct, write_dot_bracket,
                           write_report)
+from stemp.profiles import BUILTIN_PROFILES, builtin_profile, profile_from_dict, profile_to_dict
 from stemp.stems import MIN_PAIR_GAP, Stem, contiguous_stem
 
-from .conftest import FIXTURES, PAIRS_2QUX, load_perfbench
-from .oracles import pairwise_dot_bracket
+from .conftest import FIXTURES, PAIRS_2QUX, load_perfbench, shipped_schema
+from .oracles import pairwise_dot_bracket, schema_errors
 
 CANON = PairingRule()
 SRC = str(Path(fileio.__file__).resolve().parents[1])
@@ -712,7 +713,7 @@ def test_report_schema_guard():
     ({"schema": "stemp-report/1", "predictions": 5}, "report is malformed"),
     ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p",
       "predictions": [{"rank_scr": 2, "rank_dr": 1, "multiplicity": 1, "energy": 1,
-                       "vertices": [1], "pairs": [[1, 9]]}]},
+                       "vertices": [1], "pairs": [[1, 9]], "dot_bracket": None}]},
      "report has predictions but none with rank_scr 1"),
     ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p",
       "predictions": [{"rank_scr": 1, "rank_dr": 1, "multiplicity": 1, "energy": 1,
@@ -888,6 +889,11 @@ def _graph_doc(**changes):
      "^vertex 2 is malformed: length 4.0 is not an integer$"),
     (_graph_doc(vertices=[dict(_graph_doc()["vertices"][0], helix=5)]),
      "^vertex 1 is malformed: helix 5 is not a string or null$"),
+    (_graph_doc(vertices=[dict(_graph_doc()["vertices"][0], pattern=0)]),
+     "^vertex 1 is malformed: pattern 0 is not a string or null$"),
+    (_graph_doc(vertices=[_graph_doc()["vertices"][0], dict(_graph_doc()["vertices"][1],
+                                                            pattern={})]),
+     "^vertex 2 is malformed: pattern {} is not a string or null$"),
 ])
 def test_graph_from_dict_rejects_malformed_documents(doc, message):
     with pytest.raises(FormatError, match=message):
@@ -913,21 +919,95 @@ def test_parse_graph_text_rejects_malformed_lines(line, message):
         parse_graph_text(text + line + "\n")
 
 
-def test_documents_match_shipped_schemas(seq_2qux):
-    jsonschema = pytest.importorskip("jsonschema")
-    from pathlib import Path
-    from stemp.profiles import builtin_profile, profile_to_dict
-    docs = Path(__file__).resolve().parents[1] / "docs"
-    if not docs.is_dir():
-        pytest.skip("schema docs not alongside the tests")
-    graph, report = make_report(seq_2qux)
-    jsonschema.validate(report_to_dict(report, seq=seq_2qux),
-                        json.loads((docs / "report.schema.json").read_text()))
-    jsonschema.validate(graph_to_dict(graph),
-                        json.loads((docs / "graph.schema.json").read_text()))
-    for name in ("protein", "trna", "rrna5s-archaeal"):
-        jsonschema.validate(profile_to_dict(builtin_profile(name)),
-                            json.loads((docs / "profile.schema.json").read_text()))
+def _written_documents(seq, tmp_path) -> dict[str, tuple]:
+    """Each kind of document stemp writes, by name: (its schema's name, the
+    reader, the writer back to a document, the document as read from its
+    file). The reports are written as ``predict`` writes them, with and
+    without the sequence and the timing."""
+    graph, report = make_report(seq)
+    docs = {}
+    for name, kwargs in [("report", {"seq": seq}), ("bare report", {}),
+                         ("timed report", {"seq": seq, "include_timing": True})]:
+        write_report(replace(report, timing=1.25), tmp_path / "r.json", **kwargs)
+        docs[name] = ("report", report_from_dict,
+                      functools.partial(report_to_dict, **kwargs),
+                      json.loads((tmp_path / "r.json").read_text()))
+    docs["graph"] = ("graph", graph_from_dict, graph_to_dict,
+                     json.loads(json.dumps(graph_to_dict(graph), indent=2)))
+    for name in BUILTIN_PROFILES:
+        docs[name] = ("profile", profile_from_dict, profile_to_dict,
+                      json.loads(json.dumps(profile_to_dict(builtin_profile(name)))))
+    return docs
+
+
+def test_documents_match_shipped_schemas(seq_2qux, tmp_path):
+    """Every document stemp writes is valid under its schema, by the
+    oracle's validator and by jsonschema where that is installed, and reads
+    back to the same document."""
+    try:
+        import jsonschema
+    except ImportError:
+        jsonschema = None
+    for name, (kind, read, write, doc) in _written_documents(seq_2qux, tmp_path).items():
+        schema = shipped_schema(kind)
+        assert schema_errors(doc, schema) == [], name
+        if jsonschema is not None:
+            jsonschema.validate(doc, schema)
+        assert json.loads(json.dumps(write(read(doc)))) == doc, name
+
+
+# Each node of a document is set in turn to each of these, and each key deleted.
+MUTANT_VALUES = (None, True, 0, -1, 2.5, "", "x", [], {}, [1], [[1, 2]])
+
+
+def _nodes(doc, path=()):
+    """The path of every node of ``doc``, the root's first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _nodes(value, path + (key,))
+
+
+def _changed(doc, path, value=None, delete=False):
+    """A copy of ``doc`` with the node at ``path`` set to ``value``, or its
+    key deleted; only the containers on the path are copied."""
+    if not path:
+        return value
+    copy = doc.copy()
+    if len(path) == 1 and delete:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = _changed(doc[path[0]], path[1:], value, delete)
+    return copy
+
+
+def _one_node_changes(doc):
+    """(what, document) for each one-node change of ``doc``."""
+    for path in _nodes(doc):
+        for value in MUTANT_VALUES:
+            yield f"{list(path)} = {json.dumps(value)}", _changed(doc, path, value)
+        if path and isinstance(path[-1], str):
+            yield f"del {list(path)}", _changed(doc, path, delete=True)
+
+
+@pytest.mark.parametrize("name", ["report", "bare report", "timed report", "graph",
+                                  *BUILTIN_PROFILES])
+def test_readers_refuse_what_the_schemas_refuse(seq_2qux, tmp_path, name):
+    """Each one-node change of a document stemp writes (each node set to
+    each of MUTANT_VALUES, each key deleted) that its schema refuses is a
+    StempError of its reader, and any other change reads or is one: no
+    reader takes a document that the shipped schema refuses."""
+    kind, read, _, doc = _written_documents(seq_2qux, tmp_path)[name]
+    schema = shipped_schema(kind)
+    gaps = []
+    for what, changed in _one_node_changes(doc):
+        try:
+            read(changed)
+        except StempError:
+            continue
+        if schema_errors(changed, schema):
+            gaps.append(what)
+    assert gaps == []
 
 
 # ------------------------------------------------------------- JSON text

@@ -1,5 +1,6 @@
 """Bounded fuzzing of every reader: any text or JSON value either parses or
-raises a StempError, never another exception. Example counts are kept small
+raises a StempError, never another exception, and a JSON document that
+parses is valid under its shipped schema. Example counts are kept small
 and the examples derandomized, so that the suite stays fast and stable."""
 
 import contextlib
@@ -15,7 +16,8 @@ from stemp.fileio import (graph_from_dict, graph_to_dict, parse_ct, parse_dot_br
                           parse_graph_text, read_fasta, report_from_dict, report_to_dict)
 from stemp.profiles import BUILTIN_PROFILES, builtin_profile, profile_from_dict, profile_to_dict
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, shipped_schema
+from .oracles import schema_errors
 from .test_fileio import make_report
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -92,23 +94,33 @@ def _valid_documents():
 REPORT, GRAPH, PROFILES = _valid_documents()
 
 
+def _reads_only_valid(read, doc, schema: str):
+    """``read(doc)`` raises a StempError, or ``doc`` is valid under the
+    shipped schema named ``schema``."""
+    try:
+        read(doc)
+    except StempError:
+        return
+    assert schema_errors(doc, shipped_schema(schema)) == []
+
+
 @FUZZ
 @given(st.data())
 def test_report_from_dict_takes_any_json(data):
-    _parses_or_stemp_error(report_from_dict, _with_one_node_replaced(REPORT, data))
+    _reads_only_valid(report_from_dict, _with_one_node_replaced(REPORT, data), "report")
 
 
 @FUZZ
 @given(st.data())
 def test_graph_from_dict_takes_any_json(data):
-    _parses_or_stemp_error(graph_from_dict, _with_one_node_replaced(GRAPH, data))
+    _reads_only_valid(graph_from_dict, _with_one_node_replaced(GRAPH, data), "graph")
 
 
 @FUZZ
 @given(st.data())
 def test_profile_from_dict_takes_any_json(data):
     profile = data.draw(st.sampled_from(PROFILES))
-    _parses_or_stemp_error(profile_from_dict, _with_one_node_replaced(profile, data))
+    _reads_only_valid(profile_from_dict, _with_one_node_replaced(profile, data), "profile")
 
 
 # ------------------------------------------------------------- the command line

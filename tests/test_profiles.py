@@ -255,6 +255,18 @@ def test_profile_round_trips_every_interval_flag():
     assert profile_from_dict(doc) == cfg
 
 
+def test_a_null_domain_window_reads_as_the_open_window():
+    """A domain's gsl may be null, as the schema allows, and bounds nothing:
+    the domain keeps every outer helix that encloses an inner one."""
+    seq, cfg, *_ = mini_5s()
+    doc = json.loads(json.dumps(profile_to_dict(cfg)))
+    doc["domains"][0]["gsl"] = None
+    read = profile_from_dict(doc)
+    assert read.domains[0].gsl == Interval()
+    open_window = replace(cfg, domains=(replace(cfg.domains[0], gsl=Interval()),))
+    assert rrna5s_vertices(seq, read) == rrna5s_vertices(seq, open_window) != []
+
+
 def test_trna_profile_contents():
     cfg = builtin_profile("trna")
     assert cfg.pairing.wobble and not cfg.pairing.uu

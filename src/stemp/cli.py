@@ -19,7 +19,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from .cliques import Deadline, PredictionReport, maximal_cliques, rank_predictions
-from .errors import BudgetExceeded, StempError
+from .errors import BudgetExceeded, ProfileError, StempError
 from .fileio import (REPORT_SET_SCHEMA, graph_to_dict, read_fasta, read_reference, read_report,
                      render_graph_text, replacing, report_to_dict, sliced_report, stream_report)
 from .metrics import (Metrics, ReferenceStructure, drop_noncanonical,
@@ -75,11 +75,11 @@ def _add_profile_options(parser: argparse.ArgumentParser):
                              "rrna5s-archaeal-general, rrna5s-bacterial, "
                              "rrna5s-eukaryotic) or a path to a profile JSON")
     parser.add_argument("-L", "--min-stem-length", type=int, default=None,
-                        help="override the profile's minimum stem length")
+                        help="override the profile's minimum stem length (not under rrna5s)")
     parser.add_argument("--sl-min", type=_rational, default=None,
-                        help="override the lower Stem-Loop bound (inclusive)")
+                        help="override the lower Stem-Loop bound (inclusive; not under rrna5s)")
     parser.add_argument("--sl-max", type=_rational, default=None,
-                        help="override the upper Stem-Loop bound (inclusive)")
+                        help="override the upper Stem-Loop bound (inclusive; not under rrna5s)")
     parser.add_argument("--wobble", action="store_true", default=None,
                         help="allow G-U pairs")
     parser.add_argument("--uu", action="store_true", default=None,
@@ -88,7 +88,7 @@ def _add_profile_options(parser: argparse.ArgumentParser):
     gsl.add_argument("--use-gsl", dest="use_gsl", action="store_true", default=None,
                      help="assemble 5S domains with the combined-score filter (default)")
     gsl.add_argument("--no-gsl", dest="use_gsl", action="store_false",
-                     help="skip domain assembly; every helix candidate is a vertex")
+                     help="skip domain assembly; every helix candidate is a vertex (rrna5s only)")
     parser.add_argument("--max-cliques", type=_at_least(0), default=None,
                         help="abort (exit 3) past this many maximal cliques "
                              "(with --top-k: cliques the pruned search reaches)")
@@ -101,6 +101,8 @@ def _add_profile_options(parser: argparse.ArgumentParser):
 def _configure(args) -> ProfileConfig:
     cfg = resolve_profile(args.profile)
     if args.min_stem_length is not None:
+        if cfg.family == "rrna5s":
+            raise ProfileError("-L (--min-stem-length) is not read by the rrna5s family")
         cfg = replace(cfg, min_stem_length=args.min_stem_length)
     if args.sl_min is not None or args.sl_max is not None:
         base = cfg.sl or Interval()

@@ -24,7 +24,8 @@ from .errors import (AsymmetricPair, FormatError, IndexOutOfRange,
                      InvalidCharacter, StempError, TooManyLayers)
 from .metrics import ReferenceStructure
 from .seq import Sequence, parse_sequence
-from .stems import MIN_PAIR_GAP, GapPattern, Pair, Stem, StemGraph, helix_runs
+from .stems import (MIN_PAIR_GAP, GapPattern, Pair, Stem, StemGraph, check_pairs,
+                    helix_runs)
 
 BRACKET_TIERS = ("()", "[]", "{}", "<>")
 # Unpaired bases; every other character of a structure is a bracket of
@@ -155,17 +156,13 @@ def read_ct(path: str | Path) -> ReferenceStructure:
 
 
 def write_ct(seq: Sequence, pairs: Iterable[Pair], title: str | None = None) -> str:
-    """Render a connectivity table for a sequence and its pairs, each on two unused bases."""
+    """Render a connectivity table for a sequence and its pairs, either way
+    round, that ``check_pairs`` takes as (min, max)."""
     n = seq.length
+    pairs = [(min(p, q), max(p, q)) for p, q in pairs]
+    check_pairs(pairs, n)
     partner = [0] * (n + 1)
     for p, q in pairs:
-        for x in (p, q):
-            if not 1 <= x <= n:
-                raise IndexOutOfRange(x, n)
-        if p == q:
-            raise ValueError(f"pair ({p},{q}) pairs a base with itself")
-        if partner[p] or partner[q]:
-            raise ValueError(f"index reused by pair ({p},{q})")
         partner[p] = q
         partner[q] = p
     lines = [f"{n} {title if title is not None else seq.id}".rstrip()]
@@ -217,35 +214,21 @@ def write_dot_bracket(seq: Sequence | int, pairs: Iterable[Pair]) -> str:
     raises TooManyLayers. Greedy is not minimal: it can open a tier that a
     different assignment would not need (Smit et al., RNA 2008).
 
-    The pairs are checked first, then laid out. A HelixPairs is checked by
-    its ``bases``, and only where they show a bad pair by the sorted scan
-    that checks any other pairs. The first bad pair is the error unless the
-    pairs before it need a fifth tier: IndexOutOfRange naming an end
-    outside 1..n, else a ValueError naming a pair with p >= q or on a base
-    an earlier pair took. Valid pairs are laid out once, a run of stacked
-    pairs at a time, by a ``TierTable``: a HelixPairs' helices through its
-    ``table`` if it has one, other pairs' ``helix_runs`` through a new one.
+    The sorted pairs are checked first (``check_pairs``), and nothing is
+    laid out if they fail; a HelixPairs is checked by its ``bases``, and by
+    ``check_pairs`` only where they show a bad pair. Valid pairs are laid
+    out a run of stacked pairs at a time by a ``TierTable``: a HelixPairs'
+    helices through its ``table`` if it has one, other pairs' ``helix_runs``
+    through a new one.
     """
     n = seq if isinstance(seq, int) else seq.length
     if type(pairs) is HelixPairs:
-        table, runs = pairs.table or TierTable(), pairs.helices
-        if pairs.bases.bit_length() <= n + 1 and pairs.bases.bit_count() == 2 * len(pairs):
-            return table.text(runs, n)
-    else:
-        pairs = sorted(pairs)
-        table, runs = TierTable(), helix_runs(pairs)
-    used = bytearray(max(n, 0) + 1)
-    for m, (p, q) in enumerate(pairs):
-        if 1 <= p < q <= n and not (used[p] or used[q]):
-            used[p] = used[q] = 1
-            continue
-        table.text(helix_runs(pairs[:m]), n)  # a fifth tier before (p, q) is the error
-        end = q if q > n else p if not 1 <= p <= n else q
-        if not 1 <= end <= n:
-            raise IndexOutOfRange(end, n)
-        raise ValueError(f"pair ({p},{q}) does not open before it closes" if p >= q
-                         else f"index reused by pair ({p},{q})")
-    return table.text(runs, n)
+        if pairs.bases.bit_length() > n + 1 or pairs.bases.bit_count() != 2 * len(pairs):
+            check_pairs(pairs, n)
+        return (pairs.table or TierTable()).text(pairs.helices, n)
+    pairs = sorted(pairs)
+    check_pairs(pairs, n)
+    return TierTable().text(helix_runs(pairs), n)
 
 
 # What a bracket of each tier adds to a "." byte: (opening, closing).
@@ -496,18 +479,11 @@ def json_document(doc, schema: str, what: str, error: type[StempError] = FormatE
 
 
 def _pairs(value) -> tuple[tuple[int, int], ...]:
-    """Pairs (p, q) of ints with 1 <= p < q, no base index in two of them;
-    anything else is a ValueError."""
+    """Pairs (p, q) of ints that ``check_pairs`` takes; anything else is a
+    ValueError or IndexOutOfRange."""
     pairs = tuple((json_value(p, "pair index", "integer"), json_value(q, "pair index", "integer"))
                   for p, q in (json_value(pair, "pair", "list") for pair in value))
-    used = set()
-    for p, q in pairs:
-        if not 1 <= p < q:
-            raise ValueError(f"pair [{p}, {q}] does not have 1 <= p < q")
-        for x in (p, q):
-            if x in used:
-                raise ValueError(f"base {x} is in two pairs")
-            used.add(x)
+    check_pairs(pairs)
     return pairs
 
 
@@ -515,10 +491,10 @@ def report_from_dict(doc: dict) -> PredictionReport:
     """A report read back from its document, which must hold what
     docs/report.schema.json asks: every rank, count, vertex and pair index
     an int, each rank, multiplicity and vertex at least 1 and each energy at
-    least 0; every pair (p, q) with 1 <= p < q, and no base in two pairs of
-    one prediction; a dot-bracket a string or null, the sequence id and
-    profile strings and the timing a number or null. Anything else is a
-    FormatError that names the prediction (or the report)."""
+    least 0; each prediction's pairs what ``check_pairs`` takes; a
+    dot-bracket a string or null, the sequence id and profile strings and
+    the timing a number or null. Anything else is a FormatError that names
+    the prediction (or the report)."""
     json_document(doc, REPORT_SCHEMA, "report")
     where = "report"
     try:
@@ -546,7 +522,7 @@ def report_from_dict(doc: dict) -> PredictionReport:
                               nullable=True))
     except KeyError as exc:
         raise FormatError(f"{where} has no {exc.args[0]!r} key") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, IndexOutOfRange) as exc:
         raise FormatError(f"{where} is malformed: {exc}") from None
     if preds and not report.top_ranked():
         raise FormatError("report has predictions but none with rank_scr 1")
@@ -802,11 +778,14 @@ def graph_from_dict(doc: dict) -> StemGraph:
 
 
 def render_graph_text(graph: StemGraph) -> str:
-    """Line dump: one vertex per line, then one edge per line."""
+    """Line dump: one vertex per line, then one edge per line. A vertex
+    line ends with its pattern, then ``helix=`` and its helix's name as a
+    JSON string, where it has them."""
     lines = []
     for k, s in enumerate(graph.vertices, start=1):
         pat = f" {s.pattern.render()}" if s.pattern else ""
-        lines.append(f"v{k} {s.i} {s.j} {s.length} {s.span} {s.sl}{pat}")
+        helix = f" helix={json.dumps(s.helix)}" if s.helix is not None else ""
+        lines.append(f"v{k} {s.i} {s.j} {s.length} {s.span} {s.sl}{pat}{helix}")
     for u, v in graph.edges:
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
@@ -823,16 +802,19 @@ def parse_graph_text(text: str) -> StemGraph:
         cols = line.split()
         try:
             if cols[0].startswith("v"):
+                head, marked, helix = line.partition(" helix=")
+                cols = head.split()
                 i, j, length, span = (int(x) for x in cols[1:5])
                 pattern = cols[6] if len(cols) > 6 else None
-                vertices.append(_rebuild_stem(i, j, length, span, cols[5], pattern, None,
-                                              f"graph line {number}",
-                                              f"inconsistent vertex line: {line!r}"))
+                vertices.append(_rebuild_stem(
+                    i, j, length, span, cols[5], pattern,
+                    json_value(json.loads(helix), "helix", "string") if marked else None,
+                    f"graph line {number}", f"inconsistent vertex line: {line!r}"))
             elif cols[0] == "e":
                 _, u, v = cols
                 edges.append((f"graph line {number}", int(u), int(v)))
             else:
                 raise FormatError(f"unrecognized graph line: {line!r}")
-        except (IndexError, ValueError):
+        except (IndexError, ValueError, RecursionError):
             raise FormatError(f"graph line {number} is malformed: {line!r}") from None
     return _graph_of(vertices, edges)

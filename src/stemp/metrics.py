@@ -16,9 +16,8 @@ from functools import partial
 from typing import Iterable
 
 from .cliques import FoldPrediction, PredictionReport, RankedPredictions
-from .errors import IndexOutOfRange
 from .seq import PairingRule
-from .stems import Pair
+from .stems import Pair, check_pairs
 
 
 @dataclass(frozen=True)
@@ -32,16 +31,7 @@ class ReferenceStructure:
     bases: str | None = None
 
     def __post_init__(self):
-        used = set()
-        for p, q in self.pairs:
-            if not p < q:
-                raise ValueError(f"reference pair ({p},{q}) is not ordered")
-            for x in (p, q):
-                if not 1 <= x <= self.length:
-                    raise IndexOutOfRange(x, self.length)
-                if x in used:
-                    raise ValueError(f"index {x} appears in two reference pairs")
-                used.add(x)
+        check_pairs(sorted(self.pairs), self.length)
 
 
 @dataclass(frozen=True)
@@ -74,13 +64,10 @@ def score_prediction(predicted: Iterable[Pair], reference: ReferenceStructure) -
 
 def confusion_counts(predicted: Iterable[Pair],
                      reference: ReferenceStructure) -> tuple[int, int, int]:
-    """(tp, fp, fn) of a predicted pair set; IndexOutOfRange names the
-    first index outside the reference."""
+    """(tp, fp, fn) of a predicted pair set, which ``check_pairs`` takes,
+    sorted, on the reference's length."""
     pred = set(predicted)
-    n = reference.length
-    for p, q in pred:
-        if not (1 <= p <= n and 1 <= q <= n):
-            raise IndexOutOfRange(q if 1 <= p <= n else p, n)
+    check_pairs(sorted(pred), reference.length)
     tp = len(reference.pairs.intersection(pred))
     return tp, len(pred) - tp, len(reference.pairs) - tp
 
@@ -150,7 +137,8 @@ def summarize_report(report: PredictionReport, reference: ReferenceStructure,
         raise ValueError("cannot summarize an empty report")
     key = partial(_metric_key, metric=metric)
     # with a stem past the reference the pair path runs, and its
-    # IndexOutOfRange names the first such index in report order
+    # IndexOutOfRange names what check_pairs names in the first prediction
+    # in report order that holds such a stem
     if (isinstance(predictions, RankedPredictions)
             and all(stem.j <= reference.length for stem in predictions.graph.vertices)):
         top, best, index = _ranked_choice(predictions, reference, key)

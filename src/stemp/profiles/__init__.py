@@ -110,7 +110,8 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    """Every per-family tunable in one place."""
+    """Every per-family tunable in one place; one that the family's vertex
+    generator does not read is refused unless it holds its default."""
 
     name: str
     family: str
@@ -134,6 +135,12 @@ class ProfileConfig:
             raise ProfileError("helix/domain specs are only valid for the rrna5s family")
         if self.family != "trna" and self.acceptor is not None:
             raise ProfileError("acceptor rule is only valid for the trna family")
+        unread = ((("stem_loop", self.sl), ("span", self.span),
+                   ("partial_stems", self.partial_stems)) if self.family == "rrna5s"
+                  else (("use_gsl", not self.use_gsl),))
+        for key, value in unread:
+            if value:
+                raise ProfileError(f"{key} is not read by the {self.family} family")
         names = {h.name for h in self.helices}
         if len(names) != len(self.helices):
             raise ProfileError("duplicate helix names")

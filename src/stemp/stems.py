@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .errors import FormatError, ProfileError
+from .errors import FormatError, IndexOutOfRange, ProfileError
 from .seq import BASES, PairingRule, Sequence
 
 # Shortest allowed hairpin: the outermost pair spans at least 3 positions and
@@ -30,6 +30,25 @@ MIN_SPAN = 3
 MIN_PAIR_GAP = 2
 
 Pair = tuple[int, int]
+
+
+def check_pairs(pairs: Iterable[Pair], n: int | None = None) -> None:
+    """Refuse, in the order given, the first pair (p, q) that is not on
+    two bases of 1..n (of 1.. with no ``n``) with p < q, each unused by the
+    pairs before it: IndexOutOfRange names its end past n (q if both are),
+    else its first end below 1; a ValueError names the pair."""
+    used = set()
+    for p, q in pairs:
+        if n is not None and max(p, q) > n:
+            raise IndexOutOfRange(q if q > n else p, n)
+        if min(p, q) < 1:
+            raise IndexOutOfRange(p if p < 1 else q, n)
+        if p >= q:
+            raise ValueError(f"pair ({p},{q}) does not open before it closes")
+        if p in used or q in used:
+            raise ValueError(f"index reused by pair ({p},{q})")
+        used.add(p)
+        used.add(q)
 
 
 def render_fraction(value: Fraction) -> str:

@@ -212,13 +212,11 @@ def plane_bound_top_k(graph, top_k: int) -> tuple[list[tuple[int, ...]], int, in
     return sorted(c for c, energy in out if energy >= floor), len(out), nodes
 
 
-def pairwise_dot_bracket(seq: Sequence | int, pairs) -> str:
-    """Greedy dot-bracket layering by testing every member of every tier
-    for a crossing; the reference for fileio.write_dot_bracket."""
-    n = seq if isinstance(seq, int) else seq.length
+def sorted_checked_pairs(pairs, n: int) -> list[tuple[int, int]]:
+    """The pairs, sorted, once each is known to lie on 1..n with p < q and
+    no base an earlier pair took; the reference for stems.check_pairs on
+    sorted pairs."""
     ordered = sorted(pairs)
-    chars = ["."] * n
-    tiers: list[list[tuple[int, int]]] = []
     used = set()
     for p, q in ordered:
         if q > n:
@@ -231,6 +229,17 @@ def pairwise_dot_bracket(seq: Sequence | int, pairs) -> str:
         if p in used or q in used:
             raise ValueError(f"index reused by pair ({p},{q})")
         used.update((p, q))
+    return ordered
+
+
+def pairwise_dot_bracket(seq: Sequence | int, pairs) -> str:
+    """Greedy dot-bracket layering by testing every member of every tier
+    for a crossing; the reference for fileio.write_dot_bracket."""
+    n = seq if isinstance(seq, int) else seq.length
+    ordered = sorted_checked_pairs(pairs, n)
+    chars = ["."] * n
+    tiers: list[list[tuple[int, int]]] = []
+    for p, q in ordered:
         placed = False
         for tier, members in enumerate(tiers):
             if not any(a < p < b < q or p < a < q < b for a, b in members):
@@ -335,10 +344,7 @@ def walk_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern,
 def score_pairs(predicted, reference: ReferenceStructure) -> Metrics:
     """metrics.score_prediction with its own Fraction arithmetic."""
     pred = set(predicted)
-    for p, q in pred:
-        for x in (p, q):
-            if not 1 <= x <= reference.length:
-                raise IndexOutOfRange(x, reference.length)
+    sorted_checked_pairs(pred, reference.length)
     ref = reference.pairs
     tp = len(pred & ref)
     fp = len(pred - ref)

@@ -301,15 +301,15 @@ def _report_doc(*entries):
      "prediction 1 is malformed: multiplicity \"1\" is not an integer"),
     (_report_doc({"energy": None}), "prediction 1 is malformed: energy null is not an integer"),
     (_report_doc({"pairs": [[25, 1]]}),
-     "prediction 1 is malformed: pair [25, 1] does not have 1 <= p < q"),
+     "prediction 1 is malformed: pair (25,1) does not open before it closes"),
     (_report_doc({}, {"pairs": [[1, 1]]}),
-     "prediction 2 is malformed: pair [1, 1] does not have 1 <= p < q"),
+     "prediction 2 is malformed: pair (1,1) does not open before it closes"),
     (_report_doc({"pairs": [[0, 25]]}),
-     "prediction 1 is malformed: pair [0, 25] does not have 1 <= p < q"),
+     "prediction 1 is malformed: pair index 0 is below 1"),
     (_report_doc({"pairs": [[1, 25], [3, 25]]}),
-     "prediction 1 is malformed: base 25 is in two pairs"),
+     "prediction 1 is malformed: index reused by pair (3,25)"),
     (_report_doc({"pairs": [[2, 24], [1, 2]]}),
-     "prediction 1 is malformed: base 2 is in two pairs"),
+     "prediction 1 is malformed: index reused by pair (1,2)"),
     (dict(_report_doc({}), sequence_id=5), "report is malformed: sequence_id 5 is not a string"),
     (dict(_report_doc({}), sequence_id=[1]),
      "report is malformed: sequence_id [1] is not a string"),
@@ -701,7 +701,15 @@ def test_evaluate_refuses_a_ct_line_of_four_columns(tmp_path, capsys):
     (lambda doc: doc["domains"][0].pop("gsl"),
      "bad profile document: 'domains' has no 'gsl' key"),
     (lambda doc: doc.pop("pairing"), "bad profile document: no 'pairing' key"),
-], ids=["no-patterns", "outer-is-inner", "one-name-twice", "no-family", "no-gsl", "no-pairing"])
+    (lambda doc: doc.update(stem_loop={"min": "2"}), "stem_loop is not read by the rrna5s family"),
+    (lambda doc: doc.update(span={}), "span is not read by the rrna5s family"),
+    (lambda doc: doc.update(partial_stems=True), "partial_stems is not read by the rrna5s family"),
+    (lambda doc: doc.update(family="trna", helices=[], domains=[], use_gsl=False),
+     "use_gsl is not read by the trna family"),
+    (lambda doc: doc.update(family="protein", helices=[], domains=[], use_gsl=False),
+     "use_gsl is not read by the protein family"),
+], ids=["no-patterns", "outer-is-inner", "one-name-twice", "no-family", "no-gsl", "no-pairing",
+        "stem-loop", "span", "partial-stems", "trna-use-gsl", "protein-use-gsl"])
 def test_predict_refuses_a_bad_profile_file(tmp_path, capsys, change, message):
     doc = profile_to_dict(builtin_profile("rrna5s-bacterial"))
     assert doc["domains"][0]["outer"] == "II"
@@ -762,6 +770,24 @@ def test_predict_refuses_a_profile_value_of_the_wrong_type(tmp_path, capsys, cha
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run("predict", "--profile", str(path), TWOQUX_FASTA) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command, profile, flags, message", [
+    ("predict", "rrna5s-bacterial", ["-L", "4"],
+     "-L (--min-stem-length) is not read by the rrna5s family"),
+    ("predict", "rrna5s-archaeal", ["-L", "2"],
+     "-L (--min-stem-length) is not read by the rrna5s family"),
+    ("predict", "rrna5s-archaeal", ["--sl-min", "50"], "stem_loop is not read by the rrna5s family"),
+    ("evaluate", "rrna5s-eukaryotic", ["--sl-max", "4.7"],
+     "stem_loop is not read by the rrna5s family"),
+    ("predict", "trna", ["--no-gsl"], "use_gsl is not read by the trna family"),
+    ("evaluate", "protein", ["--no-gsl"], "use_gsl is not read by the protein family"),
+])
+def test_a_flag_that_the_family_does_not_read_exits_2(capsys, command, profile, flags, message):
+    target = ["--reference", TWOQUX_CT] if command == "evaluate" else []
+    assert run(command, "--profile", profile, TWOQUX_FASTA, *target, *flags) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
 

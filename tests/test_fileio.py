@@ -13,8 +13,8 @@ import pytest
 
 from stemp import (AsymmetricPair, BudgetExceeded, FormatError, IndexOutOfRange,
                    InvalidCharacter, PairingRule, StempError, TooManyLayers,
-                   build_stem_graph, enumerate_stems, maximal_cliques, parse_sequence,
-                   rank_predictions, resolve_profile)
+                   build_profile_graph, build_stem_graph, enumerate_stems, maximal_cliques,
+                   parse_sequence, rank_predictions, resolve_profile)
 from stemp.cli import main, run_pipeline
 from stemp import fileio
 from stemp.cliques import RankedPredictions
@@ -129,11 +129,11 @@ def test_ct_t_normalized():
 
 
 @pytest.mark.parametrize("pairs, error", [
-    ([(4, 4)], ValueError("pair (4,4) pairs a base with itself")),
+    ([(4, 4)], ValueError("pair (4,4) does not open before it closes")),
     ([(1, 12), (0, 5)], IndexOutOfRange(0, 12)),
     ([(3, 13)], IndexOutOfRange(13, 12)),
     ([(1, 12), (2, 12)], ValueError("index reused by pair (2,12)")),
-    ([(1, 12), (12, 1)], ValueError("index reused by pair (12,1)")),
+    ([(1, 12), (12, 1)], ValueError("index reused by pair (1,12)")),
 ])
 def test_write_ct_refuses_bad_pairs(pairs, error):
     with pytest.raises(type(error)) as raised:
@@ -502,8 +502,9 @@ def test_tier_tables_match_the_oracle():
 
 def test_hand_built_helix_pairs_raise_what_the_sorted_list_raises():
     """Overlapping stems, a stem past n, and a fifth tier before a bad pair
-    (or after one): a HelixPairs of the stems, built by hand or through a
-    graph's tier table, raises what their sorted pair list raises."""
+    (or after one), where the bad pair is the error: a HelixPairs of the
+    stems, built by hand or through a graph's tier table, raises what their
+    sorted pair list raises."""
     crossing5 = [contiguous_stem(k, k + 10, 1) for k in range(1, 6)]  # five cross each other
     cases = [
         ([contiguous_stem(1, 20, 3), contiguous_stem(3, 15, 2)], 20,
@@ -511,9 +512,9 @@ def test_hand_built_helix_pairs_raise_what_the_sorted_list_raises():
         ([contiguous_stem(1, 12, 2), contiguous_stem(5, 30, 2)], 20,
          (IndexOutOfRange, str(IndexOutOfRange(30, 20)))),
         ([*crossing5, contiguous_stem(7, 30, 1)], 20,
-         (TooManyLayers, "pair (5,15) needs a fifth bracket tier")),
+         (IndexOutOfRange, str(IndexOutOfRange(30, 20)))),
         ([*crossing5, contiguous_stem(11, 19, 1)], 20,
-         (TooManyLayers, "pair (5,15) needs a fifth bracket tier")),
+         (ValueError, "index reused by pair (11,19)")),
         ([contiguous_stem(2, 19, 1), *crossing5], 20,
          (ValueError, "index reused by pair (2,19)")),
     ]
@@ -567,7 +568,8 @@ def test_a_graph_tier_table_serves_every_sequence_length(monkeypatch):
             assert len(built) == 1  # the graph's table served it
             assert _render(write_dot_bracket, n, [tuple(pair) for pair in pairs]) == want
             del built[1:]  # the plain list's one of its own
-    assert set(table.dots) == {reach - 1, 40, 76, 90, 0, reach}
+    # a length that no entry fits (0, 40) lays nothing out
+    assert set(table.dots) == {reach - 1, 76, 90, reach}
     # no entry is built wider than a length that laid out its run
     assert max(q for _, q, _ in table.entries) == reach
     shorter = parse_sequence(r76.residues[:reach - 1], id="short")
@@ -718,11 +720,11 @@ def test_report_schema_guard():
     ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p",
       "predictions": [{"rank_scr": 1, "rank_dr": 1, "multiplicity": 1, "energy": 1,
                        "vertices": [1], "pairs": [[9, 1]]}]},
-     r"prediction 1 is malformed: pair \[9, 1\] does not have 1 <= p < q"),
+     r"prediction 1 is malformed: pair \(9,1\) does not open before it closes"),
     ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p",
       "predictions": [{"rank_scr": 1, "rank_dr": 1, "multiplicity": 1, "energy": 2,
                        "vertices": [1], "pairs": [[1, 9], [3, 9]]}]},
-     "prediction 1 is malformed: base 9 is in two pairs"),
+     r"prediction 1 is malformed: index reused by pair \(3,9\)"),
     ({"schema": "stemp-report/1", "sequence_id": 5, "profile": "p", "predictions": []},
      "report is malformed: sequence_id 5 is not a string"),
     ({"schema": "stemp-report/1", "sequence_id": "x", "profile": {}, "predictions": []},
@@ -767,6 +769,32 @@ def test_graph_round_trip_with_gapped_vertex():
     graph = build_stem_graph(stems)
     assert parse_graph_text(render_graph_text(graph)) == graph
     assert graph_from_dict(graph_to_dict(graph)) == graph
+
+
+def test_5s_graphs_round_trip_as_text_with_their_helix_names(monkeypatch):
+    """The census 5S graphs, domain stems and plain helices named, read back
+    from their text dump as from their JSON, and so does a name that holds
+    a space, a quote, ``helix=`` and a non-ASCII letter."""
+    load_perfbench("gen", monkeypatch)
+    census = load_perfbench("workloads", monkeypatch).WORKLOADS["census"]
+    named = 0
+    for index in range(0, census.size, 7):
+        case, profile = census.entry(index)
+        if profile.startswith("rrna5s"):
+            graph = build_profile_graph(parse_sequence(case.residues, id=case.id),
+                                        resolve_profile(profile))
+            named += sum(stem.helix is not None for stem in graph.vertices)
+            assert parse_graph_text(render_graph_text(graph)) == graph
+            assert graph_from_dict(graph_to_dict(graph)) == graph
+    assert named > 20
+    odd = build_stem_graph([contiguous_stem(1, 20, 3, helix='I "\u03b2" helix=x'),
+                            contiguous_stem(5, 12, 2)])
+    text = render_graph_text(odd)
+    assert text.splitlines()[0] == 'v1 1 20 3 19 19/3 helix="I \\"\\u03b2\\" helix=x"'
+    assert parse_graph_text(text) == odd
+    for tail in ("helix=", "helix=5", "helix=null", 'helix="I'):
+        with pytest.raises(FormatError, match="^graph line 1 is malformed: "):
+            parse_graph_text(f"v1 1 20 3 19 19/3 {tail}\n")
 
 
 def test_read_report_names_a_file_that_is_not_json(tmp_path):

@@ -226,7 +226,7 @@ def test_summary_matches_oracle_on_full_report():
 def test_summary_ties_match_oracle():
     truth = spaced_pairs(4, 40)
     r1, r2, r3 = sorted(truth)[:3]
-    w = [(20 + k, 30 - k) for k in range(6)]
+    w = [(20 + k, 31 - k) for k in range(6)]
     # (tp, fp, fn) (1, 1, 3) and (2, 6, 2) tie on both MCC^2 = 1/8 and F1 = 1/3;
     # against the empty reference every prediction but the empty one ties at 0
     entries = [
@@ -244,7 +244,7 @@ def test_summary_ties_match_oracle():
             summaries_agree(report, ref([], 40))
 
 
-@pytest.mark.parametrize("bad,index", [((41, 44), 41), ((3, 42), 42)])
+@pytest.mark.parametrize("bad,index", [((41, 44), 44), ((3, 42), 42)])
 def test_summary_out_of_range_names_the_same_index(bad, index):
     entries = [(2, {(1, 30), (2, 29)}, 1, 1, 1),
                (2, {bad, (4, 28)}, 2, 2, 1),

@@ -246,13 +246,13 @@ def test_builtin_profiles_load_and_round_trip(name):
 def test_profile_round_trips_every_interval_flag():
     iv = Interval(lo=Fraction(3), hi=Fraction(27, 5), lo_strict=True, hi_strict=True)
     cfg = builtin_profile("rrna5s-bacterial")
-    cfg = replace(cfg, sl=iv, span=iv,
-                  helices=tuple(replace(h, sl=iv) for h in cfg.helices),
+    cfg = replace(cfg, helices=tuple(replace(h, sl=iv) for h in cfg.helices),
                   domains=tuple(replace(d, gsl=iv) for d in cfg.domains))
-    doc = json.loads(json.dumps(profile_to_dict(cfg)))
-    assert doc["stem_loop"] == doc["span"] == doc["domains"][0]["gsl"] == {
+    trna = replace(builtin_profile("trna"), sl=iv, span=iv)  # rrna5s reads neither
+    doc, trna_doc = (json.loads(json.dumps(profile_to_dict(c))) for c in (cfg, trna))
+    assert trna_doc["stem_loop"] == trna_doc["span"] == doc["domains"][0]["gsl"] == {
         "min": "3", "max": "5.4", "min_exclusive": True, "max_exclusive": True}
-    assert profile_from_dict(doc) == cfg
+    assert profile_from_dict(doc) == cfg and profile_from_dict(trna_doc) == trna
 
 
 def test_a_null_domain_window_reads_as_the_open_window():
@@ -306,6 +306,14 @@ def test_profile_validation_errors():
     with pytest.raises(ProfileError):
         ProfileConfig(name="x", family="protein", pairing=WOBBLE, min_stem_length=3,
                       acceptor=__import__("stemp").AcceptorSpec(max_score=Fraction(3)))
+    # a knob that the family's vertex generator does not read
+    for family, change, key in [("rrna5s", {"sl": Interval()}, "stem_loop"),
+                                ("rrna5s", {"span": Interval(hi=as_fraction(9))}, "span"),
+                                ("rrna5s", {"partial_stems": True}, "partial_stems"),
+                                ("trna", {"use_gsl": False}, "use_gsl"),
+                                ("protein", {"use_gsl": False}, "use_gsl")]:
+        with pytest.raises(ProfileError, match=f"^{key} is not read by the {family} family$"):
+            ProfileConfig(name="x", family=family, pairing=WOBBLE, min_stem_length=2, **change)
 
 
 def test_resolve_profile_env_dir(tmp_path, monkeypatch):
@@ -565,6 +573,11 @@ def window_sequences(seed, count):
                                    ["--wobble", "--uu"]], ids=" ".join)
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
 def test_window_first_vertices_equal_filter_oracle(name, flags):
+    if name.startswith("rrna5s") and flags[:1] in (["-L"], ["--sl-min"], ["--sl-max"]) or (
+            not name.startswith("rrna5s") and flags == ["--no-gsl"]):
+        with pytest.raises(ProfileError, match="is not read by the"):
+            _cli_profile(name, flags)  # a knob that the family does not read
+        return
     cfg = _cli_profile(name, flags)
     for seq in window_sequences(len(flags) + BUILTIN_PROFILES.index(name), 4):
         assert profile_vertices(seq, cfg) == filter_profile_vertices(seq, cfg), seq.id

@@ -341,7 +341,7 @@ def test_coexistence_matches_disjointness_oracle():
         seq = random_seq(random.Random(2), length)
         for cfg in map(builtin_profile, BUILTIN_PROFILES):
             domains = {d.name for d in cfg.domains}
-            for use_gsl in (True, False):
+            for use_gsl in (True, False) if cfg.family == "rrna5s" else (True,):
                 stems = profile_vertices(seq, replace(cfg, use_gsl=use_gsl))
                 graph = build_stem_graph(stems)
                 gapped += sum(s.pattern is not None for s in stems)

@@ -35,12 +35,12 @@ Pair = tuple[int, int]
 def check_pairs(pairs: Iterable[Pair], n: int | None = None) -> None:
     """Refuse, in the order given, the first pair (p, q) that is not on
     two bases of 1..n (of 1.. with no ``n``) with p < q, each unused by the
-    pairs before it: IndexOutOfRange names its end past n (q if both are),
-    else its first end below 1; a ValueError names the pair."""
+    pairs before it: IndexOutOfRange names its first end past n if it has
+    one, else its first end below 1; a ValueError names the pair."""
     used = set()
     for p, q in pairs:
         if n is not None and max(p, q) > n:
-            raise IndexOutOfRange(q if q > n else p, n)
+            raise IndexOutOfRange(p if p > n else q, n)
         if min(p, q) < 1:
             raise IndexOutOfRange(p if p < 1 else q, n)
         if p >= q:

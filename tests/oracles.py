@@ -219,10 +219,11 @@ def sorted_checked_pairs(pairs, n: int) -> list[tuple[int, int]]:
     ordered = sorted(pairs)
     used = set()
     for p, q in ordered:
-        if q > n:
-            raise IndexOutOfRange(q, n)
         for end in (p, q):
-            if not 1 <= end <= n:
+            if end > n:
+                raise IndexOutOfRange(end, n)
+        for end in (p, q):
+            if end < 1:
                 raise IndexOutOfRange(end, n)
         if p >= q:
             raise ValueError(f"pair ({p},{q}) does not open before it closes")

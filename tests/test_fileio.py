@@ -281,7 +281,7 @@ def test_index_out_of_range_says_below_1_or_past_the_length():
     # a length below -1 refuses any pair, as the oracle does
     for writer in (write_dot_bracket, pairwise_dot_bracket):
         assert _render(writer, -5, [(1, 2)]) == (
-            IndexOutOfRange, "pair index 2 exceeds sequence length -5")
+            IndexOutOfRange, "pair index 1 exceeds sequence length -5")
 
 
 @pytest.mark.parametrize("pairs, error", [
@@ -531,7 +531,7 @@ def test_hand_built_helix_pairs_raise_what_the_sorted_list_raises():
     # no bases: nothing is laid out, and any pair is out of range
     assert write_dot_bracket(-1, []) == write_dot_bracket(0, HelixPairs([])) == ""
     assert _render(write_dot_bracket, -1, HelixPairs([contiguous_stem(1, 2, 1)])) == (
-        IndexOutOfRange, str(IndexOutOfRange(2, -1)))
+        IndexOutOfRange, str(IndexOutOfRange(1, -1)))
 
 
 class _CountedTierTable(fileio.TierTable):

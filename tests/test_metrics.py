@@ -244,7 +244,7 @@ def test_summary_ties_match_oracle():
             summaries_agree(report, ref([], 40))
 
 
-@pytest.mark.parametrize("bad,index", [((41, 44), 44), ((3, 42), 42)])
+@pytest.mark.parametrize("bad,index", [((41, 44), 41), ((3, 42), 42)])
 def test_summary_out_of_range_names_the_same_index(bad, index):
     entries = [(2, {(1, 30), (2, 29)}, 1, 1, 1),
                (2, {bad, (4, 28)}, 2, 2, 1),

@@ -573,8 +573,8 @@ def window_sequences(seed, count):
                                    ["--wobble", "--uu"]], ids=" ".join)
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
 def test_window_first_vertices_equal_filter_oracle(name, flags):
-    if name.startswith("rrna5s") and flags[:1] in (["-L"], ["--sl-min"], ["--sl-max"]) or (
-            not name.startswith("rrna5s") and flags == ["--no-gsl"]):
+    if (flags[:1] in (["-L"], ["--sl-min"], ["--sl-max"]) if name.startswith("rrna5s")
+            else flags == ["--no-gsl"]):
         with pytest.raises(ProfileError, match="is not read by the"):
             _cli_profile(name, flags)  # a knob that the family does not read
         return

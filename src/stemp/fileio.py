@@ -708,8 +708,7 @@ def _rebuild_stem(i: int, j: int, length: int, span: int, sl: str,
     shape = GapPattern.parse(pattern) if pattern else GapPattern((length,), ())
     if j - i - shape.inset < MIN_PAIR_GAP:  # the innermost pair's q - p
         raise FormatError(error)
-    stem = Stem(i=i, j=j, pairs=shape.pairs(i, j), pattern=shape if pattern else None,
-                helix=helix)
+    stem = Stem(shape.pairs(i, j), helix)
     if stem.length != length or stem.span != span or str(stem.sl) != sl:
         raise FormatError(error)
     return stem
@@ -804,6 +803,8 @@ def parse_graph_text(text: str) -> StemGraph:
             if cols[0].startswith("v"):
                 head, marked, helix = line.partition(" helix=")
                 cols = head.split()
+                if cols[0] != f"v{len(vertices) + 1}" or len(cols) > 7:
+                    raise ValueError  # a wrong number, or a column past the pattern
                 i, j, length, span = (int(x) for x in cols[1:5])
                 pattern = cols[6] if len(cols) > 6 else None
                 vertices.append(_rebuild_stem(

@@ -25,7 +25,7 @@ from ..errors import NotAcceptorCandidate, ProfileError
 from ..fileio import json_document, json_value, read_json
 from ..seq import PairingRule, Sequence
 from ..stems import (GapPattern, Interval, PairRuns, Stem, StemGraph, as_fraction,
-                     build_stem_graph, canonical_order, contiguous_stem, pattern_of_pairs,
+                     build_stem_graph, canonical_order, contiguous_stem,
                      render_fraction, run_stems)
 
 PROFILE_SCHEMA = "stemp-profile/1"
@@ -135,9 +135,9 @@ class ProfileConfig:
             raise ProfileError("helix/domain specs are only valid for the rrna5s family")
         if self.family != "trna" and self.acceptor is not None:
             raise ProfileError("acceptor rule is only valid for the trna family")
-        unread = ((("stem_loop", self.sl), ("span", self.span),
-                   ("partial_stems", self.partial_stems)) if self.family == "rrna5s"
-                  else (("use_gsl", not self.use_gsl),))
+        unread = ((("min_stem_length", self.min_stem_length != 2), ("stem_loop", self.sl),
+                   ("span", self.span), ("partial_stems", self.partial_stems))
+                  if self.family == "rrna5s" else (("use_gsl", not self.use_gsl),))
         for key, value in unread:
             if value:
                 raise ProfileError(f"{key} is not read by the {self.family} family")
@@ -201,20 +201,17 @@ def rrna5s_helix_candidates(seq: Sequence, spec: HelixSpec,
                             rule: PairingRule) -> list[Stem]:
     """Stems matching any of the helix's shapes, inside its score bounds,
     tagged with the helix name."""
-    return _helix_candidates(PairRuns(seq, rule), spec)
+    return canonical_order(_helix_candidates(PairRuns(seq, rule), spec))
 
 
 def _helix_candidates(runs: PairRuns, spec: HelixSpec) -> list[Stem]:
+    """The helix's stems, each once, unsorted."""
     out: dict[tuple, Stem] = {}
     for pattern in spec.patterns:
-        starts = runs.pattern_starts(pattern, spec.sl or Interval())
-        # the same wherever it sits
-        shape = pattern_of_pairs(pattern.pairs(0, 0)) if starts else None
-        for i, j in starts:
+        for i, j in runs.pattern_starts(pattern, spec.sl or Interval()):
             pairs = pattern.pairs(i, j)
-            out.setdefault(pairs, Stem(i=i, j=j, pairs=pairs, pattern=shape,
-                                       helix=spec.name))
-    return canonical_order(out.values())
+            out.setdefault(pairs, Stem(pairs, spec.name))
+    return list(out.values())
 
 
 @dataclass(frozen=True)
@@ -227,9 +224,7 @@ class DomainCandidate:
     domain: str
 
     def as_stem(self) -> Stem:
-        pairs = tuple(sorted(self.outer.pairs + self.inner.pairs))
-        return Stem(i=pairs[0][0], j=pairs[0][1], pairs=pairs,
-                    pattern=pattern_of_pairs(pairs), helix=self.domain)
+        return Stem(tuple(sorted(self.outer.pairs + self.inner.pairs)), self.domain)
 
 
 def assemble_domains(outer: Iterable[Stem], inner: Iterable[Stem],

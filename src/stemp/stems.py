@@ -231,24 +231,37 @@ class Stem:
 
     ``pairs`` lists the base pairs outermost-first; they always form a
     strictly nested chain. For a contiguous stem pairs are consecutive, for
-    gapped or partial stems the chain skips unpaired bases. ``i``/``j`` are
-    the outermost pair, ``length`` the number of pairs, ``span`` = j - i.
+    gapped or partial stems the chain skips unpaired bases. The rest is
+    derived from them: ``i``/``j`` the outermost pair, ``pattern`` the gap
+    notation, ``length`` the number of pairs, ``span`` = j - i.
     """
 
-    i: int
-    j: int
     pairs: tuple[Pair, ...]
-    pattern: GapPattern | None = None
     helix: str | None = None
+    i: int = field(init=False, compare=False)
+    j: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not self.pairs or self.pairs[0] != (self.i, self.j):
-            raise ValueError(f"pairs must start at the outer pair ({self.i},{self.j})")
+        if not self.pairs:
+            raise ValueError("a stem needs at least one pair")
+        self.__dict__.update(i=self.pairs[0][0], j=self.pairs[0][1])  # frozen: set once
         prev_p, prev_q = 0, self.j + 1
         for p, q in self.pairs:
             if not (prev_p < p < q < prev_q):
                 raise ValueError(f"pairs are not a nested chain: {self.pairs}")
             prev_p, prev_q = p, q
+
+    def __repr__(self) -> str:
+        return (f"Stem(i={self.i!r}, j={self.j!r}, pairs={self.pairs!r}, "
+                f"pattern={self.pattern!r}, helix={self.helix!r})")
+
+    @property
+    def pattern(self) -> GapPattern | None:
+        """``pattern_of_pairs(pairs)``, known to be None in O(1) when contiguous."""
+        k = len(self.pairs) - 1
+        if self.pairs[-1] == (self.i + k, self.j - k):
+            return None
+        return pattern_of_pairs(self.pairs)
 
     @property
     def length(self) -> int:
@@ -279,8 +292,7 @@ class Stem:
 
 
 def contiguous_stem(i: int, j: int, length: int, helix: str | None = None) -> Stem:
-    pairs = tuple((i + t, j - t) for t in range(length))
-    return Stem(i=i, j=j, pairs=pairs, helix=helix)
+    return Stem(tuple((i + t, j - t) for t in range(length)), helix)
 
 
 def helix_runs(pairs: Iterable[Pair]) -> list[tuple[int, int, int]]:
@@ -310,8 +322,8 @@ def pattern_of_pairs(pairs: Iterable[Pair]) -> GapPattern | None:
 
 
 def _sort_key(stem: Stem):
-    return (stem.i, stem.j, stem.length, stem.pattern.render() if stem.pattern else "",
-            stem.helix or "")
+    pattern = stem.pattern
+    return (stem.i, stem.j, stem.length, pattern.render() if pattern else "", stem.helix or "")
 
 
 def canonical_order(stems: Iterable[Stem]) -> list[Stem]:
@@ -441,12 +453,6 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-def _omit_one(i: int, j: int, length: int, t: int) -> Stem:
-    """The run of ``length`` + 1 pairs from (i, j) without its pair t."""
-    pairs = tuple((i + x, j - x) for x in range(length + 1) if x != t)
-    return Stem(i=i, j=j, pairs=pairs, pattern=GapPattern((t, length - t), ((1, 1),)))
-
-
 def run_stems(runs: PairRuns, min_length: int, sl: Interval, spans: Iterable[int],
               partial: bool = False, trim: bool = False) -> list[Stem]:
     """The stems of the pair runs with a span in ``spans`` that land inside ``sl``.
@@ -477,7 +483,9 @@ def run_stems(runs: PairRuns, min_length: int, sl: Interval, spans: Iterable[int
             if r > L:
                 gapped = min(r - 1, longest) if trim and longest is not None else r - 1
                 if shortest <= gapped and (longest is None or gapped <= longest):
-                    out += [_omit_one(i, j, gapped, t) for t in range(1, gapped)]
+                    # the run of gapped + 1 pairs without its pair t
+                    out += [Stem(tuple((i + x, j - x) for x in range(gapped + 1) if x != t))
+                            for t in range(1, gapped)]
     return out
 
 
@@ -503,15 +511,12 @@ def enumerate_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern
     From every start pair the prescribed segments are consumed inward with
     the pattern's skips between them. Candidates whose skips cross the
     strands are silently discarded, as are candidates where one more pair
-    would extend the innermost segment. Each stem keeps ``pattern``, zero
-    gaps too: ``2[0/0]1`` at (1, 10) has the pairs of, but does not equal,
-    ``contiguous_stem(1, 10, 3)``. With ``sl`` only the spans whose score it
-    admits are scanned.
+    would extend the innermost segment. With ``sl`` only the spans whose
+    score it admits are scanned.
     """
     runs = PairRuns(seq, rule)
-    return canonical_order(
-        Stem(i=i, j=j, pairs=pattern.pairs(i, j), pattern=pattern)
-        for i, j in runs.pattern_starts(pattern, sl or Interval()))
+    return canonical_order(Stem(pattern.pairs(i, j))
+                           for i, j in runs.pattern_starts(pattern, sl or Interval()))
 
 
 def enumerate_partial_stems(stems: Iterable[Stem], min_length: int) -> list[Stem]:
@@ -519,8 +524,8 @@ def enumerate_partial_stems(stems: Iterable[Stem], min_length: int) -> list[Stem
 
     Returns the input plus every sub-stem of at least ``min_length`` pairs
     obtained by dropping pairs from the outer and/or inner end, plus, for
-    each stem long enough, the variants that omit exactly one interior pair
-    (their gap pattern is recorded). Duplicated pair sets are emitted once.
+    each stem long enough, the variants that omit exactly one interior
+    pair. Duplicated pair sets are emitted once.
     """
     seen: dict[tuple[Pair, ...], Stem] = {}
 
@@ -539,11 +544,10 @@ def enumerate_partial_stems(stems: Iterable[Stem], min_length: int) -> list[Stem
                 kept = s.pairs[a:l - b]
                 if len(kept) < min_length:
                     continue
-                add(Stem(i=kept[0][0], j=kept[0][1], pairs=kept))
+                add(Stem(kept))
         if l >= min_length + 1:
             for t in range(1, l - 1):
-                kept = s.pairs[:t] + s.pairs[t + 1:]
-                add(Stem(i=s.i, j=s.j, pairs=kept, pattern=pattern_of_pairs(kept)))
+                add(Stem(s.pairs[:t] + s.pairs[t + 1:]))
     return canonical_order(seen.values())
 
 

@@ -24,7 +24,7 @@ from stemp.metrics import Metrics, ReferenceStructure, ReportSummary
 from stemp.profiles import HelixSpec, ProfileConfig, acceptor_sl, assemble_domains
 from stemp.seq import PairingRule, Sequence
 from stemp.stems import (BASES, GapPattern, Interval, Pair, Stem, canonical_order,
-                         contiguous_stem, enumerate_partial_stems, pattern_of_pairs)
+                         contiguous_stem, enumerate_partial_stems)
 
 MIN_SPAN = 3
 MIN_PAIR_GAP = 2
@@ -90,8 +90,7 @@ def walk_trna_vertices(seq: Sequence, cfg: ProfileConfig) -> list[Stem]:
             if t.length - 1 < cfg.min_stem_length:
                 t = None
                 break
-            kept = t.pairs[:-1]
-            t = Stem(i=t.i, j=t.j, pairs=kept, pattern=pattern_of_pairs(kept), helix=t.helix)
+            t = Stem(t.pairs[:-1], t.helix)
         if t is None or sl is not None and not sl.contains(t.sl):
             continue
         if cfg.span is not None and not cfg.span.contains(t.span):
@@ -338,7 +337,7 @@ def walk_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern,
             if q - p >= MIN_PAIR_GAP and rule.allows(r[p - 1], r[q - 1]):
                 continue  # innermost segment would keep going
             if sl is None or sl.contains(Fraction(j - i, pattern.total_length)):
-                out.append(Stem(i=i, j=j, pairs=tuple(pairs), pattern=pattern))
+                out.append(Stem(tuple(pairs)))
     return canonical_order(out)
 
 
@@ -430,8 +429,7 @@ def scan_helix_candidates(runs: RunTable, spec: HelixSpec) -> list[Stem]:
             if spec.sl is not None and not spec.sl.contains(Fraction(j - i, length)):
                 continue
             pairs = pattern.pairs(i, j)
-            out.setdefault(pairs, Stem(i=i, j=j, pairs=pairs,
-                                       pattern=pattern_of_pairs(pairs), helix=spec.name))
+            out.setdefault(pairs, Stem(pairs, spec.name))
     return canonical_order(out.values())
 
 

@@ -704,12 +704,15 @@ def test_evaluate_refuses_a_ct_line_of_four_columns(tmp_path, capsys):
     (lambda doc: doc.update(stem_loop={"min": "2"}), "stem_loop is not read by the rrna5s family"),
     (lambda doc: doc.update(span={}), "span is not read by the rrna5s family"),
     (lambda doc: doc.update(partial_stems=True), "partial_stems is not read by the rrna5s family"),
+    (lambda doc: doc.update(min_stem_length=9),
+     "min_stem_length is not read by the rrna5s family"),
     (lambda doc: doc.update(family="trna", helices=[], domains=[], use_gsl=False),
      "use_gsl is not read by the trna family"),
     (lambda doc: doc.update(family="protein", helices=[], domains=[], use_gsl=False),
      "use_gsl is not read by the protein family"),
 ], ids=["no-patterns", "outer-is-inner", "one-name-twice", "no-family", "no-gsl", "no-pairing",
-        "stem-loop", "span", "partial-stems", "trna-use-gsl", "protein-use-gsl"])
+        "stem-loop", "span", "partial-stems", "min-stem-length", "trna-use-gsl",
+        "protein-use-gsl"])
 def test_predict_refuses_a_bad_profile_file(tmp_path, capsys, change, message):
     doc = profile_to_dict(builtin_profile("rrna5s-bacterial"))
     assert doc["domains"][0]["outer"] == "II"

@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stemp import (AsymmetricPair, BudgetExceeded, FormatError, IndexOutOfRange,
                    InvalidCharacter, PairingRule, StempError, TooManyLayers,
@@ -391,7 +392,7 @@ def _random_stems(rng, n, count):
             stems[-1] += pairs
         else:
             stems.append(pairs)
-    return [Stem(i=pairs[0][0], j=pairs[0][1], pairs=tuple(pairs)) for pairs in stems]
+    return [Stem(tuple(pairs)) for pairs in stems]
 
 
 def test_helix_layering_matches_the_pair_loop_and_the_oracle():
@@ -446,8 +447,7 @@ def _chained_stems(rng, n, count):
             rng.choice(around).append((p, q, k))
         else:
             chains.append([(p, q, k)])
-    return [Stem(i=chain[0][0], j=chain[0][1],
-                 pairs=tuple((p + t, q - t) for p, q, k in chain for t in range(k)))
+    return [Stem(tuple((p + t, q - t) for p, q, k in chain for t in range(k)))
             for chain in chains]
 
 
@@ -769,6 +769,64 @@ def test_graph_round_trip_with_gapped_vertex():
     graph = build_stem_graph(stems)
     assert parse_graph_text(render_graph_text(graph)) == graph
     assert graph_from_dict(graph_to_dict(graph)) == graph
+
+
+def test_graph_text_refuses_a_wrong_vertex_number_or_a_column_past_the_pattern():
+    text = "v1 1 30 3 29 29/3\nv2 1 20 4 19 19/4 2[0/1]2\n"
+    assert [s.pattern.render() if s.pattern else None
+            for s in parse_graph_text(text).vertices] == [None, "2[0/1]2"]
+    for line in ("v7 1 20 4 19 19/4 2[0/1]2", "v2 1 20 4 19 19/4 2[0/1]2 junk",
+                 "v2 1 20 4 19 19/4 2[0/1]2 junk more", 'v2 1 20 4 19 19/4 2[0/1]2 x helix="I"',
+                 "vx 1 20 4 19 19/4", "v 1 20 4 19 19/4"):
+        message = f"^graph line 2 is malformed: {re.escape(repr(line))}$"
+        with pytest.raises(FormatError, match=message):
+            parse_graph_text(f"v1 1 30 3 29 29/3\n{line}\n")
+
+
+def test_a_zero_gap_in_a_dump_reads_as_the_stem_it_gives():
+    """A dump's pattern is the pairs' own notation, so ``2[0/0]1`` reads as
+    the contiguous stem of three pairs and is written back without it."""
+    stem = contiguous_stem(1, 10, 3)
+    (text_stem,) = parse_graph_text("v1 1 10 3 9 3 2[0/0]1\n").vertices
+    doc = {"schema": "stemp-graph/1", "edges": [],
+           "vertices": [{"i": 1, "j": 10, "length": 3, "span": 9, "sl": "3",
+                         "pattern": "2[0/0]1", "helix": None}]}
+    (json_stem,) = graph_from_dict(doc).vertices
+    assert text_stem == json_stem == stem and stem.pattern is None
+    assert render_graph_text(build_stem_graph([text_stem])) == "v1 1 10 3 9 3\n"
+
+
+@st.composite
+def nested_chains(draw):
+    """A nested pair chain from a drawn outer pair: each step inward skips
+    0-3 bases on either side, so runs may touch on one side or both (a
+    [0/0] step only lengthens a run), until it draws a stop or the next
+    pair would join bases less than MIN_PAIR_GAP apart."""
+    p = draw(st.integers(1, 30))
+    q = p + draw(st.integers(MIN_PAIR_GAP, 40))
+    pairs = [(p, q)]
+    while draw(st.integers(0, 5)):
+        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        p, q = p + 1 + a, q - 1 - b
+        if q - p < MIN_PAIR_GAP:
+            break
+        pairs.append((p, q))
+    return tuple(pairs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(nested_chains(), st.sampled_from([None, "I", 'b "x" helix=y'])),
+                max_size=6))
+def test_stems_of_random_chains_round_trip_through_both_dumps(drawn):
+    stems = [Stem(pairs, helix) for pairs, helix in drawn]
+    for stem in stems:
+        if stem.pattern is not None:
+            assert stem.pattern.pairs(stem.i, stem.j) == stem.pairs
+    graph = build_stem_graph(stems)
+    assert graph_from_dict(json.loads(json.dumps(graph_to_dict(graph)))) == graph
+    text = render_graph_text(graph)
+    back = parse_graph_text(text)
+    assert back == graph and render_graph_text(back) == text
 
 
 def test_5s_graphs_round_trip_as_text_with_their_helix_names(monkeypatch):

@@ -310,10 +310,12 @@ def test_profile_validation_errors():
     for family, change, key in [("rrna5s", {"sl": Interval()}, "stem_loop"),
                                 ("rrna5s", {"span": Interval(hi=as_fraction(9))}, "span"),
                                 ("rrna5s", {"partial_stems": True}, "partial_stems"),
+                                ("rrna5s", {"min_stem_length": 9}, "min_stem_length"),
                                 ("trna", {"use_gsl": False}, "use_gsl"),
                                 ("protein", {"use_gsl": False}, "use_gsl")]:
         with pytest.raises(ProfileError, match=f"^{key} is not read by the {family} family$"):
-            ProfileConfig(name="x", family=family, pairing=WOBBLE, min_stem_length=2, **change)
+            ProfileConfig(**dict(dict(name="x", family=family, pairing=WOBBLE,
+                                      min_stem_length=2), **change))
 
 
 def test_resolve_profile_env_dir(tmp_path, monkeypatch):
@@ -530,9 +532,7 @@ def test_oversized_gap_pattern_builds_nothing(monkeypatch, sl):
 def test_domain_inner_must_sit_inside_innermost_pair():
     # a stem lodged in the outer's side gap spans i/j-wise but opens a
     # second hairpin; it must not form a domain
-    outer = __import__("stemp").Stem(
-        i=10, j=60, pairs=GapPattern.parse("2[0/10]2").pairs(10, 60),
-        pattern=GapPattern.parse("2[0/10]2"))
+    outer = __import__("stemp").Stem(GapPattern.parse("2[0/10]2").pairs(10, 60))
     in_gap = contiguous_stem(50, 57, 3)       # inside the 3' gap 49..58
     in_loop = contiguous_stem(20, 40, 3)      # inside the innermost pair (13,47)
     spec = DomainSpec(name="d", outer="A", inner="B",

@@ -179,11 +179,10 @@ def test_zero_gap_degenerates_to_exact_length():
         via_pattern = {s.pairs for s in enumerate_gapped_stems(seq, CANON, pattern)}
         via_exact = {s.pairs for s in enumerate_stems(seq, CANON, 2) if s.length == 5}
         assert via_pattern == via_exact
-    # the pairs only: each stem keeps the pattern, so it is not the contiguous stem
+    # a stem is its pairs, so the [0/0] gap leaves the contiguous stem
     (stem,) = enumerate_gapped_stems(parse_sequence("GGGAAAACCC"), CANON,
                                      GapPattern.parse("2[0/0]1"))
-    assert stem.pattern == GapPattern((2, 1), ((0, 0),))
-    assert stem.pairs == contiguous_stem(1, 10, 3).pairs and stem != contiguous_stem(1, 10, 3)
+    assert stem == contiguous_stem(1, 10, 3) and stem.pattern is None
 
 
 def test_pattern_overrun_discarded_silently():
@@ -208,7 +207,7 @@ def test_pattern_of_pairs_round_trip():
 def test_helices_are_the_runs_of_stacked_pairs():
     assert contiguous_stem(3, 20, 3).helices == ((3, 20, 3),)
     gapped = GapPattern.parse("2[0/1]3[2/0]1[0/0]2")
-    stem = Stem(i=1, j=30, pairs=gapped.pairs(1, 30), pattern=gapped)
+    stem = Stem(gapped.pairs(1, 30))
     # a [0/0] gap stacks its segments into one run
     assert stem.helices == ((1, 30, 2), (3, 27, 3), (8, 24, 3))
     assert [(p + t, q - t) for p, q, k in stem.helices for t in range(k)] == list(stem.pairs)
@@ -356,8 +355,7 @@ def test_coexistence_matches_disjointness_oracle():
 
 
 def test_gapped_stems_use_pair_set_test():
-    gapped = Stem(i=1, j=24, pairs=((1, 24), (2, 23), (4, 20), (5, 19)),
-                  pattern=GapPattern.parse("2[1/2]2"))
+    gapped = Stem(((1, 24), (2, 23), (4, 20), (5, 19)))
     inside_gap = contiguous_stem(7, 17, 3)   # sits inside the gapped stem's loop
     overlapping = contiguous_stem(4, 20, 2)  # reuses bases 4 and 20
     assert can_coexist(gapped, inside_gap)
@@ -382,9 +380,9 @@ def test_empty_graph():
 
 def test_stem_validation_rejects_bad_chains():
     with pytest.raises(ValueError):
-        Stem(i=1, j=10, pairs=((1, 10), (3, 12)))
+        Stem(((1, 10), (3, 12)))
     with pytest.raises(ValueError):
-        Stem(i=1, j=10, pairs=((2, 9),))
+        Stem(())
 
 
 # ends in -12..12 with denominators up to 5, and floats in tenths over the
@@ -498,7 +496,7 @@ def walked_helix_candidates(seq, spec, rule):
         for s in walk_gapped_stems(seq, rule, pattern):
             if spec.sl is not None and not spec.sl.contains(s.sl):
                 continue
-            s = replace(s, pattern=pattern_of_pairs(s.pairs), helix=spec.name)
+            s = replace(s, helix=spec.name)
             out.setdefault(s.pairs, s)
     return canonical_order(out.values())
 

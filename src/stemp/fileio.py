@@ -491,10 +491,10 @@ def report_from_dict(doc: dict) -> PredictionReport:
     """A report read back from its document, which must hold what
     docs/report.schema.json asks: every rank, count, vertex and pair index
     an int, each rank, multiplicity and vertex at least 1 and each energy at
-    least 0; each prediction's pairs what ``check_pairs`` takes; a
-    dot-bracket a string or null, the sequence id and profile strings and
-    the timing a number or null. Anything else is a FormatError that names
-    the prediction (or the report)."""
+    least 0; each prediction's pairs what ``check_pairs`` takes, and as many
+    as its energy; a dot-bracket a string or null, the sequence id and
+    profile strings and the timing a number or null. Anything else is a
+    FormatError that names the prediction (or the report)."""
     json_document(doc, REPORT_SCHEMA, "report")
     where = "report"
     try:
@@ -503,7 +503,7 @@ def report_from_dict(doc: dict) -> PredictionReport:
                                      start=1):
             where = f"prediction {rank}"
             json_value(entry, "it", "object")
-            preds.append(FoldPrediction(
+            pred = FoldPrediction(
                 vertices=tuple(json_value(v, "vertex", "integer", 1) - 1
                                for v in json_value(entry["vertices"], "vertices", "list")),
                 energy=json_value(entry["energy"], "energy", "integer", 0),
@@ -511,8 +511,11 @@ def report_from_dict(doc: dict) -> PredictionReport:
                 scr=json_value(entry["rank_scr"], "rank_scr", "integer", 1),
                 dr=json_value(entry["rank_dr"], "rank_dr", "integer", 1),
                 multiplicity=json_value(entry["multiplicity"], "multiplicity", "integer", 1),
-            ))
+            )
             json_value(entry["dot_bracket"], "dot_bracket", "string", nullable=True)
+            if pred.energy != len(pred.pairs):
+                raise ValueError(f"energy {pred.energy} is not its pair count {len(pred.pairs)}")
+            preds.append(pred)
         where = "report"
         report = PredictionReport(
             sequence_id=json_value(doc["sequence_id"], "sequence_id", "string"),

@@ -3,7 +3,7 @@
 Sensitivity, PPV, MCC and F1 are computed over base pairs: a pair counts as
 a true positive only on an exact (p, q) index match. Sens, PPV and F1 are
 kept as exact rationals; MCC is the square root of sens * ppv, so its exact
-square is stored and the root is taken only for display.
+square is compared and the root is taken only for display.
 """
 
 from __future__ import annotations
@@ -36,30 +36,47 @@ class ReferenceStructure:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Pair-level confusion counts and the derived scores."""
-
-    tp: int
-    fp: int
-    fn: int
-    sens: Fraction
-    ppv: Fraction
-    f1: Fraction
-    mcc_squared: Fraction
-
-    @property
-    def mcc(self) -> float:
-        return math.sqrt(self.mcc_squared)
-
-
-def score_prediction(predicted: Iterable[Pair], reference: ReferenceStructure) -> Metrics:
-    """Compare a predicted pair set with the reference.
+    """Pair-level confusion counts; every score is derived from them, exact.
 
     Conventions for degenerate inputs: an empty prediction against an empty
     reference scores 1 everywhere; otherwise a side with no positives scores
     0 on the metric it starves (sens when the reference is empty, ppv when
     the prediction is), and F1 is 0 when sens + ppv is.
     """
-    return score_counts(*confusion_counts(predicted, reference))
+
+    tp: int
+    fp: int
+    fn: int
+
+    @property
+    def sens(self) -> Fraction:
+        return self._share(self.tp, self.tp + self.fn)
+
+    @property
+    def ppv(self) -> Fraction:
+        return self._share(self.tp, self.tp + self.fp)
+
+    @property
+    def f1(self) -> Fraction:
+        """2 * sens * ppv / (sens + ppv), which is 2tp / (2tp + fp + fn)."""
+        return self._share(2 * self.tp, 2 * self.tp + self.fp + self.fn)
+
+    @property
+    def mcc_squared(self) -> Fraction:
+        return self._share(self.tp * self.tp, (self.tp + self.fn) * (self.tp + self.fp))
+
+    @property
+    def mcc(self) -> float:
+        return math.sqrt(self.mcc_squared)
+
+    def _share(self, part: int, whole: int) -> Fraction:
+        """part / whole; with whole 0, 1 if both sides are empty, else 0."""
+        return Fraction(part, whole) if whole else Fraction(not (self.tp or self.fp or self.fn))
+
+
+def score_prediction(predicted: Iterable[Pair], reference: ReferenceStructure) -> Metrics:
+    """Compare a predicted pair set with the reference."""
+    return Metrics(*confusion_counts(predicted, reference))
 
 
 def confusion_counts(predicted: Iterable[Pair],
@@ -70,19 +87,6 @@ def confusion_counts(predicted: Iterable[Pair],
     check_pairs(sorted(pred), reference.length)
     tp = len(reference.pairs.intersection(pred))
     return tp, len(pred) - tp, len(reference.pairs) - tp
-
-
-def score_counts(tp: int, fp: int, fn: int) -> Metrics:
-    """The exact scores of one confusion count (see score_prediction)."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    if not (tp or fp or fn):  # empty prediction, empty reference
-        return Metrics(tp=0, fp=0, fn=0, sens=one, ppv=one, f1=one, mcc_squared=one)
-    sens = Fraction(tp, tp + fn) if tp + fn else zero
-    ppv = Fraction(tp, tp + fp) if tp + fp else zero
-    f1 = 2 * ppv * sens / (ppv + sens) if ppv + sens else zero
-    return Metrics(tp=tp, fp=fp, fn=fn, sens=sens, ppv=ppv, f1=f1,
-                   mcc_squared=sens * ppv)
 
 
 def drop_noncanonical(reference: ReferenceStructure, rule: PairingRule) -> ReferenceStructure:
@@ -127,15 +131,16 @@ def summarize_report(report: PredictionReport, reference: ReferenceStructure,
     Comparison is exact (rational F1, rational squared MCC); the first
     prediction in report order wins ties, which cannot change either value.
     A report holds thousands of predictions but few distinct confusion
-    counts, so each count is scored once, and only the best prediction is
-    built. A ranking whose stems all lie within the reference is scored
-    from its stems and energy blocks alone (see ``_ranked_choice``); any other
-    report from each prediction's pairs.
+    counts, so only the distinct counts are scored, and only the best
+    prediction is built. A ranking whose stems all lie within the reference
+    is scored from its stems and energy blocks alone (see
+    ``_ranked_choice``); any other report from each prediction's pairs.
     """
+    key = partial(_metric_key, metric=metric)
+    key(Metrics(0, 0, 0))  # an unknown metric is refused before any scoring
     predictions = report.predictions
     if not predictions:
         raise ValueError("cannot summarize an empty report")
-    key = partial(_metric_key, metric=metric)
     # with a stem past the reference the pair path runs, and its
     # IndexOutOfRange names what check_pairs names in the first prediction
     # in report order that holds such a stem
@@ -161,14 +166,13 @@ def _pair_choice(predictions: Sequence[FoldPrediction], reference: ReferenceStru
         first.setdefault(counts, index)
         if pred.scr == 1:
             first_top.setdefault(counts, index)
-    scores = {counts: score_counts(*counts) for counts in first}
 
     def pick(firsts: dict) -> tuple[int, int, int]:
         # highest score; among equal scores, the earliest prediction
-        return max(firsts, key=lambda c: (key(scores[c]), -firsts[c]))
+        return max(firsts, key=lambda c: (key(Metrics(*c)), -firsts[c]))
 
     best = pick(first)
-    return scores[pick(first_top)], scores[best], first[best]
+    return Metrics(*pick(first_top)), Metrics(*best), first[best]
 
 
 def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
@@ -191,7 +195,7 @@ def _ranked_choice(ranked: RankedPredictions, reference: ReferenceStructure,
     tps = [len(ref.intersection(stem.pairs)) for stem in ranked.graph.vertices]
 
     def score(energy: int, tp: int) -> Metrics:
-        return score_counts(tp, energy - tp, len(ref) - tp)
+        return Metrics(tp, energy - tp, len(ref) - tp)
 
     top = best = None
     for energy, start, block in ranked.blocks():

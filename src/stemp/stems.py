@@ -242,13 +242,18 @@ class Stem:
     j: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not self.pairs:
+        pairs = self.pairs
+        try:
+            hash(pairs)  # a tuple of tuples, as the enumerators build, is kept as it is
+        except TypeError:  # pairs given as lists become the tuples that hash and compare
+            pairs = tuple(map(tuple, pairs))
+        if not pairs:
             raise ValueError("a stem needs at least one pair")
-        self.__dict__.update(i=self.pairs[0][0], j=self.pairs[0][1])  # frozen: set once
+        self.__dict__.update(pairs=pairs, i=pairs[0][0], j=pairs[0][1])  # frozen: set once
         prev_p, prev_q = 0, self.j + 1
-        for p, q in self.pairs:
+        for p, q in pairs:
             if not (prev_p < p < q < prev_q):
-                raise ValueError(f"pairs are not a nested chain: {self.pairs}")
+                raise ValueError(f"pairs are not a nested chain: {pairs}")
             prev_p, prev_q = p, q
 
     def __repr__(self) -> str:

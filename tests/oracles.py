@@ -342,22 +342,23 @@ def walk_gapped_stems(seq: Sequence, rule: PairingRule, pattern: GapPattern,
 
 
 def score_pairs(predicted, reference: ReferenceStructure) -> Metrics:
-    """metrics.score_prediction with its own Fraction arithmetic."""
+    """metrics.score_prediction's Metrics, whose four scores are asserted to
+    be what this function's own Fraction arithmetic gives."""
     pred = set(predicted)
     sorted_checked_pairs(pred, reference.length)
     ref = reference.pairs
     tp = len(pred & ref)
     fp = len(pred - ref)
     fn = len(ref - pred)
-    one = Fraction(1)
-    zero = Fraction(0)
+    m = Metrics(tp, fp, fn)
     if not pred and not ref:
-        return Metrics(tp=0, fp=0, fn=0, sens=one, ppv=one, f1=one, mcc_squared=one)
-    sens = Fraction(tp, tp + fn) if tp + fn else zero
-    ppv = Fraction(tp, tp + fp) if tp + fp else zero
-    f1 = 2 * ppv * sens / (ppv + sens) if ppv + sens else zero
-    return Metrics(tp=tp, fp=fp, fn=fn, sens=sens, ppv=ppv, f1=f1,
-                   mcc_squared=sens * ppv)
+        assert m.sens == m.ppv == m.f1 == m.mcc_squared == 1
+        return m
+    sens = Fraction(tp, tp + fn) if tp + fn else Fraction(0)
+    ppv = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
+    f1 = 2 * ppv * sens / (ppv + sens) if ppv + sens else Fraction(0)
+    assert (m.sens, m.ppv, m.f1, m.mcc_squared) == (sens, ppv, f1, sens * ppv)
+    return m
 
 
 def score_each(report, reference: ReferenceStructure, metric: str = "mcc") -> ReportSummary:

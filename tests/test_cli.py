@@ -335,6 +335,7 @@ def _report_doc(*entries):
      "report is malformed: timing_seconds \"x\" is not a number or null"),
     (dict(_report_doc({}), timing_seconds=True),
      "report is malformed: timing_seconds true is not a number or null"),
+    (_report_doc({"energy": 9}), "prediction 1 is malformed: energy 9 is not its pair count 1"),
 ])
 def test_evaluate_malformed_report_exit_2(tmp_path, capsys, doc, message):
     report = tmp_path / "r.json"

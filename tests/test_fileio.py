@@ -729,6 +729,10 @@ def test_report_schema_guard():
      "report is malformed: sequence_id 5 is not a string"),
     ({"schema": "stemp-report/1", "sequence_id": "x", "profile": {}, "predictions": []},
      "report is malformed: profile {} is not a string"),
+    ({"schema": "stemp-report/1", "sequence_id": "x", "profile": "p",
+      "predictions": [{"rank_scr": 1, "rank_dr": 1, "multiplicity": 1, "energy": 9,
+                       "vertices": [1], "pairs": [[1, 9]], "dot_bracket": None}]},
+     "prediction 1 is malformed: energy 9 is not its pair count 1$"),
 ])
 def test_report_from_dict_rejects_malformed_documents(doc, message):
     with pytest.raises(FormatError, match=message):

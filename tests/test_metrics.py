@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from stemp import (IndexOutOfRange, PairingRule, ReferenceStructure,
-                   drop_noncanonical, maximal_cliques, parse_sequence, rank_predictions,
-                   score_prediction, summarize_report)
+from stemp import (IndexOutOfRange, Metrics, PairingRule, ReferenceStructure,
+                   build_stem_graph, drop_noncanonical, maximal_cliques, parse_sequence,
+                   rank_predictions, score_prediction, summarize_report)
 from stemp import cli
 from stemp.cli import run_pipeline
 from stemp.cliques import FoldPrediction, PredictionReport
 from stemp.profiles import builtin_profile
+from stemp.stems import contiguous_stem
 
-from .oracles import score_each
+from .oracles import score_each, score_pairs
 from .test_cliques import random_graph
 
 
@@ -86,6 +87,14 @@ def test_empty_conventions():
     ref_only = score_prediction([], ref(spaced_pairs(3, 10), 10))
     assert ref_only.ppv == 0 and ref_only.sens == 0 and ref_only.f1 == 0
     assert ref_only.fn == 3
+    # every count up to 6 a side, zeros included: the oracle asserts that
+    # each score is the sens/ppv-based definition
+    universe = sorted(spaced_pairs(18, 40))
+    for tp, fp, fn in itertools.product(range(7), repeat=3):
+        predicted = universe[:tp + fp]
+        reference = ref(universe[:tp] + universe[tp + fp:tp + fp + fn], 40)
+        m = score_prediction(predicted, reference)
+        assert m == score_pairs(predicted, reference) == Metrics(tp, fp, fn)
 
 
 def test_symmetry_swaps_sens_and_ppv():
@@ -193,6 +202,17 @@ def test_summary_metric_choice():
     assert by_f1.metric == "f1" and by_f1.best.f1 == 1
     with pytest.raises(ValueError):
         summarize_report(report, ref(truth, 40), metric="accuracy")
+
+
+def test_an_unknown_metric_is_refused_before_any_scoring():
+    """A ranking of one energy block compares no two scores, and still
+    refuses an unknown metric, as a report of two blocks does."""
+    graph = build_stem_graph([contiguous_stem(1, 20, 3)])
+    ranked = rank_predictions(graph, maximal_cliques(graph))
+    assert len(list(ranked.predictions.blocks())) == 1
+    for reference in (ref([], 20), ref(spaced_pairs(4, 40), 40)):
+        with pytest.raises(ValueError, match="unknown metric 'accuracy'"):
+            summarize_report(ranked, reference, metric="accuracy")
 
 
 def test_summary_requires_predictions():

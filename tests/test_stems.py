@@ -385,6 +385,13 @@ def test_stem_validation_rejects_bad_chains():
         Stem(())
 
 
+def test_listed_pairs_build_the_stem_that_tuples_build():
+    stem = Stem(((1, 10), (2, 9)), helix="P1")
+    for pairs in ([(1, 10), (2, 9)], [[1, 10], [2, 9]], ([1, 10], (2, 9))):
+        listed = Stem(pairs, helix="P1")
+        assert listed == stem and hash(listed) == hash(stem) and repr(listed) == repr(stem)
+
+
 # ends in -12..12 with denominators up to 5, and floats in tenths over the
 # same range: open, closed and strict, at or below 0 on either side
 WINDOW_ENDS = st.one_of(st.none(), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5)),
